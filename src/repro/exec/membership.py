@@ -643,11 +643,20 @@ class CoordinatorLink:
         self.worker_id = worker_id
         self.announce = dict(announce)
         self.interval = float(interval) if interval else 0.5
-        self._fault_profile = fault_profile
         self._stop = threading.Event()
         self._registered = False
         self._incarnation = 0
-        self._client: RpcClient | None = None
+        # One client for the link's life: its dial counter keys the fault
+        # injector, so each reconnect draws a distinct (still
+        # seed-deterministic) fault stream.  A fresh client would replay
+        # dial #1's verdicts, and a dropped register frame would stay
+        # dropped on every retry, forever.
+        self._client = RpcClient(
+            self.address,
+            timeout=self._CALL_TIMEOUT,
+            fault_profile=fault_profile,
+            fault_retries=0,
+        )
         self._thread: threading.Thread | None = None
         self._failures = 0  # consecutive link failures (drives backoff)
         # Jitter seeded from the stable worker id, so chaos runs replay.
@@ -685,12 +694,11 @@ class CoordinatorLink:
             self._thread = None
         if deregister and self._registered:
             try:
-                with self._fresh_client() as client:
-                    client.call("deregister", {"worker": self.worker_id})
+                self._client.call("deregister", {"worker": self.worker_id})
             except (TransportError, RpcRemoteError, OSError):
                 pass  # best-effort: a gone coordinator needs no goodbye
             self._registered = False
-        self._drop_client()
+        self._client.close()
 
     def __enter__(self) -> "CoordinatorLink":
         return self.start()
@@ -699,30 +707,11 @@ class CoordinatorLink:
         self.stop()
 
     # ------------------------------------------------------------------
-    def _fresh_client(self) -> RpcClient:
-        return RpcClient(
-            self.address,
-            timeout=self._CALL_TIMEOUT,
-            fault_profile=self._fault_profile,
-            reliable=False,
-            fault_retries=0,
-        )
-
-    def _ensure_client(self) -> RpcClient:
-        if self._client is None:
-            self._client = self._fresh_client()
-        return self._client
-
-    def _drop_client(self) -> None:
-        if self._client is not None:
-            self._client.close()
-            self._client = None
-
     def _loop(self) -> None:
         while not self._stop.is_set():
             try:
                 if not self._registered:
-                    reply = self._ensure_client().call(
+                    reply = self._client.call(
                         "register", {"worker": self.worker_id, **self.announce}
                     )
                     self._incarnation = int(reply.get("incarnation", 0))
@@ -732,7 +721,7 @@ class CoordinatorLink:
                     self._registered = True
                     self._failures = 0
                 else:
-                    reply = self._ensure_client().call(
+                    reply = self._client.call(
                         "heartbeat", {"worker": self.worker_id}
                     )
                     self._failures = 0
@@ -746,15 +735,10 @@ class CoordinatorLink:
             except (TransportError, RpcRemoteError, OSError):
                 # Coordinator unreachable or the beat was chaos-dropped.
                 # Either way: fresh registration attempt after a backoff.
-                # Keep the *client object* — its per-dial counter keys
-                # the fault injector, so each reconnect draws a distinct
-                # (still seed-deterministic) fault stream; a fresh client
-                # would replay dial #1's verdicts and a dropped register
-                # frame would stay dropped on every retry, forever.
                 self._registered = False
                 self._failures += 1
             self._stop.wait(self._next_wait())
-        self._drop_client()
+        self._client.close()
 
     def _next_wait(self) -> float:
         """The pause before the next link pass, seconds.

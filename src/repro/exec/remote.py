@@ -152,10 +152,6 @@ class DistributedExecutor(Executor):
         fault_profile: Optional fault injection for the coordinator side
             of every RPC connection (falls back to
             ``REPRO_FAULT_PROFILE``; ``"off"`` pins it off).
-        reliable: Opt the coordinator's RPC clients into the Go-Back-N
-            channel (:mod:`repro.net.reliable`) so injected frame loss
-            costs a retransmission instead of a spec re-queue; ``None``
-            falls back to ``REPRO_RPC_RELIABLE``.
         elastic: Consume a live membership directory
             (:mod:`repro.exec.membership`) instead of a static list:
             workers join/leave mid-run and ``map_specs`` follows.
@@ -180,14 +176,12 @@ class DistributedExecutor(Executor):
         call_timeout: float = 600.0,
         max_workers: int | None = None,
         fault_profile: "FaultProfile | str | None" = None,
-        reliable: bool | None = None,
         elastic: bool | None = None,
         coordinator: "FleetCoordinator | None" = None,
         join_timeout: float = 30.0,
     ) -> None:
         del max_workers  # width comes from the workers themselves
         self.fault_profile = fault_profile
-        self.reliable = reliable
         self.join_timeout = join_timeout
         if elastic is None:
             elastic = coordinator is not None or (
@@ -251,7 +245,6 @@ class DistributedExecutor(Executor):
             worker.address,
             timeout=self.call_timeout if timeout is None else timeout,
             fault_profile=self.fault_profile,
-            reliable=self.reliable,
         )
 
     def _probe(self) -> list[WorkerInfo]:

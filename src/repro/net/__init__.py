@@ -21,16 +21,7 @@ from .http import (
 )
 from .latency import LatencyModel
 from .proxy import ResidentialProxyPool
-from .reliable import RELIABLE_MAGIC, ReliableEndpoint
-from .rpc import (
-    RPC_RELIABLE_ENV,
-    RpcBusyError,
-    RpcClient,
-    RpcError,
-    RpcRemoteError,
-    RpcServer,
-    default_rpc_reliable,
-)
+from .rpc import RpcBusyError, RpcClient, RpcError, RpcRemoteError, RpcServer
 from .tcp import TcpBatServer, TcpTransport
 from .transport import RENDER_HEADER, BatServerApp, InProcessTransport, Transport
 
@@ -45,10 +36,6 @@ __all__ = [
     "FaultRates",
     "FaultySocket",
     "resolve_fault_profile",
-    "RELIABLE_MAGIC",
-    "ReliableEndpoint",
-    "RPC_RELIABLE_ENV",
-    "default_rpc_reliable",
     "frame_http_message",
     "Clock",
     "RealClock",

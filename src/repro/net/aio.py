@@ -13,9 +13,10 @@ removes them:
   carries over-read bytes into the next message instead of dropping them
   — the property that makes keep-alive (and pipelined responses) safe.
 * :class:`AsyncTcpBatServer` — the same :class:`BatServerApp` objects
-  behind :func:`asyncio.start_server`: one event loop replaces the
-  thread-per-connection accept loop, and render delays are honored with
-  ``await asyncio.sleep`` so a sleeping request costs no thread.
+  on the asyncio server shell (:class:`~repro.net.conn.AsyncServer`): one
+  event loop replaces the thread-per-connection accept loop, and render
+  delays are honored with ``await asyncio.sleep`` so a sleeping request
+  costs no thread.
 
 Both ends speak byte-identical HTTP/1.1 to their threaded counterparts in
 :mod:`repro.net.tcp`; sync clients interoperate with the async server and
@@ -25,51 +26,19 @@ vice versa (integration-tested).
 from __future__ import annotations
 
 import asyncio
-import threading
 from abc import ABC, abstractmethod
 
 from ..errors import TransportError
 from .clock import Clock
-from .faults import FaultInjector, FaultProfile, resolve_fault_profile
+from .conn import AsyncServer
+from .faults import FaultInjector, FaultProfile, faulty_write, resolve_fault_profile
 from .http import HttpRequest, HttpResponse, frame_http_message
-from .transport import RENDER_HEADER, BatServerApp
+from .tcp import BatHost
+from .transport import BatServerApp
 
 __all__ = ["AsyncTransport", "AsyncTcpTransport", "AsyncTcpBatServer"]
 
 _RECV_CHUNK = 65536
-
-
-async def _faulty_write(
-    writer: asyncio.StreamWriter, payload: bytes, injector: FaultInjector
-) -> bool:
-    """Apply one injector verdict to a message write.
-
-    The async mirror of :class:`~repro.net.faults.FaultySocket`: one
-    message per write is one frame; byte-losing verdicts (``drop``,
-    ``truncate``, ``reset``) tear the connection down so the peer sees
-    EOF instead of hanging, ``reorder`` degrades to a plain send, and
-    ``delay`` awaits on the loop instead of blocking a thread.  Returns
-    False when the connection was torn down.
-    """
-    action = injector.next_action(len(payload))
-    if action.kind in ("drop", "reset"):
-        writer.close()
-        return False
-    if action.kind == "truncate":
-        writer.write(payload[: action.cut])
-        try:
-            await writer.drain()
-        except OSError:
-            pass
-        writer.close()
-        return False
-    if action.kind == "delay":
-        await asyncio.sleep(action.delay_s)
-    elif action.kind == "duplicate":
-        writer.write(payload)
-    writer.write(payload)
-    await writer.drain()
-    return True
 
 
 class AsyncTransport(ABC):
@@ -185,19 +154,6 @@ class AsyncTcpTransport(AsyncTransport):
             self._gates[host] = gate
         return gate
 
-    def _checkout(self, host: str) -> _AioConn | None:
-        pool = self._idle.get(host)
-        if pool:
-            return pool.pop()  # LIFO: warmest socket first
-        return None
-
-    def _checkin(self, host: str, conn: _AioConn) -> None:
-        pool = self._idle.setdefault(host, [])
-        if len(pool) < self.max_idle_per_host:
-            pool.append(conn)
-        else:
-            conn.close()
-
     async def _dial(self, host: str, address: tuple[str, int]) -> _AioConn:
         try:
             reader, writer = await asyncio.wait_for(
@@ -213,36 +169,28 @@ class AsyncTcpTransport(AsyncTransport):
             injector = profile.injector("client", host, self._dial_count)
         return _AioConn(reader, writer, injector)
 
-    async def _roundtrip(
-        self, conn: _AioConn, payload: bytes
-    ) -> tuple[bytes, bytes]:
+    async def _roundtrip(self, conn: _AioConn, payload: bytes) -> bytes | None:
         """Send one request and read its framed response.
 
-        Mirrors the sync transport's retry contract: ``(b"", b"")`` only
-        when the connection died *before the server can have handled the
-        request* (send-phase error, or EOF/reset with zero response
-        bytes) — safe to retry on a fresh connection.  Timeouts and
+        The sync pool's contract (:class:`~repro.net.conn.KeepAlivePool`):
+        None only when the request provably never reached the server's
+        handler (send-phase error, or EOF/reset with zero response bytes),
+        which is safe to resend on a fresh connection.  Timeouts and
         truncation after response bytes arrived raise instead; resending
         then would double-mutate server state.
         """
         try:
-            if conn.injector is not None:
-                if not await _faulty_write(conn.writer, payload, conn.injector):
-                    # The request was torn away before the server could
-                    # have handled it; fall through to the read loop,
-                    # which sees EOF with zero response bytes: retryable.
-                    pass
-            else:
-                conn.writer.write(payload)
-                await conn.writer.drain()
+            # A request torn away by a fault falls through to the read
+            # loop, which sees EOF with zero response bytes: retryable.
+            await faulty_write(conn.writer, payload, conn.injector)
         except OSError:
-            return b"", b""  # request never fully left: retryable
+            return None
         buffer = conn.buffer
-        responded = False
         while True:
             framed = frame_http_message(buffer)
             if framed is not None:
-                return framed
+                raw, conn.buffer = framed
+                return raw
             try:
                 chunk = await asyncio.wait_for(
                     conn.reader.read(_RECV_CHUNK), self._timeout
@@ -252,18 +200,17 @@ class AsyncTcpTransport(AsyncTransport):
                     f"timed out waiting for a response: {exc}"
                 ) from exc
             except OSError as exc:
-                if responded or buffer:
+                if buffer:
                     raise TransportError(
                         f"connection lost mid-response: {exc}"
                     ) from exc
-                return b"", b""  # closed before responding: retryable
+                return None
             if not chunk:
                 if buffer:
                     raise TransportError(
                         "truncated response (connection closed mid-message)"
                     )
-                return b"", b""  # clean close before responding: retryable
-            responded = True
+                return None
             buffer += chunk
 
     async def close(self) -> None:
@@ -294,36 +241,36 @@ class AsyncTcpTransport(AsyncTransport):
         started = clock.now()
 
         async with self._gate(host):
-            conn = self._checkout(host)
-            reused = conn is not None
+            idle = self._idle.get(host)
+            conn = idle.pop() if idle else None  # LIFO: warmest socket first
+            # The sync pool's resend rule: one resend on a reused socket,
+            # ``fault_retries`` under a fault profile.
             if conn is None:
                 conn = await self._dial(host, address)
+                retries = 0
             else:
                 self.connections_reused += 1
-            # Same retry policy as the sync transport: a retryable
-            # failure provably predates any server handling.  Stale
-            # parked sockets get exactly one retry; an active fault
-            # profile widens the budget to cover injected request loss.
-            retries = 1 if reused else 0
+                retries = 1
             if self._fault_profile is not None:
                 retries = max(retries, self.fault_retries)
             try:
-                raw, leftover = await self._roundtrip(conn, payload)
-                while not raw and retries > 0:
+                raw = await self._roundtrip(conn, payload)
+                while raw is None and retries > 0:
                     retries -= 1
                     conn.close()
                     conn = await self._dial(host, address)
-                    raw, leftover = await self._roundtrip(conn, payload)
+                    raw = await self._roundtrip(conn, payload)
+                if raw is None:
+                    raise TransportError(f"empty response from {host}")
+                response = HttpResponse.from_bytes(raw)
             except TransportError:
                 conn.close()
                 raise
-            if not raw:
-                conn.close()
-                raise TransportError(f"empty response from {host}")
-            response = HttpResponse.from_bytes(raw)
-            conn.buffer = leftover
-            if (response.header("Connection") or "").lower() == "keep-alive":
-                self._checkin(host, conn)
+            idle = self._idle.setdefault(host, [])
+            if (
+                response.header("Connection") or ""
+            ).lower() == "keep-alive" and len(idle) < self.max_idle_per_host:
+                idle.append(conn)
             else:
                 conn.close()
 
@@ -334,8 +281,8 @@ class AsyncTcpTransport(AsyncTransport):
         return response
 
 
-class AsyncTcpBatServer:
-    """One BAT application behind :func:`asyncio.start_server`.
+class AsyncTcpBatServer(AsyncServer):
+    """One BAT application on the asyncio server shell.
 
     Drop-in replacement for :class:`~repro.net.tcp.TcpBatServer` — same
     ``start()``/``stop()``/context-manager surface, same framing, same
@@ -355,169 +302,17 @@ class AsyncTcpBatServer:
         time_scale: float = 0.0,
         fault_profile: FaultProfile | str | None = None,
     ) -> None:
-        self._app = app
-        self._host = host
-        self._port = port
-        self._time_scale = time_scale
-        self._fault_profile = resolve_fault_profile(fault_profile)
-        self._conn_count = 0
-        self._address: tuple[str, int] | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._tasks: set[asyncio.Task] = set()
-        self._virtual_now = 0.0
-        self._startup_error: BaseException | None = None
+        super().__init__(app.hostname, host, port, fault_profile)
+        self._bat = BatHost(app, time_scale)
 
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._address is None:
-            raise TransportError("server not started")
-        return self._address
+    reject = staticmethod(BatHost.reject)
 
     @property
     def hostname(self) -> str:
-        return self._app.hostname
+        return self._bat.app.hostname
 
-    # ------------------------------------------------------------------
-    # Sync facade (mirrors TcpBatServer)
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        self._ready.clear()
-        self._thread = threading.Thread(
-            target=self._run_loop,
-            name=f"aio-bat-{self._app.hostname}",
-            daemon=True,
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise TransportError("async BAT server failed to start")
-        if self._startup_error is not None:
-            raise TransportError(
-                f"async BAT server failed to start: {self._startup_error}"
-            )
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop.set)
-        self._thread.join(timeout=5.0)
-        self._thread = None
-
-    def __enter__(self) -> "AsyncTcpBatServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # noqa: BLE001 - surfaced via start()
-            self._startup_error = exc
-            self._ready.set()
-
-    # ------------------------------------------------------------------
-    # Event-loop side
-    # ------------------------------------------------------------------
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_client, self._host, self._port
-        )
-        self._address = server.sockets[0].getsockname()
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            for task in list(self._tasks):
-                task.cancel()
-            if self._tasks:
-                await asyncio.gather(*self._tasks, return_exceptions=True)
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if task is not None:
-                self._tasks.discard(task)
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - best-effort teardown
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername") or ("?", 0)
-        profile = self._fault_profile
-        injector = None
-        if profile is not None and profile.server.any:
-            self._conn_count += 1
-            injector = profile.injector(
-                "server", self._app.hostname, self._conn_count
-            )
-        buffer = b""
-        while True:
-            try:
-                framed = frame_http_message(buffer)
-                while framed is None:
-                    chunk = await reader.read(_RECV_CHUNK)
-                    if not chunk:
-                        return
-                    buffer += chunk
-                    framed = frame_http_message(buffer)
-                raw, buffer = framed
-                request = HttpRequest.from_bytes(raw)
-                client_ip = request.header("X-Forwarded-For") or peer[0]
-                # The loop serializes handle() calls exactly like the
-                # threaded server's clock lock did; the render sleep below
-                # is where concurrent clients overlap.
-                self._virtual_now += 1.0
-                response = self._app.handle(request, client_ip, self._virtual_now)
-                render_value = response.header(RENDER_HEADER)
-                response.headers.pop(RENDER_HEADER, None)
-                if render_value and self._time_scale > 0:
-                    await asyncio.sleep(float(render_value) * self._time_scale)
-                keep_alive = (
-                    (request.header("Connection") or "").lower() == "keep-alive"
-                )
-                response.set_header(
-                    "Connection", "keep-alive" if keep_alive else "close"
-                )
-                if injector is not None:
-                    if not await _faulty_write(
-                        writer, response.to_bytes(), injector
-                    ):
-                        return  # response torn away; connection is gone
-                else:
-                    writer.write(response.to_bytes())
-                    await writer.drain()
-                if not keep_alive:
-                    return
-            except (TransportError, ValueError) as exc:
-                error = HttpResponse.html(
-                    f"<html><body>bad request: {exc}</body></html>", 400
-                )
-                try:
-                    writer.write(error.to_bytes())
-                    await writer.drain()
-                except OSError:
-                    pass
-                return
-            except (OSError, ConnectionError):
-                return
+    async def respond(self, request: HttpRequest, peer: str) -> HttpResponse:
+        response, pause = self._bat.handle(request, peer)
+        if pause:
+            await asyncio.sleep(pause)
+        return response

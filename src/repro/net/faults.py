@@ -1,10 +1,10 @@
 """Deterministically-seeded fault injection for every transport.
 
 The paper's measurement campaign ran over flaky last-mile links; this
-module lets every socket endpoint in :mod:`repro.net` — the sync
-client/server pair in :mod:`repro.net.tcp`, the asyncio pair in
-:mod:`repro.net.aio`, and the RPC client/server in :mod:`repro.net.rpc`
-— replay that flakiness on demand, *identically on every run*.
+module lets every socket endpoint in :mod:`repro` — the server shells and
+the sync client pool in :mod:`repro.net.conn`, and the asyncio client in
+:mod:`repro.net.aio` — replay that flakiness on demand, *identically on
+every run*.
 
 A :class:`FaultProfile` is pure configuration: a seed plus per-direction
 fault rates (``client`` = everything a client endpoint sends, ``server``
@@ -24,21 +24,13 @@ run.
 Fault taxonomy (one uniform draw per frame, at most one fault):
 
 =========== ==========================================================
-``drop``    The frame is lost.  On the reliable channel
-            (:mod:`repro.net.reliable`) the loss is silent and ARQ
-            recovers; on a raw byte stream a silently-swallowed frame
-            would park the peer until timeout, so raw endpoints tear
-            the connection down too (the peer sees an EOF/reset, which
-            is what a lost segment plus an RST looks like).
-``duplicate`` The frame is delivered twice.  The reliable receiver
-            dedups by sequence number; raw endpoints only see this
-            where a duplicate is harmless (framing keeps messages
+``drop``    The frame is lost.  On a byte stream a silently-swallowed
+            frame would park the peer until timeout, so the endpoint
+            tears the connection down too (the peer sees an EOF/reset,
+            which is what a lost segment plus an RST looks like).
+``duplicate`` The frame is delivered twice.  Framing keeps messages
             intact, so a duplicated *response* is over-read bytes the
-            client's parser must not choke on).
-``reorder`` The frame is held and delivered after the next one.  Only
-            the reliable channel applies this (raw endpoints send one
-            message per frame in lock-step, so holding would deadlock);
-            raw endpoints treat it as a plain send.
+            client's parser must not choke on.
 ``delay``   The frame is delivered after a deterministic pause drawn
             from ``[0, delay_seconds]``.
 ``truncate`` A strict prefix of the frame's bytes is delivered, then
@@ -63,6 +55,7 @@ against a chaos-enabled environment).
 
 from __future__ import annotations
 
+import asyncio
 import os
 import random
 import socket as _socket
@@ -79,6 +72,7 @@ __all__ = [
     "FaultProfile",
     "FaultRates",
     "FaultySocket",
+    "faulty_write",
     "resolve_fault_profile",
 ]
 
@@ -92,7 +86,6 @@ class FaultRates:
 
     drop: float = 0.0
     duplicate: float = 0.0
-    reorder: float = 0.0
     delay: float = 0.0
     truncate: float = 0.0
     reset: float = 0.0
@@ -122,11 +115,10 @@ class FaultProfile:
     """A seeded, per-direction fault-injection configuration.
 
     ``client`` rates are applied to frames sent by client endpoints
-    (:class:`~repro.net.tcp.TcpTransport`,
-    :class:`~repro.net.aio.AsyncTcpTransport`,
-    :class:`~repro.net.rpc.RpcClient`); ``server`` rates to frames sent
-    by server endpoints.  ``delay_seconds`` bounds the pause a ``delay``
-    fault inserts.
+    (:class:`~repro.net.conn.KeepAlivePool`,
+    :class:`~repro.net.aio.AsyncTcpTransport`); ``server`` rates to
+    frames sent by server endpoints.  ``delay_seconds`` bounds the pause
+    a ``delay`` fault inserts.
     """
 
     seed: int = 0
@@ -265,8 +257,8 @@ def resolve_fault_profile(
 class FaultAction:
     """The injector's verdict for one frame.
 
-    ``kind`` is one of ``send``, ``drop``, ``duplicate``, ``reorder``,
-    ``delay``, ``truncate``, ``reset``.  ``cut`` is the prefix length a
+    ``kind`` is one of ``send``, ``drop``, ``duplicate``, ``delay``,
+    ``truncate``, ``reset``.  ``cut`` is the prefix length a
     ``truncate`` delivers; ``delay_s`` the pause a ``delay`` inserts.
     """
 
@@ -275,11 +267,14 @@ class FaultAction:
     delay_s: float = 0.0
 
 
+_SEND = FaultAction()
+
+
 class FaultInjector:
     """One connection's deterministic stream of per-frame fault verdicts.
 
     Pure decision logic — the endpoint applies the verdict (sync sleeps,
-    async awaits, the reliable channel holds frames).  Sampling is one
+    async awaits).  Sampling is one
     uniform draw per frame against the cumulative rates, plus secondary
     draws for truncation cut points and delay lengths, all from a
     :class:`random.Random` seeded by the profile; the verdict sequence
@@ -300,7 +295,7 @@ class FaultInjector:
         self.frames += 1
         draw = self._rng.random()
         edge = 0.0
-        for kind in ("drop", "duplicate", "reorder", "delay", "truncate", "reset"):
+        for kind in ("drop", "duplicate", "delay", "truncate", "reset"):
             edge += getattr(self.rates, kind)
             if draw < edge:
                 self.injected[kind] = self.injected.get(kind, 0) + 1
@@ -320,17 +315,13 @@ class FaultInjector:
 class FaultySocket:
     """A socket wrapper applying injector verdicts to every ``sendall``.
 
-    For the raw (non-ARQ) endpoints a *frame* is one ``sendall`` call —
-    always a whole HTTP message, since that is how every endpoint in
-    :mod:`repro.net` writes.  Faults that lose bytes (``drop``,
-    ``truncate``, ``reset``) also tear the connection down with a
-    bidirectional shutdown: on a raw byte stream a silently-swallowed
-    message would park the peer in ``recv`` until timeout, whereas a torn
-    connection surfaces as the EOF/reset failure class the transports
-    already handle (and retry where provably safe).  ``reorder`` verdicts
-    degrade to a plain send — holding a message back would deadlock a
-    lock-step request/response exchange; the reliable channel is the
-    layer that exercises reordering.
+    A *frame* is one ``sendall`` call — always a whole HTTP message,
+    since that is how every endpoint in :mod:`repro.net` writes.  Faults
+    that lose bytes (``drop``, ``truncate``, ``reset``) also tear the
+    connection down with a bidirectional shutdown: on a byte stream a
+    silently-swallowed message would park the peer in ``recv`` until
+    timeout, whereas a torn connection surfaces as the EOF/reset failure
+    class the transports already handle (and retry where provably safe).
 
     Reads and everything else pass straight through, so the wrapper can
     stand in for a socket anywhere the endpoints use one.
@@ -364,20 +355,8 @@ class FaultySocket:
         except OSError:
             pass
 
-    # Everything except sendall passes through untouched.
-    def recv(self, *args: object) -> bytes:
-        return self._sock.recv(*args)
-
-    def settimeout(self, value: float | None) -> None:
-        self._sock.settimeout(value)
-
-    def shutdown(self, how: int) -> None:
-        self._sock.shutdown(how)
-
-    def close(self) -> None:
-        self._sock.close()
-
-    # ``with conn:`` resolves dunders on the type, not via __getattr__.
+    # Everything except sendall passes through untouched; ``with conn:``
+    # resolves dunders on the type, not via __getattr__.
     def __enter__(self) -> "FaultySocket":
         self._sock.__enter__()
         return self
@@ -387,3 +366,37 @@ class FaultySocket:
 
     def __getattr__(self, name: str) -> object:
         return getattr(self._sock, name)
+
+
+async def faulty_write(
+    writer: asyncio.StreamWriter,
+    payload: bytes,
+    injector: FaultInjector | None,
+) -> bool:
+    """Write one message, applying one injector verdict to it.
+
+    The asyncio mirror of :class:`FaultySocket` (with no injector it is a
+    plain write): byte-losing verdicts tear the connection down so the
+    peer sees EOF instead of hanging, and ``delay`` awaits on the loop
+    instead of blocking a thread.  Returns False when the connection was
+    torn down.
+    """
+    action = injector.next_action(len(payload)) if injector else _SEND
+    if action.kind in ("drop", "reset"):
+        writer.close()
+        return False
+    if action.kind == "truncate":
+        writer.write(payload[: action.cut])
+        try:
+            await writer.drain()
+        except OSError:
+            pass
+        writer.close()
+        return False
+    if action.kind == "delay":
+        await asyncio.sleep(action.delay_s)
+    elif action.kind == "duplicate":
+        writer.write(payload)
+    writer.write(payload)
+    await writer.drain()
+    return True

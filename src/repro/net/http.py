@@ -72,8 +72,8 @@ def _canonical_header(name: str) -> str:
 # ----------------------------------------------------------------------
 # Sans-I/O Content-Length framing
 # ----------------------------------------------------------------------
-# One framing implementation serves all four endpoints — the threaded
-# server/transport in repro.net.tcp and the asyncio server/transport in
+# One framing implementation serves every endpoint — the server shells and
+# the sync client pool in repro.net.conn and the asyncio transport in
 # repro.net.aio — so keep-alive and pipelined connections split messages
 # identically everywhere.
 
@@ -279,10 +279,10 @@ class HttpResponse:
         lines = head.split(_CRLF)
         if not lines or not lines[0]:
             raise TransportError("empty HTTP response")
-        parts = lines[0].decode("ascii").split(" ", 2)
-        if len(parts) < 2:
-            raise TransportError(f"malformed status line: {lines[0]!r}")
-        status = int(parts[1])
+        try:
+            status = int(lines[0].decode("ascii").split(" ", 2)[1])
+        except (IndexError, ValueError) as exc:
+            raise TransportError(f"malformed status line: {lines[0]!r}") from exc
         headers: dict[str, list[str]] = {}
         for raw in lines[1:]:
             if not raw:

@@ -32,61 +32,35 @@ Error taxonomy — the split matters to the dispatcher:
   identically — so the dispatcher propagates it to the caller instead of
   re-queueing.
 
-Connections are keep-alive on both ends: the server serves a
-request-per-loop until the peer closes, and the client keeps its socket
-across calls with the same retry-once-if-the-parked-socket-went-stale
-policy as the sync :class:`~repro.net.tcp.TcpTransport` — a resend is
-attempted only when the failure provably happened *before the server can
-have started the request* (send-phase error, or EOF with zero response
-bytes).
+Connections are keep-alive on both ends: the server is an app on the
+threaded shell (:class:`~repro.net.conn.ThreadedServer`), and the client
+keeps its socket across calls in a :class:`~repro.net.conn.KeepAlivePool`,
+whose one resend rule every sync client shares — a request is resent
+only when it provably never reached the server's handler.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import random
-import socket
 import threading
-import time
 from typing import Callable, Mapping
 
 from ..errors import ConfigurationError, ReproError, TransportError
-from .faults import FaultProfile, FaultySocket, resolve_fault_profile
-from .http import HttpRequest, HttpResponse, frame_http_message
-from .reliable import RELIABLE_MAGIC, ReliableEndpoint
-from .tcp import shutdown_and_close
+from .conn import KeepAlivePool, ThreadedServer
+from .faults import FaultProfile, resolve_fault_profile
+from .http import HttpRequest, HttpResponse
 
 __all__ = [
-    "RPC_RELIABLE_ENV",
     "RpcBusyError",
     "RpcClient",
     "RpcError",
     "RpcRemoteError",
     "RpcServer",
-    "default_rpc_reliable",
     "retry_after_hint",
 ]
 
-_RECV_CHUNK = 65536
-
 #: Path prefix every RPC method is mounted under.
 RPC_PREFIX = "/rpc/"
-
-#: Environment variable opting RPC clients into the Go-Back-N reliable
-#: channel (:mod:`repro.net.reliable`).  Servers need no knob — they
-#: auto-detect reliable clients per connection by peeking the frame magic.
-RPC_RELIABLE_ENV = "REPRO_RPC_RELIABLE"
-
-
-def default_rpc_reliable() -> bool:
-    """The process-wide reliable-channel default from the environment."""
-    return os.environ.get(RPC_RELIABLE_ENV, "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
 
 
 class RpcError(TransportError):
@@ -138,7 +112,7 @@ class RpcRemoteError(ReproError):
         self.status = status
 
 
-class RpcServer:
+class RpcServer(ThreadedServer):
     """A threaded TCP server dispatching framed JSON calls to handlers.
 
     Args:
@@ -155,6 +129,9 @@ class RpcServer:
             as the retryable :class:`RpcBusyError`).  None (the default)
             keeps the historical unbounded behaviour.
         busy_retry_after: ``Retry-After`` hint on busy refusals, seconds.
+
+    A request that cannot be framed or parsed gets no reply: the
+    connection is dropped as garbage.
 
     Usage::
 
@@ -173,12 +150,12 @@ class RpcServer:
         max_inflight: int | None = None,
         busy_retry_after: float = 0.1,
     ) -> None:
-        self._handlers = dict(handlers)
-        self._fault_profile = resolve_fault_profile(fault_profile)
         if max_inflight is not None and max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be >= 1: {max_inflight}"
             )
+        super().__init__("rpc", host, port, fault_profile)
+        self._handlers = dict(handlers)
         self.max_inflight = max_inflight
         self.busy_retry_after = float(busy_retry_after)
         self._inflight = (
@@ -187,141 +164,8 @@ class RpcServer:
             else None
         )
         self.busy_refusals = 0  # observability: how often admission said no
-        self._conn_count = 0
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(64)
-        self._threads: list[threading.Thread] = []
-        self._accept_thread: threading.Thread | None = None
-        self._running = threading.Event()
-        self._conns: set[socket.socket] = set()
-        self._conns_lock = threading.Lock()
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._listener.getsockname()
-
-    def start(self) -> None:
-        self._running.set()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="rpc-server", daemon=True
-        )
-        self._accept_thread.start()
-
-    def stop(self) -> None:
-        self._running.clear()
-        shutdown_and_close(self._listener)
-        # Then every live keep-alive connection, so the port is free for
-        # an immediate rebind and clients see a clean EOF (their next
-        # call retries on a fresh connection).
-        with self._conns_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            shutdown_and_close(conn)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-
-    def __enter__(self) -> "RpcServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running.is_set():
-            try:
-                conn, _peer = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            )
-            thread.start()
-            # Prune finished handler threads: a long-lived worker serves
-            # one connection per coordinator slot per run, forever.
-            self._threads = [t for t in self._threads if t.is_alive()]
-            self._threads.append(thread)
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with self._conns_lock:
-            self._conns.add(conn)
-            self._conn_count += 1
-            conn_id = self._conn_count
-        profile = self._fault_profile
-        injector = (
-            profile.injector("server", "rpc", conn_id)
-            if profile is not None and profile.server.any
-            else None
-        )
-        try:
-            with conn:
-                if _peek_prefix(conn) == RELIABLE_MAGIC:
-                    self._serve_reliable(
-                        ReliableEndpoint(conn, injector=injector)
-                    )
-                    return
-                serve_on = (
-                    FaultySocket(conn, injector) if injector is not None else conn
-                )
-                self._serve_raw(serve_on)
-        finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
-
-    def _serve_raw(self, conn) -> None:
-        buffer = b""
-        while True:
-            try:
-                raw, buffer = _read_framed(conn, buffer)
-            except TransportError:
-                return  # unframeable garbage: drop the connection
-            except OSError:
-                return
-            if not raw:
-                return  # clean close between requests
-            response = self._dispatch(raw)
-            keep_alive = response.header("Connection") != "close"
-            try:
-                conn.sendall(response.to_bytes())
-            except OSError:
-                return
-            if not keep_alive:
-                return
-
-    def _serve_reliable(self, endpoint: ReliableEndpoint) -> None:
-        """Keep-alive serve loop over a Go-Back-N channel.
-
-        The same request-per-loop rhythm as the raw path; the endpoint's
-        ARQ absorbs injected frame loss on both directions.  Unframeable
-        or desynchronized streams drop the connection, mirroring the raw
-        path's garbage policy.
-        """
-        while True:
-            try:
-                raw = endpoint.recv_message()
-            except TransportError:
-                return
-            if not raw:
-                return  # clean close between requests
-            response = self._dispatch(raw)
-            keep_alive = response.header("Connection") != "close"
-            try:
-                endpoint.send_message(response.to_bytes())
-            except TransportError:
-                return
-            if not keep_alive:
-                return
-
-    def _dispatch(self, raw: bytes) -> HttpResponse:
-        try:
-            request = HttpRequest.from_bytes(raw)
-        except (TransportError, ValueError) as exc:
-            return _json_response(400, {"error": f"malformed request: {exc}"})
+    def respond(self, request: HttpRequest, peer: str) -> HttpResponse:
         if not request.path.startswith(RPC_PREFIX):
             return _json_response(
                 404, {"error": f"not an rpc path: {request.path!r}"}
@@ -374,46 +218,6 @@ def _json_response(status: int, payload: dict) -> HttpResponse:
     return response
 
 
-def _peek_prefix(conn: socket.socket, n: int = 4) -> bytes:
-    """Peek the first ``n`` bytes of a connection without consuming them.
-
-    Used by the server to auto-detect a reliable-channel client: every
-    reliable frame starts with :data:`~repro.net.reliable.RELIABLE_MAGIC`,
-    while raw HTTP starts with a method token.  ``MSG_PEEK`` can return
-    fewer bytes than asked while the peer's first write is in flight, so
-    poll briefly; a connection that never produces ``n`` bytes (torn
-    first frame, instant EOF) falls through to the raw path, which drops
-    it as unframeable garbage.
-    """
-    for _ in range(200):
-        try:
-            data = conn.recv(n, socket.MSG_PEEK)
-        except OSError:
-            return b""
-        if not data:
-            return b""
-        if len(data) >= n:
-            return data[:n]
-        time.sleep(0.001)
-    return data
-
-
-def _read_framed(
-    conn: socket.socket, buffer: bytes = b""
-) -> tuple[bytes, bytes]:
-    """Read one framed message; ``(b"", b"")`` on clean EOF."""
-    while True:
-        framed = frame_http_message(buffer)
-        if framed is not None:
-            return framed
-        chunk = conn.recv(_RECV_CHUNK)
-        if not chunk:
-            if buffer:
-                raise TransportError("peer closed mid-message")
-            return b"", b""
-        buffer += chunk
-
-
 class RpcClient:
     """A keep-alive RPC client over one persistent connection.
 
@@ -428,13 +232,9 @@ class RpcClient:
         fault_profile: Optional fault injection for this client's frames
             (falls back to ``REPRO_FAULT_PROFILE``; ``"off"`` pins it
             off).
-        reliable: Opt into the Go-Back-N channel
-            (:class:`~repro.net.reliable.ReliableEndpoint`); ``None``
-            falls back to ``REPRO_RPC_RELIABLE``.  The server end needs
-            no configuration — it auto-detects per connection.
-        fault_retries: Retry budget for provably-unstarted requests when
-            a fault profile is active (without one the policy stays
-            retry-once-if-the-parked-socket-went-stale).
+        fault_retries: Resend budget for provably-unstarted requests when
+            a fault profile is active (see
+            :class:`~repro.net.conn.KeepAlivePool`).
     """
 
     def __init__(
@@ -442,34 +242,23 @@ class RpcClient:
         address: tuple[str, int],
         timeout: float = 600.0,
         fault_profile: FaultProfile | str | None = None,
-        reliable: bool | None = None,
         fault_retries: int = 8,
     ) -> None:
         self.address = (address[0], int(address[1]))
         self.timeout = timeout
-        self._fault_profile = resolve_fault_profile(fault_profile)
-        self.reliable = default_rpc_reliable() if reliable is None else reliable
         self.fault_retries = fault_retries
-        self._dials = 0
-        self._sock: socket.socket | None = None
-        self._endpoint: ReliableEndpoint | None = None
-        self._buffer = b""
-        self._used = False  # has the current socket served a call already?
-        # Jitter source for the retry backoff: seeded per client so runs
-        # replay identically (sleep lengths never feed the fault streams,
-        # which are keyed on the dial counter alone).
-        self._retry_rng = random.Random(self.address[1] or 1)
+        # The pool's dial counter keys the fault streams, and outlives
+        # close(): each reconnect draws a distinct fault sequence.
+        self._pool = KeepAlivePool(
+            self.address,
+            timeout,
+            resolve_fault_profile(fault_profile),
+            fault_label=("rpc", self.address[1]),
+            fault_retries=fault_retries,
+        )
 
     def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-        self._endpoint = None
-        self._buffer = b""
-        self._used = False
+        self._pool.close()
 
     def __enter__(self) -> "RpcClient":
         return self
@@ -477,170 +266,12 @@ class RpcClient:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    def _connect(self) -> socket.socket:
-        try:
-            sock = socket.create_connection(self.address, timeout=self.timeout)
-        except OSError as exc:
-            raise RpcError(
-                f"connection to {self.address[0]}:{self.address[1]} "
-                f"failed: {exc}"
-            ) from exc
-        profile = self._fault_profile
-        injector = None
-        if profile is not None and profile.client.any:
-            self._dials += 1
-            injector = profile.injector(
-                "client", "rpc", self.address[1], self._dials
-            )
-        if self.reliable:
-            self._endpoint = ReliableEndpoint(
-                sock, recv_timeout=self.timeout, injector=injector
-            )
-        elif injector is not None:
-            sock = FaultySocket(sock, injector)
-        self._sock = sock
-        self._buffer = b""
-        self._used = False
-        return sock
-
-    def _roundtrip(self, payload: bytes) -> bytes | None:
-        """One send+receive on the current socket.
-
-        Returns the raw response, or None when the failure provably
-        happened before the server can have started this request (safe to
-        resend on a fresh connection); raises :class:`RpcError` when the
-        request may have been (partially) processed.
-        """
-        assert self._sock is not None
-        try:
-            self._sock.sendall(payload)
-        except OSError:
-            return None  # request never fully left: retryable
-        buffer = self._buffer
-        responded = False
-        while True:
-            framed = frame_http_message(buffer)
-            if framed is not None:
-                raw, self._buffer = framed
-                return raw
-            try:
-                chunk = self._sock.recv(_RECV_CHUNK)
-            except TimeoutError as exc:
-                raise RpcError(f"rpc call timed out: {exc}") from exc
-            except OSError as exc:
-                if responded or buffer:
-                    raise RpcError(f"connection lost mid-response: {exc}") from exc
-                return None  # dropped before responding: retryable
-            if not chunk:
-                if buffer:
-                    raise RpcError("truncated rpc response")
-                return None  # closed before responding: retryable
-            responded = True
-            buffer += chunk
-
-    def _exchange_raw(self, wire: bytes) -> bytes:
-        """Raw-socket exchange with the stale-retry / fault-budget policy.
-
-        Retryable failures (``None`` from :meth:`_roundtrip`) provably
-        happened before the server started the request.  Without fault
-        injection that only occurs on a stale parked socket — retried
-        exactly once, as always.  An active fault profile makes injected
-        request loss routine, so the retry budget widens to
-        ``fault_retries``; every retry redials, so a dead server still
-        fails fast in ``_connect``.  Retries pause on the shared jittered
-        schedule (:func:`repro.core.retry.retry_with_backoff`) so a fleet
-        of clients re-sending into one flaky server never synchronizes.
-        """
-        # Imported here, not at module top: repro.core layers *above*
-        # repro.net (core imports net throughout), so net pulling core in
-        # at import time would be an upward dependency for every net user.
-        from ..core.retry import BackoffPolicy, retry_with_backoff
-
-        reused = self._used
-        retries = 1 if reused else 0
-        if self._fault_profile is not None:
-            retries = max(retries, self.fault_retries)
-
-        def once() -> bytes:
-            if self._sock is None:
-                self._connect()
-            raw = self._roundtrip(wire)
-            if raw is None:
-                self.close()  # the next attempt redials
-                raise _UnstartedError(
-                    f"no response from {self.address[0]}:{self.address[1]}"
-                )
-            return raw
-
-        try:
-            return retry_with_backoff(
-                once,
-                attempts=retries + 1,
-                policy=BackoffPolicy(
-                    base_delay=0.01, multiplier=2.0, max_delay=0.25
-                ),
-                retryable=(_UnstartedError,),
-                rng=self._retry_rng,
-            )
-        except _UnstartedError as exc:
-            # Budget exhausted on provably-unstarted sends: surface the
-            # plain public type, exactly as before the backoff migration.
-            raise RpcError(str(exc)) from exc
-        except RpcError:
-            self.close()
-            raise
-
-    def _exchange_reliable(self, wire: bytes) -> bytes:
-        """One exchange over the Go-Back-N channel.
-
-        Injected frame loss is absorbed by ARQ inside the endpoint, so
-        the only retry here is the keep-alive stale-socket case: a parked
-        connection that fails before *any* acknowledgement progress
-        (``endpoint.progressed`` False) provably never delivered the
-        request, and is retried once on a fresh connection — the same
-        policy as the raw path.  Any failure after progress raises: the
-        server may have executed the call.
-        """
-        assert self._endpoint is not None
-        reused = self._used
-        try:
-            self._endpoint.send_message(wire)
-            raw = self._endpoint.recv_message()
-        except TransportError as exc:
-            progressed = self._endpoint.progressed
-            self.close()
-            if reused and not progressed:
-                self._connect()
-                assert self._endpoint is not None
-                try:
-                    self._endpoint.send_message(wire)
-                    raw = self._endpoint.recv_message()
-                except TransportError as retry_exc:
-                    self.close()
-                    raise RpcError(
-                        f"reliable rpc to {self.address[0]}:"
-                        f"{self.address[1]} failed: {retry_exc}"
-                    ) from retry_exc
-            else:
-                raise RpcError(
-                    f"reliable rpc to {self.address[0]}:{self.address[1]} "
-                    f"failed: {exc}"
-                ) from exc
-        if not raw:
-            self.close()
-            raise RpcError(
-                f"no response from {self.address[0]}:{self.address[1]}"
-            )
-        return raw
-
     def call(self, method: str, payload: dict | None = None) -> dict:
         """Invoke ``method`` with a JSON payload; returns the JSON result.
 
-        Raises :class:`RpcError` on connection-level failure (after one
-        stale-socket retry, mirroring the sync transport's keep-alive
-        policy) and :class:`RpcRemoteError` when the server answered with
-        an application error.
+        Raises :class:`RpcError` on connection-level failure (after the
+        pool's resend rule) and :class:`RpcRemoteError` when the server
+        answered with an application error.
         """
         request = HttpRequest(
             "POST",
@@ -650,22 +281,13 @@ class RpcClient:
         request.set_header("Content-Type", "application/json")
         request.set_header("Connection", "keep-alive")
         wire = request.to_bytes(f"{self.address[0]}:{self.address[1]}")
-
-        if self._sock is None:
-            self._connect()
-        if self.reliable:
-            raw = self._exchange_reliable(wire)
-        else:
-            raw = self._exchange_raw(wire)
-        self._used = True
         try:
-            response = HttpResponse.from_bytes(raw)
+            response = self._pool.request(wire)
             result = json.loads(response.body or b"{}")
-        except (TransportError, ValueError) as exc:
-            self.close()
+        except TransportError as exc:
+            raise RpcError(f"rpc {method!r}: {exc}") from exc
+        except ValueError as exc:
             raise RpcError(f"unparseable rpc response: {exc}") from exc
-        if response.header("Connection") == "close":
-            self.close()
         if response.status in (429, 503):
             # An admission refusal, not a handler failure: the server
             # answered before running anything, so the call is safely
@@ -683,10 +305,6 @@ class RpcClient:
         if not isinstance(result, dict):
             raise RpcRemoteError(method, 200, "result is not a JSON object")
         return result
-
-
-class _UnstartedError(RpcError):
-    """Internal: a roundtrip provably failed before the server started it."""
 
 
 def retry_after_hint(

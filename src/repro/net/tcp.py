@@ -12,63 +12,57 @@ integration tests fast while preserving ordering behaviour.
 
 from __future__ import annotations
 
-import socket
 import threading
+import time
 
 from ..errors import TransportError
 from .clock import Clock
-from .faults import FaultProfile, FaultySocket, resolve_fault_profile
-from .http import HttpRequest, HttpResponse, frame_http_message
+from .conn import KeepAlivePool, ThreadedServer
+from .faults import FaultProfile, resolve_fault_profile
+from .http import HttpRequest, HttpResponse
 from .transport import RENDER_HEADER, BatServerApp, Transport
 
-__all__ = ["TcpBatServer", "TcpTransport", "shutdown_and_close"]
-
-_RECV_CHUNK = 65536
+__all__ = ["BatHost", "TcpBatServer", "TcpTransport"]
 
 
-def shutdown_and_close(sock: socket.socket) -> None:
-    """Release a socket even if another thread is blocked on it.
+class BatHost:
+    """One BAT application behind a socket: the app half of both BAT servers.
 
-    ``close()`` alone does not wake a thread parked in ``accept()`` or
-    ``recv()`` — the blocked syscall holds a kernel reference, so the
-    socket (and its port) stays alive until the peer hangs up.
-    ``shutdown()`` first interrupts the blocked call immediately.  Shared
-    by every threaded server in :mod:`repro.net` (the BAT server here,
-    the RPC server in :mod:`repro.net.rpc`).
+    Requests are numbered on one global virtual-time counter, so a BAT
+    sees the same ``now`` sequence whichever shell serves it.
     """
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
+
+    def __init__(self, app: BatServerApp, time_scale: float) -> None:
+        self.app = app
+        self.time_scale = time_scale
+        self._lock = threading.Lock()
+        self._virtual_now = 0.0
+
+    def handle(self, request: HttpRequest, peer: str) -> tuple[HttpResponse, float]:
+        """The app's response, and the render pause to hold it for (s)."""
+        # The client's residential exit IP travels in a header on the TCP
+        # path (all connections originate from localhost).
+        client_ip = request.header("X-Forwarded-For") or peer
+        # BatApplication instances are single-threaded objects (session
+        # table, counters, delay RNG), so handle() is serialized; the
+        # render pause is where parallel clients overlap.
+        with self._lock:
+            self._virtual_now += 1.0
+            response = self.app.handle(request, client_ip, self._virtual_now)
+        render_value = response.header(RENDER_HEADER)
+        response.headers.pop(RENDER_HEADER, None)
+        if render_value and self.time_scale > 0:
+            return response, float(render_value) * self.time_scale
+        return response, 0.0
+
+    @staticmethod
+    def reject(error: Exception) -> HttpResponse:
+        return HttpResponse.html(
+            f"<html><body>bad request: {error}</body></html>", 400
+        )
 
 
-def _read_http_message(
-    conn: socket.socket, buffer: bytes = b""
-) -> tuple[bytes, bytes]:
-    """Read one Content-Length-framed HTTP message from a socket.
-
-    ``buffer`` carries bytes already read past the previous message on
-    this connection (keep-alive/pipelining).  Returns ``(message,
-    remainder)``; over-read bytes are returned — never discarded — so the
-    next message on the connection starts intact.  A clean EOF with no
-    buffered bytes returns ``(b"", b"")``; an EOF mid-message returns the
-    partial bytes for the caller's parser to reject.
-    """
-    while True:
-        framed = frame_http_message(buffer)
-        if framed is not None:
-            return framed
-        chunk = conn.recv(_RECV_CHUNK)
-        if not chunk:
-            return buffer, b""
-        buffer += chunk
-
-
-class TcpBatServer:
+class TcpBatServer(ThreadedServer):
     """A threaded TCP server hosting one BAT application.
 
     Usage::
@@ -87,174 +81,35 @@ class TcpBatServer:
         time_scale: float = 0.0,
         fault_profile: FaultProfile | str | None = None,
     ) -> None:
-        self._app = app
-        self._time_scale = time_scale
-        self._fault_profile = resolve_fault_profile(fault_profile)
-        self._conn_count = 0
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(64)
-        self._threads: list[threading.Thread] = []
-        self._accept_thread: threading.Thread | None = None
-        self._running = threading.Event()
-        self._clock_lock = threading.Lock()
-        self._virtual_now = 0.0
-        self._conns: set[socket.socket] = set()
-        self._conns_lock = threading.Lock()
+        super().__init__(app.hostname, host, port, fault_profile)
+        self._bat = BatHost(app, time_scale)
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._listener.getsockname()
+    reject = staticmethod(BatHost.reject)
 
     @property
     def hostname(self) -> str:
-        return self._app.hostname
+        return self._bat.app.hostname
 
-    def start(self) -> None:
-        self._running.set()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"bat-{self._app.hostname}", daemon=True
-        )
-        self._accept_thread.start()
-
-    def stop(self) -> None:
-        self._running.clear()
-        shutdown_and_close(self._listener)
-        # Keep-alive connections park their handler thread in recv();
-        # releasing them here makes stop() prompt and frees the port for
-        # an immediate rebind (the restart-recovery regression tests
-        # restart a server on the same address).  A client holding a
-        # pooled socket to this server sees a clean EOF and retries on a
-        # fresh connection.
-        with self._conns_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            shutdown_and_close(conn)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-
-    def __enter__(self) -> "TcpBatServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def _accept_loop(self) -> None:
-        while self._running.is_set():
-            try:
-                conn, peer = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn, peer), daemon=True
-            )
-            thread.start()
-            # Prune finished handler threads so a long-lived server does
-            # not accumulate one dead Thread object per connection ever
-            # accepted.
-            self._threads = [t for t in self._threads if t.is_alive()]
-            self._threads.append(thread)
-
-    def _serve_connection(self, conn: socket.socket, peer: tuple[str, int]) -> None:
-        import time
-
-        with self._conns_lock:
-            self._conns.add(conn)
-            self._conn_count += 1
-            conn_id = self._conn_count
-        profile = self._fault_profile
-        serve_on = conn
-        if profile is not None and profile.server.any:
-            serve_on = FaultySocket(
-                conn, profile.injector("server", self._app.hostname, conn_id)
-            )
-        try:
-            self._serve_requests(serve_on, peer, time)
-        finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
-
-    def _serve_requests(
-        self, conn: socket.socket, peer: tuple[str, int], time
-    ) -> None:
-        with conn:
-            buffer = b""
-            while True:
-                try:
-                    raw, buffer = _read_http_message(conn, buffer)
-                    if not raw:
-                        return
-                    request = HttpRequest.from_bytes(raw)
-                    # The client's residential exit IP travels in a header on
-                    # the TCP path (all connections originate from localhost).
-                    client_ip = request.header("X-Forwarded-For") or peer[0]
-                    # BatApplication instances are single-threaded objects
-                    # (session table, counters, delay RNG), so the handle()
-                    # call is serialized; the render sleep below stays outside
-                    # the lock, which is where parallel clients overlap.
-                    with self._clock_lock:
-                        self._virtual_now += 1.0
-                        now = self._virtual_now
-                        response = self._app.handle(request, client_ip, now)
-                    render_value = response.header(RENDER_HEADER)
-                    response.headers.pop(RENDER_HEADER, None)
-                    if render_value and self._time_scale > 0:
-                        time.sleep(float(render_value) * self._time_scale)
-                    keep_alive = (
-                        (request.header("Connection") or "").lower() == "keep-alive"
-                    )
-                    response.set_header(
-                        "Connection", "keep-alive" if keep_alive else "close"
-                    )
-                    conn.sendall(response.to_bytes())
-                    if not keep_alive:
-                        return
-                except (TransportError, ValueError) as exc:
-                    error = HttpResponse.html(
-                        f"<html><body>bad request: {exc}</body></html>", 400
-                    )
-                    try:
-                        conn.sendall(error.to_bytes())
-                    except OSError:
-                        pass
-                    return
-                except OSError:
-                    return
-
-
-class _PooledConn:
-    """One idle keep-alive connection plus its over-read remainder."""
-
-    __slots__ = ("sock", "buffer")
-
-    def __init__(self, sock: socket.socket, buffer: bytes = b"") -> None:
-        self.sock = sock
-        self.buffer = buffer
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+    def respond(self, request: HttpRequest, peer: str) -> HttpResponse:
+        response, pause = self._bat.handle(request, peer)
+        if pause:
+            time.sleep(pause)
+        return response
 
 
 class TcpTransport(Transport):
     """Client transport speaking real HTTP/1.1 over TCP.
 
     By default every ``send`` opens a fresh connection (the original
-    one-shot behaviour).  With ``keep_alive=True`` the transport maintains
-    a per-host pool of idle connections reused LIFO — the most recently
-    parked socket is the most likely to still be warm — which removes the
-    TCP setup cost from every request after a host's first.  Responses are
-    identical either way (regression-tested); only wall-clock changes.
+    one-shot behaviour).  With ``keep_alive=True`` each host's
+    :class:`~repro.net.conn.KeepAlivePool` parks idle connections and
+    reuses the warmest, which removes the TCP setup cost from every
+    request after a host's first.  Responses are identical either way
+    (regression-tested); only wall-clock changes.
 
-    The pool is thread-safe (a thread-batched fleet shares one transport),
-    and pool state never pickles: a process-backend worker that inherits
-    this transport starts with an empty pool and dials its own sockets.
+    The pools are thread-safe (a thread-batched fleet shares one
+    transport), and never pickle: a process-backend worker that inherits
+    this transport starts with no pools and dials its own sockets.
     """
 
     def __init__(
@@ -272,21 +127,19 @@ class TcpTransport(Transport):
         self.max_idle_per_host = max_idle_per_host
         self._fault_profile = resolve_fault_profile(fault_profile)
         self.fault_retries = fault_retries
-        self._dial_count = 0
-        self._idle: dict[str, list[_PooledConn]] = {}
+        self._pools: dict[str, KeepAlivePool] = {}
         self._lock = threading.Lock()
 
     # Sockets and locks cannot cross pickle boundaries (process backend);
-    # a rehydrated transport simply starts with a cold pool.
+    # a rehydrated transport simply starts with no pools.
     def __getstate__(self) -> dict[str, object]:
         state = self.__dict__.copy()
-        state["_idle"] = {}
+        state["_pools"] = {}
         state.pop("_lock", None)
         return state
 
     def __setstate__(self, state: dict[str, object]) -> None:
         self.__dict__.update(state)
-        self._idle = {}
         self._lock = threading.Lock()
 
     def knows_host(self, host: str) -> bool:
@@ -294,14 +147,17 @@ class TcpTransport(Transport):
 
     def add_route(self, host: str, address: tuple[str, int]) -> None:
         self._routes[host] = address
+        with self._lock:
+            stale = self._pools.pop(host, None)
+        if stale is not None:
+            stale.close()
 
     def close(self) -> None:
         """Close every pooled idle connection."""
         with self._lock:
-            pools, self._idle = self._idle, {}
+            pools, self._pools = self._pools, {}
         for pool in pools.values():
-            for conn in pool:
-                conn.close()
+            pool.close()
 
     def __enter__(self) -> "TcpTransport":
         return self
@@ -309,81 +165,23 @@ class TcpTransport(Transport):
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # Connection pool
-    # ------------------------------------------------------------------
-    def _checkout(self, host: str) -> _PooledConn | None:
-        with self._lock:
-            pool = self._idle.get(host)
-            if pool:
-                return pool.pop()  # LIFO: warmest socket first
-        return None
-
-    def _checkin(self, host: str, conn: _PooledConn) -> None:
-        with self._lock:
-            pool = self._idle.setdefault(host, [])
-            if len(pool) < self.max_idle_per_host:
-                pool.append(conn)
-                return
-        conn.close()
-
-    def _dial(self, host: str, address: tuple[str, int]) -> _PooledConn:
+    def _pool(self, host: str) -> KeepAlivePool:
         try:
-            sock = socket.create_connection(address, timeout=self._timeout)
-        except OSError as exc:
-            raise TransportError(f"connection to {host} failed: {exc}") from exc
-        profile = self._fault_profile
-        if profile is not None and profile.client.any:
-            with self._lock:
-                self._dial_count += 1
-                conn_id = self._dial_count
-            sock = FaultySocket(sock, profile.injector("client", host, conn_id))
-        return _PooledConn(sock)
-
-    def _roundtrip(
-        self, conn: _PooledConn, payload: bytes
-    ) -> tuple[bytes, bytes]:
-        """Send one request and read its framed response.
-
-        Returns ``(b"", b"")`` only when the connection is provably dead
-        *before the server can have handled the request* — a send-phase
-        error or an EOF with zero response bytes (the server always
-        writes a response, even a 400, before closing).  Those cases are
-        safe to retry on a fresh connection.  A timeout or truncation
-        *after* the request went out means the server may have processed
-        it; resending would double-mutate server state (rate-limit
-        windows, sessions), so those raise instead.
-        """
-        try:
-            conn.sock.sendall(payload)
-        except OSError:
-            return b"", b""  # request never fully left: retryable
-        buffer = conn.buffer
-        responded = False
-        while True:
-            framed = frame_http_message(buffer)
-            if framed is not None:
-                return framed
-            try:
-                chunk = conn.sock.recv(_RECV_CHUNK)
-            except TimeoutError as exc:
-                raise TransportError(
-                    f"timed out waiting for a response: {exc}"
-                ) from exc
-            except OSError as exc:
-                if responded or buffer:
-                    raise TransportError(
-                        f"connection lost mid-response: {exc}"
-                    ) from exc
-                return b"", b""  # closed before responding: retryable
-            if not chunk:
-                if buffer:
-                    raise TransportError(
-                        "truncated response (connection closed mid-message)"
-                    )
-                return b"", b""  # clean close before responding: retryable
-            responded = True
-            buffer += chunk
+            address = self._routes[host]
+        except KeyError:
+            raise TransportError(f"no route to host {host!r}") from None
+        with self._lock:
+            pool = self._pools.get(host)
+            if pool is None:
+                pool = self._pools[host] = KeepAlivePool(
+                    address,
+                    self._timeout,
+                    self._fault_profile,
+                    fault_label=(host,),
+                    fault_retries=self.fault_retries,
+                    max_idle=self.max_idle_per_host,
+                )
+            return pool
 
     def send(
         self,
@@ -392,51 +190,12 @@ class TcpTransport(Transport):
         client_ip: str,
         clock: Clock,
     ) -> HttpResponse:
-        try:
-            address = self._routes[host]
-        except KeyError:
-            raise TransportError(f"no route to host {host!r}") from None
+        pool = self._pool(host)
         request.set_header("X-Forwarded-For", client_ip)
         if self.keep_alive:
             request.set_header("Connection", "keep-alive")
-        payload = request.to_bytes(host)
         started = clock.now()
-
-        conn = self._checkout(host) if self.keep_alive else None
-        reused = conn is not None
-        if conn is None:
-            conn = self._dial(host, address)
-        # A retryable failure — ``(b"", b"")`` from _roundtrip — provably
-        # happened before the server handled the request.  Without fault
-        # injection that only occurs on a stale parked socket, retried
-        # exactly once; under an active fault profile injected request
-        # loss makes it routine, so the budget widens (each retry redials,
-        # so a genuinely dead server still fails fast in _dial).
-        retries = 1 if reused else 0
-        if self._fault_profile is not None:
-            retries = max(retries, self.fault_retries)
-        try:
-            raw, leftover = self._roundtrip(conn, payload)
-            while not raw and retries > 0:
-                retries -= 1
-                conn.close()
-                conn = self._dial(host, address)
-                raw, leftover = self._roundtrip(conn, payload)
-        except TransportError:
-            conn.close()
-            raise
-        if not raw:
-            conn.close()
-            raise TransportError(f"empty response from {host}")
-        response = HttpResponse.from_bytes(raw)
-        conn.buffer = leftover
-        if (
-            self.keep_alive
-            and (response.header("Connection") or "").lower() == "keep-alive"
-        ):
-            self._checkin(host, conn)
-        else:
-            conn.close()
+        response = pool.request(request.to_bytes(host))
         # RealClock advances by itself; VirtualClock callers need a nudge so
         # elapsed-time accounting works on either clock type.
         if clock.now() == started:

@@ -13,11 +13,11 @@ architecture is three layers, innermost first:
   two-tier cache lookup → (deadline-aware, cooperatively-cancellable)
   curation execution → payload whose digest is byte-identical to the
   serial curation path.
-* :mod:`repro.serve.server` / :mod:`repro.serve.cli` — the asyncio HTTP
-  shell (the ``AsyncTcpBatServer`` connection-loop idiom over the shared
-  ``frame_http_message`` framing) and the ``python -m repro.dataset
-  serve`` verb, with fault-profile injection so the server runs under
-  the same chaos as every other endpoint.
+* :mod:`repro.serve.server` / :mod:`repro.serve.cli` — the HTTP
+  endpoint (an app on the asyncio server shell of :mod:`repro.net.conn`)
+  and the ``python -m repro.dataset serve`` verb, with fault-profile
+  injection so the server runs under the same chaos as every other
+  endpoint.
 
 The design point, from the PCN analytical study (PAPERS.md §Related
 work): mark and shed load at *admission*, before queues explode, so the

@@ -1,27 +1,26 @@
 """A small synchronous client for the serving tier.
 
 Tests, the CLI smoke path, and the load benchmarks all talk to
-:class:`DatasetServeServer` through this: one keep-alive socket, the
-shared :func:`~repro.net.http.frame_http_message` framing, and optional
-refusal-aware retries built on :func:`~repro.core.retry.retry_with_backoff`
-— a 429/503 refusal's ``Retry-After`` hint floors the pause, so a client
-that retries does it on the server's schedule, not its own.
+:class:`DatasetServeServer` through this: one keep-alive socket in the
+shared :class:`~repro.net.conn.KeepAlivePool` (and its resend rule), and
+optional refusal-aware retries built on
+:func:`~repro.core.retry.retry_with_backoff` — a 429/503 refusal's
+``Retry-After`` hint floors the pause, so a client that retries does it on
+the server's schedule, not its own.
 """
 
 from __future__ import annotations
 
 import json
-import socket
 from urllib.parse import urlencode
 
 from ..core.retry import BackoffPolicy, retry_with_backoff
 from ..errors import TransportError
-from ..net.http import HttpRequest, HttpResponse, frame_http_message
+from ..net.conn import KeepAlivePool
+from ..net.http import HttpRequest, HttpResponse
 from ..net.rpc import retry_after_hint
 
 __all__ = ["ServeClient", "ServeRefused"]
-
-_RECV_CHUNK = 65536
 
 
 class ServeRefused(TransportError):
@@ -51,20 +50,10 @@ class ServeClient:
         self.address = (host, int(port))
         self.timeout = timeout
         self.client_id = client_id
-        self._sock: socket.socket | None = None
-        self._buffer = b""
+        self._pool = KeepAlivePool(self.address, timeout)
 
-    # ------------------------------------------------------------------
-    # Transport
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-        self._buffer = b""
+        self._pool.close()
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -72,43 +61,15 @@ class ServeClient:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            self._sock = socket.create_connection(
-                self.address, timeout=self.timeout
-            )
-            self._buffer = b""
-        return self._sock
-
     def get(self, path: str) -> HttpResponse:
-        """One GET over the keep-alive connection (reconnects once)."""
-        try:
-            return self._roundtrip(path)
-        except (OSError, TransportError):
-            # A torn keep-alive connection is ordinary (server restart,
-            # fault injection): reconnect once before giving up.
-            self.close()
-            return self._roundtrip(path)
-
-    def _roundtrip(self, path: str) -> HttpResponse:
-        sock = self._connect()
+        """One GET over the keep-alive connection."""
         request = HttpRequest.get(path)
         request.set_header("Connection", "keep-alive")
         if self.client_id:
             request.set_header("X-Forwarded-For", self.client_id)
-        sock.sendall(request.to_bytes(f"{self.address[0]}:{self.address[1]}"))
-        framed = frame_http_message(self._buffer)
-        while framed is None:
-            chunk = sock.recv(_RECV_CHUNK)
-            if not chunk:
-                raise TransportError("serve connection closed mid-response")
-            self._buffer += chunk
-            framed = frame_http_message(self._buffer)
-        raw, self._buffer = framed
-        response = HttpResponse.from_bytes(raw)
-        if (response.header("Connection") or "").lower() == "close":
-            self.close()
-        return response
+        return self._pool.request(
+            request.to_bytes(f"{self.address[0]}:{self.address[1]}")
+        )
 
     # ------------------------------------------------------------------
     # Query surface

@@ -1,13 +1,12 @@
-"""The asyncio HTTP shell of the serving tier.
+"""The HTTP endpoint of the serving tier.
 
-:class:`DatasetServeServer` follows the
-:class:`~repro.net.aio.AsyncTcpBatServer` idiom to the letter: one event
-loop hosted on a daemon thread, per-connection coroutines running the
-shared sans-I/O :func:`~repro.net.http.frame_http_message` framing loop
-with keep-alive, ``start()``/``stop()``/context-manager sync facade, and
-the same fault-injection seam (``profile.injector("server", ...)`` +
-``_faulty_write``) so the serving endpoint runs under exactly the chaos
-profiles every other endpoint does.
+:class:`DatasetServeServer` is an app on the asyncio server shell
+(:class:`~repro.net.conn.AsyncServer`), like
+:class:`~repro.net.aio.AsyncTcpBatServer`: one event loop hosted on a
+daemon thread, the shared keep-alive framing loop, a
+``start()``/``stop()``/context-manager sync facade, and the same
+server-side fault seam, so the serving endpoint runs under exactly the
+chaos profiles every other endpoint does.
 
 The admission split is the load-shedding mechanism: the cheap sans-I/O
 admission verdict runs *on the event-loop thread*, so a refused request
@@ -33,20 +32,16 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import parse_qs, urlsplit
 
-from ..errors import TransportError
-from ..net.aio import _faulty_write
-from ..net.faults import FaultProfile, resolve_fault_profile
-from ..net.http import HttpRequest, HttpResponse, frame_http_message
+from ..net.conn import AsyncServer
+from ..net.faults import FaultProfile
+from ..net.http import HttpRequest, HttpResponse
 from .admission import Deadline
 from .service import ServeResult, ServeService
 
 __all__ = ["DatasetServeServer"]
-
-_RECV_CHUNK = 65536
 
 
 def _json_response(status: int, payload: dict) -> HttpResponse:
@@ -58,7 +53,7 @@ def _json_response(status: int, payload: dict) -> HttpResponse:
     return response
 
 
-class DatasetServeServer:
+class DatasetServeServer(AsyncServer):
     """The ``python -m repro.dataset serve`` HTTP endpoint.
 
     Args:
@@ -80,19 +75,9 @@ class DatasetServeServer:
         default_deadline_ms: float | None = None,
         fault_profile: FaultProfile | str | None = None,
     ) -> None:
+        super().__init__("serve", host, port, fault_profile)
         self.service = service
-        self._host = host
-        self._port = port
         self.default_deadline_ms = default_deadline_ms
-        self._fault_profile = resolve_fault_profile(fault_profile)
-        self._conn_count = 0
-        self._address: tuple[str, int] | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._tasks: set[asyncio.Task] = set()
-        self._startup_error: BaseException | None = None
         # The pool is the admitted-work lane; its size matches the
         # admission controller's in-flight bound so an admitted request
         # always has a thread to queue on (admission, not the pool, is
@@ -106,147 +91,21 @@ class DatasetServeServer:
             max_workers=max(1, pool_size), thread_name_prefix="serve-query"
         )
 
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._address is None:
-            raise TransportError("serve server not started")
-        return self._address
-
-    # ------------------------------------------------------------------
-    # Sync facade (mirrors AsyncTcpBatServer)
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        self._ready.clear()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="serve-http", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise TransportError("serve server failed to start")
-        if self._startup_error is not None:
-            raise TransportError(
-                f"serve server failed to start: {self._startup_error}"
-            )
-
     def stop(self) -> None:
-        if self._thread is None:
-            return
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop.set)
-        self._thread.join(timeout=10.0)
-        self._thread = None
+        super().stop()
         self._pool.shutdown(wait=False, cancel_futures=True)
         self.service.close()
 
-    def __enter__(self) -> "DatasetServeServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # noqa: BLE001 - surfaced via start()
-            self._startup_error = exc
-            self._ready.set()
-
-    # ------------------------------------------------------------------
-    # Event-loop side
-    # ------------------------------------------------------------------
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_client, self._host, self._port
-        )
-        self._address = server.sockets[0].getsockname()
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            for task in list(self._tasks):
-                task.cancel()
-            if self._tasks:
-                await asyncio.gather(*self._tasks, return_exceptions=True)
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if task is not None:
-                self._tasks.discard(task)
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - best-effort teardown
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername") or ("?", 0)
-        profile = self._fault_profile
-        injector = None
-        if profile is not None and profile.server.any:
-            self._conn_count += 1
-            injector = profile.injector("server", "serve", self._conn_count)
-        buffer = b""
-        while True:
-            try:
-                framed = frame_http_message(buffer)
-                while framed is None:
-                    chunk = await reader.read(_RECV_CHUNK)
-                    if not chunk:
-                        return
-                    buffer += chunk
-                    framed = frame_http_message(buffer)
-                raw, buffer = framed
-                request = HttpRequest.from_bytes(raw)
-                client = request.header("X-Forwarded-For") or str(peer[0])
-                response = await self._respond(request, client)
-                keep_alive = (
-                    (request.header("Connection") or "").lower() == "keep-alive"
-                )
-                response.set_header(
-                    "Connection", "keep-alive" if keep_alive else "close"
-                )
-                if injector is not None:
-                    if not await _faulty_write(
-                        writer, response.to_bytes(), injector
-                    ):
-                        return  # response torn away; connection is gone
-                else:
-                    writer.write(response.to_bytes())
-                    await writer.drain()
-                if not keep_alive:
-                    return
-            except (TransportError, ValueError) as exc:
-                error = _json_response(400, {"error": f"bad request: {exc}"})
-                error.set_header("Connection", "close")
-                try:
-                    writer.write(error.to_bytes())
-                    await writer.drain()
-                except OSError:
-                    pass
-                return
-            except (OSError, ConnectionError):
-                return
+    def reject(self, error: Exception) -> HttpResponse:
+        response = _json_response(400, {"error": f"bad request: {error}"})
+        response.set_header("Connection", "close")
+        return response
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _respond(self, request: HttpRequest, client: str) -> HttpResponse:
+    async def respond(self, request: HttpRequest, peer: str) -> HttpResponse:
+        client = request.header("X-Forwarded-For") or peer
         parts = urlsplit(request.path)
         route = parts.path
         params = {

@@ -116,7 +116,7 @@ class TestAsyncRoundtrip:
                     RealClock(),
                 )
                 assert f"pong {i}" in response.text()
-            assert len(transport._idle[aserver.hostname]) == 1
+            assert len(transport._pools[aserver.hostname]._idle) == 1
         finally:
             transport.close()
 

@@ -185,8 +185,11 @@ class TestElasticity:
         declared dead by missed beats; its in-flight specs are re-queued
         and the survivor completes the run byte-identically."""
         reference, _ = run_shard_spec(_spec("cox"))
+        # --crash-after 0: the doomed worker dies on its first run_shard,
+        # which it is sent as soon as it is enlisted.  A later crash point
+        # is never reached if the survivor drains the queue first.
         doomed = start_local_worker(
-            width=1, extra_args=_join_args(coordinator) + ["--crash-after", "1"]
+            width=1, extra_args=_join_args(coordinator) + ["--crash-after", "0"]
         )
         survivor = start_local_worker(
             width=1, extra_args=_join_args(coordinator)

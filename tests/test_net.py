@@ -119,6 +119,16 @@ class TestHttpMessages:
         with pytest.raises(TransportError):
             HttpRequest.from_bytes(b"BROKEN\r\n\r\n")
 
+    def test_malformed_response_raises(self):
+        for raw in (
+            b"",
+            b"BROKEN\r\n\r\n",
+            b"HTTP/1.1 abc OK\r\n\r\n",
+            b"HTTP/1.1 \xff200 OK\r\n\r\n",
+        ):
+            with pytest.raises(TransportError, match="HTTP response|status line"):
+                HttpResponse.from_bytes(raw)
+
     def test_body_with_utf8(self):
         response = HttpResponse.html("café ☕")
         assert HttpResponse.from_bytes(response.to_bytes()).text() == "café ☕"

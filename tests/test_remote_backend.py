@@ -266,44 +266,18 @@ class TestDistributedDispatch:
 
 
 # ----------------------------------------------------------------------
-# Chaos: injected frame loss under the reliable channel
+# Chaos: injected frame loss, survived by resend and re-queue
 # ----------------------------------------------------------------------
-# Both directions lossy, plus duplicates and reordering — everything the
-# Go-Back-N channel is supposed to absorb without the dispatcher ever
-# re-queueing a spec.
-CHAOS_SPEC = "seed=29,drop=0.05,dup=0.02,reorder=0.02"
+# Both directions lossy.  Loss only: a duplicated response would park in
+# the keep-alive buffer and answer the next call on that connection.
+CHAOS_SPEC = "seed=29,drop=0.05"
 
 
 class TestChaosReliableDispatch:
-    def test_injected_loss_yields_identical_results(self):
-        """5% frame loss on both directions of every coordinator/worker
-        connection, reliable channel on: outcomes must be byte-identical
-        to local serial execution, with no dispatcher thread leaked."""
-        reference = {
-            isp: run_shard_spec(_spec(isp))[0] for isp in ("cox", "att")
-        }
-        with local_worker_pool(
-            count=2, width=2, extra_args=("--fault-profile", CHAOS_SPEC)
-        ) as addresses:
-            executor = DistributedExecutor(
-                workers=addresses,
-                fault_profile=CHAOS_SPEC,
-                reliable=True,
-            )
-            specs = [_spec(isp) for isp in ("cox", "att", "cox", "att")]
-            outcomes = executor.map_specs(specs)
-        assert [obs for obs, _wall in outcomes] == [
-            reference["cox"], reference["att"],
-            reference["cox"], reference["att"],
-        ]
-        assert _dispatcher_threads() == []
-
     def test_raw_clients_survive_loss_by_requeueing(self):
-        """Without the reliable channel the same loss is survivable too —
-        at the cost of re-queues/retries — because shard specs are
-        idempotent.  This pins the fallback story the reliability layer
-        improves on."""
-        loss_only = "seed=31,drop=0.05"  # duplicates are only safe under ARQ
+        """Frame loss is survivable — at the cost of resends and
+        re-queues — because shard specs are idempotent."""
+        loss_only = "seed=31,drop=0.05"
         reference, _ = run_shard_spec(_spec("cox"))
         with local_worker_pool(
             count=2, width=1, extra_args=("--fault-profile", loss_only)
@@ -311,7 +285,6 @@ class TestChaosReliableDispatch:
             executor = DistributedExecutor(
                 workers=addresses,
                 fault_profile=loss_only,
-                reliable=False,
             )
             outcomes = executor.map_specs([_spec("cox") for _ in range(4)])
         assert all(obs == reference for obs, _wall in outcomes)
@@ -321,15 +294,15 @@ class TestChaosReliableDispatch:
 @pytest.mark.slow
 def test_chaos_golden_digest_at_five_percent_loss(tmp_path):
     """The acceptance bar: a full remote curation at 5% injected loss on
-    both directions (reliable channel on) produces the exact digest the
-    clean serial pipeline produces."""
+    both directions produces the exact digest the clean serial pipeline
+    produces."""
     world = build_world(SMALL_WORLD_CONFIG)
     clean = CurationPipeline(world, SMALL_CONFIG).curate()
     with local_worker_pool(
         count=2, width=2, extra_args=("--fault-profile", CHAOS_SPEC)
     ) as addresses:
         executor = DistributedExecutor(
-            workers=addresses, fault_profile=CHAOS_SPEC, reliable=True
+            workers=addresses, fault_profile=CHAOS_SPEC
         )
         chaotic = CurationPipeline(world, SMALL_CONFIG, executor=executor).curate()
     assert chaotic.content_digest() == clean.content_digest()

@@ -216,33 +216,33 @@ class _SocketStub:
 
 
 class TestReadHttpMessage:
-    """_read_http_message over fragmented sockets."""
+    """read_http_message over fragmented sockets."""
 
     def test_split_header_and_body_across_many_recvs(self):
-        from repro.net.tcp import _read_http_message
+        from repro.net.conn import read_http_message
 
         payload = TestHttpFraming.MESSAGE
         sock = _SocketStub([payload[i : i + 3] for i in range(0, len(payload), 3)])
-        raw, rest = _read_http_message(sock)
+        raw, rest = read_http_message(sock)
         assert raw == payload
         assert rest == b""
 
     def test_overread_returned_to_caller(self):
-        from repro.net.tcp import _read_http_message
+        from repro.net.conn import read_http_message
 
         second = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabc"
         sock = _SocketStub([TestHttpFraming.MESSAGE + second])
-        raw, rest = _read_http_message(sock)
+        raw, rest = read_http_message(sock)
         assert raw == TestHttpFraming.MESSAGE
         # The over-read bytes buffer into the next call — nothing lost.
-        raw2, rest2 = _read_http_message(_SocketStub([]), rest)
+        raw2, rest2 = read_http_message(_SocketStub([]), rest)
         assert raw2 == second
         assert rest2 == b""
 
     def test_clean_eof_returns_empty(self):
-        from repro.net.tcp import _read_http_message
+        from repro.net.conn import read_http_message
 
-        assert _read_http_message(_SocketStub([])) == (b"", b"")
+        assert read_http_message(_SocketStub([])) == (b"", b"")
 
 
 # ----------------------------------------------------------------------
@@ -282,15 +282,13 @@ class TestKeepAliveTransport:
                     "73.9.9.9",
                     RealClock(),
                 )
-            with pooled._lock:
-                idle = pooled._idle.get(server.hostname, [])
-                assert len(idle) == 1
-                sock = idle[0].sock
+            idle = pooled._pools[server.hostname]._idle
+            assert len(idle) == 1
+            sock = idle[0].sock
             pooled.send(
                 HttpRequest.get("/"), server.hostname, "73.9.9.9", RealClock()
             )
-            with pooled._lock:
-                assert pooled._idle[server.hostname][0].sock is sock
+            assert pooled._pools[server.hostname]._idle[0].sock is sock
         finally:
             pooled.close()
 
@@ -304,8 +302,7 @@ class TestKeepAliveTransport:
                 HttpRequest.get("/"), server.hostname, "73.9.9.9", RealClock()
             )
             # Kill the parked socket behind the pool's back.
-            with pooled._lock:
-                pooled._idle[server.hostname][0].sock.close()
+            pooled._pools[server.hostname]._idle[0].sock.close()
             response = pooled.send(
                 HttpRequest.get("/"), server.hostname, "73.9.9.9", RealClock()
             )
@@ -335,8 +332,7 @@ class TestKeepAliveTransport:
                 "ping.example", "73.9.9.9", RealClock(),
             )
             assert "pong 1" in response.text()
-            with pooled._lock:
-                assert len(pooled._idle.get("ping.example", [])) == 1
+            assert len(pooled._pools["ping.example"]._idle) == 1
 
             first.stop()
             second = TcpBatServer(
@@ -391,7 +387,7 @@ class TestKeepAliveTransport:
             )
             clone = pickle.loads(pickle.dumps(pooled))
             assert clone.keep_alive
-            assert clone._idle == {}
+            assert clone._pools == {}
             response = clone.send(
                 HttpRequest.get("/"), server.hostname, "73.9.9.9", RealClock()
             )
@@ -514,3 +510,64 @@ class TestTruncatedResponses:
 
         with pytest.raises(TransportError, match="truncated"):
             asyncio.run(go())
+
+
+class _SilentServer:
+    """Reads each request, then closes without replying; counts requests."""
+
+    def __init__(self):
+        import socket as socketlib
+        import threading
+
+        self.requests = 0
+        self._listener = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(8)
+        self.address = self._listener.getsockname()
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            with conn:
+                if conn.recv(65536):
+                    self.requests += 1
+
+    def close(self):
+        self._listener.close()
+
+
+class TestResendRule:
+    """Every sync client shares one resend rule: a fresh connection that
+    closes without a reply may have run the request, so it is never
+    resent (a forced serve query would otherwise curate twice)."""
+
+    @pytest.mark.parametrize("client", ["tcp", "rpc", "serve"])
+    def test_unanswered_request_on_fresh_connection_sent_once(self, client):
+        from repro.net import RpcClient
+        from repro.serve import ServeClient
+
+        server = _SilentServer()
+        try:
+            with pytest.raises(TransportError):
+                if client == "tcp":
+                    TcpTransport(
+                        {"silent.example": server.address},
+                        keep_alive=True,
+                        fault_profile="off",
+                    ).send(
+                        HttpRequest.get("/"), "silent.example", "73.1.1.1",
+                        RealClock(),
+                    )
+                elif client == "rpc":
+                    RpcClient(
+                        server.address, timeout=5.0, fault_profile="off"
+                    ).call("ping")
+                else:
+                    ServeClient(*server.address, timeout=5.0).get("/healthz")
+        finally:
+            server.close()
+        assert server.requests == 1
