@@ -14,7 +14,9 @@ is answered in microseconds without ever touching the worker pool — the
 tier's refusal capacity stays high precisely when its service capacity is
 exhausted.  Only admitted queries are handed to a bounded thread pool
 (sized ``width + queue_depth``, matching the admission controller's
-in-flight bound) via ``run_in_executor``.
+in-flight bound) via ``run_in_executor``.  A query's body comes back from
+the pool thread as finished bytes and is written unchanged, so the
+event-loop thread never encodes a payload.
 
 Routes::
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import parse_qs, urlsplit
 
@@ -44,11 +47,11 @@ from .service import ServeResult, ServeService
 __all__ = ["DatasetServeServer"]
 
 
-def _json_response(status: int, payload: dict) -> HttpResponse:
-    response = HttpResponse(
-        status=status,
-        body=json.dumps(payload).encode("utf-8"),
-    )
+def _json_response(status: int, body: dict | bytes) -> HttpResponse:
+    """A JSON response; ``bytes`` are an already-encoded body."""
+    if isinstance(body, dict):
+        body = json.dumps(body).encode("utf-8")
+    response = HttpResponse(status=status, body=body)
     response.set_header("Content-Type", "application/json")
     return response
 
@@ -145,6 +148,19 @@ class DatasetServeServer(AsyncServer):
             )
         klass = params.get("class", "interactive")
         force = params.get("force", "") in ("1", "true", "yes")
+        # Parameters are checked before admission: an admitted request
+        # holds an in-flight slot that only handle() gives back.
+        budget_ms = self.default_deadline_ms
+        raw_deadline = params.get("deadline_ms")
+        if raw_deadline is not None:
+            try:
+                budget_ms = float(raw_deadline)
+            except ValueError:
+                budget_ms = math.nan
+            if not math.isfinite(budget_ms):
+                return _json_response(
+                    400, {"error": f"bad deadline_ms: {raw_deadline!r}"}
+                )
 
         decision = self.service.admit(client, isp, klass, now)
         if not decision.admitted:
@@ -158,17 +174,6 @@ class DatasetServeServer(AsyncServer):
             return response
 
         deadline: Deadline | None = None
-        raw_deadline = params.get("deadline_ms")
-        budget_ms: float | None = None
-        if raw_deadline is not None:
-            try:
-                budget_ms = float(raw_deadline)
-            except ValueError:
-                return _json_response(
-                    400, {"error": f"bad deadline_ms: {raw_deadline!r}"}
-                )
-        elif self.default_deadline_ms is not None:
-            budget_ms = self.default_deadline_ms
         # The no-admission baseline deliberately ignores deadlines too —
         # it is the "hope for the best" tier the benchmark compares
         # against, so it gets no graceful-degradation machinery at all.

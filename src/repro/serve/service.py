@@ -12,8 +12,11 @@ The split with the HTTP shell matters for the bounded queue: the cheap
 sans-I/O :meth:`ServeService.admit` runs on the event-loop thread *before*
 work enters the thread pool, so the in-flight bound is enforced at the
 door — a refused request never occupies a pool slot.  The heavy
-:meth:`ServeService.handle` then runs on a pool thread and pairs the
-admission accounting in a ``finally``.
+:meth:`ServeService.handle` then runs on a pool thread, pairs the
+admission accounting in a ``finally``, and returns the finished body
+bytes.  A shard's digest and row JSON are encoded once per content and
+kept per (city, ISP), so a warm hit compares rows and splices the stored
+JSON into a small envelope instead of re-serializing the shard.
 
 Degradation ladder on a cache miss (what the admission
 :class:`~repro.serve.admission.Decision` selects):
@@ -25,9 +28,9 @@ Degradation ladder on a cache miss (what the admission
 * **overload** (``refuse_miss``) — stale or 503; no new curation work.
 
 A :class:`~repro.serve.admission.CircuitBreaker` guards the executor
-fallthrough: transport failures (a dead remote backend) trip it open, and
-while open every miss degrades straight to stale-or-503 instead of
-queueing on a backend that is down.
+fallthrough: backend failures (a dead remote backend, a worker whose
+handler fails) trip it open, and while open every miss degrades straight
+to stale-or-503 instead of queueing on a backend that is down.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..dataset.curation import (
     CurationConfig,
@@ -49,26 +52,30 @@ from ..exec.schedule import chunk_spans
 from ..exec.spec import ShardSpec, release_city_worlds, seed_city_worlds
 from ..exec.store import ShardMeta, observation_to_dict
 from ..net.clock import Clock, RealClock
+from ..net.rpc import RpcRemoteError
 from .admission import AdmissionController, CircuitBreaker, Deadline, Decision
 
 __all__ = ["ServeResult", "ServeService", "shard_payload_digest"]
 
 
-def shard_payload_digest(observations) -> str:
+def shard_payload_digest(observations, rows: list | None = None) -> str:
     """Digest of a served shard payload: sha256 over canonical JSON rows.
 
     Built from the same :func:`~repro.exec.store.observation_to_dict`
     rows the disk store and the coordinator/worker wire format carry, in
     observation order — so a digest computed over a serial curation run's
     shard equals the digest of the served payload byte for byte.  This is
-    the serving tier's correctness oracle.
+    the serving tier's correctness oracle.  ``rows`` are those rows when
+    the caller has built them already.
     """
-    canonical = json.dumps(
-        [observation_to_dict(obs) for obs in observations],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    if rows is None:
+        rows = [observation_to_dict(obs) for obs in observations]
+    canonical = json.dumps(rows, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _json_body(payload: dict) -> bytes:
+    return json.dumps(payload).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -80,17 +87,58 @@ class _ShardInfo:
     keys: tuple[str, ...]
 
 
+@dataclass
+class _EncodedShard:
+    """One shard's payload, encoded once per content.
+
+    ``rows`` is ``json.dumps`` of the observation rows, the one part of a
+    200 body that grows with the shard; the digest and the rows come from
+    one :func:`~repro.exec.store.observation_to_dict` pass.
+    """
+
+    observations: tuple
+    digest: str
+    rows: bytes
+
+    @classmethod
+    def encode(cls, observations: tuple) -> "_EncodedShard":
+        rows = [observation_to_dict(obs) for obs in observations]
+        return cls(
+            observations,
+            shard_payload_digest(observations, rows),
+            json.dumps(rows).encode("utf-8"),
+        )
+
+    def body(self, city: str, isp: str, source: str) -> bytes:
+        """``json.dumps`` of the full 200 body, as bytes.
+
+        The envelope is dumped without its last key and the stored rows
+        are spliced in where ``json.dumps`` would write them.
+        """
+        envelope = _json_body({
+            "city": city,
+            "isp": isp,
+            "n_observations": len(self.observations),
+            "digest": self.digest,
+            "source": source,
+        })
+        return b"".join(
+            (envelope[:-1], b', "observations": ', self.rows, b"}")
+        )
+
+
 @dataclass(frozen=True)
 class ServeResult:
     """One query's outcome, transport-agnostic.
 
-    The HTTP shell maps this onto a response: ``status`` + JSON ``body``,
-    ``state`` into ``X-Repro-Congestion``, ``source`` into
-    ``X-Repro-Source``, ``retry_after`` into ``Retry-After``.
+    The HTTP shell maps this onto a response: ``status`` + ``body`` (the
+    finished JSON bytes, written unchanged), ``state`` into
+    ``X-Repro-Congestion``, ``source`` into ``X-Repro-Source``,
+    ``retry_after`` into ``Retry-After``.
     """
 
     status: int
-    body: dict = field(default_factory=dict)
+    body: bytes
     state: str = "clear"
     source: str = ""
     retry_after: float | None = None
@@ -137,6 +185,8 @@ class ServeService:
         self.chunk_tasks = chunk_tasks
         self._base_digest = curation_base_digest(world.config, config)
         self._shards: dict[tuple[str, str], _ShardInfo] = {}
+        # At most one encoded payload per (city, ISP) resolved above.
+        self._encodings: dict[tuple[str, str], _EncodedShard] = {}
         self._seeded: set[tuple] = set()
         self._lock = threading.Lock()
         self._breaker_lock = threading.Lock()
@@ -208,12 +258,12 @@ class ServeService:
             info = self._shard_info(city, isp)
         except UnknownCityError:
             return ServeResult(
-                404, {"error": f"unknown city: {city!r}"}, state=state
+                404, _json_body({"error": f"unknown city: {city!r}"}), state=state
             )
         if info is None:
             return ServeResult(
                 404,
-                {"error": f"isp {isp!r} not deployed in {city!r}"},
+                _json_body({"error": f"isp {isp!r} not deployed in {city!r}"}),
                 state=state,
             )
 
@@ -235,7 +285,7 @@ class ServeService:
             if decision.refuse_miss:
                 return ServeResult(
                     503,
-                    {"error": "overloaded and no stale shard available"},
+                    _json_body({"error": "overloaded and no stale shard available"}),
                     state=state,
                     retry_after=self._retry_hint(),
                 )
@@ -342,7 +392,7 @@ class ServeService:
                 )
             return ServeResult(
                 503,
-                {"error": "curation backend unavailable (circuit open)"},
+                _json_body({"error": "curation backend unavailable (circuit open)"}),
                 state=state,
                 retry_after=self.breaker.reset_after_s,
             )
@@ -377,17 +427,17 @@ class ServeService:
                     self.deadline_exceeded += 1
                     return ServeResult(
                         504,
-                        {
+                        _json_body({
                             "error": "deadline exceeded before completion",
                             "completed_chunks": wave_start,
                             "total_chunks": len(specs),
-                        },
+                        }),
                         state=state,
                     )
                 wave = specs[wave_start : wave_start + width]
                 for observations, _wall in self.executor.map_specs(wave):
                     merged.extend(observations)
-        except (TransportError, OSError) as exc:
+        except (TransportError, OSError, RpcRemoteError) as exc:
             with self._breaker_lock:
                 self.breaker.record_failure(self.clock.now())
             stale = self._stale(city, isp, info)
@@ -398,7 +448,7 @@ class ServeService:
                 )
             return ServeResult(
                 503,
-                {"error": f"curation backend failed: {exc}"},
+                _json_body({"error": f"curation backend failed: {exc}"}),
                 state=state,
                 retry_after=self._retry_hint(),
             )
@@ -425,17 +475,35 @@ class ServeService:
     def _payload(
         self, city: str, isp: str, observations, source: str, state: str
     ) -> ServeResult:
-        body = {
-            "city": city,
-            "isp": isp,
-            "n_observations": len(observations),
-            "digest": shard_payload_digest(observations),
-            "source": source,
-            "observations": [
-                observation_to_dict(obs) for obs in observations
-            ],
-        }
-        return ServeResult(200, body, state=state, source=source)
+        encoded = self._encoded(
+            (city, isp), tuple(observations), keep=source != "stale"
+        )
+        return ServeResult(
+            200, encoded.body(city, isp, source), state=state, source=source
+        )
+
+    def _encoded(
+        self, key: tuple[str, str], observations: tuple, keep: bool
+    ) -> _EncodedShard:
+        """The shard's encoded payload, encoded again only for new content.
+
+        A memory hit returns the very row objects last encoded, so the
+        comparison is one pointer check per row; rows a re-curation or a
+        disk promotion rebuilt compare field by field once, and are then
+        pinned so later hits are pointer checks again.  Stale reads
+        (``keep`` false) never replace the entry: stale content would
+        make the next hit encode again.
+        """
+        with self._lock:
+            encoded = self._encodings.get(key)
+        if encoded is not None and encoded.observations == observations:
+            encoded.observations = observations
+            return encoded
+        encoded = _EncodedShard.encode(observations)
+        if keep:
+            with self._lock:
+                self._encodings[key] = encoded
+        return encoded
 
     def _retry_hint(self) -> float:
         if self.admission is not None:

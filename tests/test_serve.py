@@ -18,10 +18,13 @@ remote backend uses:
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,18 +36,21 @@ from repro.exec.base import Executor, resolve_executor
 from repro.exec.cache import QueryResultCache
 from repro.exec.remote import _await_worker_banner
 from repro.exec.spec import ShardSpec, run_shard_spec
-from repro.exec.store import DiskShardStore
+from repro.exec.store import DiskShardStore, observation_to_dict
 from repro.net.clock import VirtualClock
+from repro.net.rpc import RpcRemoteError
 from repro.serve import (
     AdmissionConfig,
     AdmissionController,
     CircuitBreaker,
+    DatasetServeServer,
     Deadline,
     Decision,
     ServeClient,
     ServeService,
     shard_payload_digest,
 )
+from repro.serve import service as service_module
 
 SERVE_WORLD = dict(seed=11, scale=0.02, cities="wichita")
 SERVE_CURATION = dict(fraction=0.05, min_samples=3, workers=5)
@@ -54,6 +60,10 @@ ISP = "cox"
 
 def _serial_digest(workers: int = SERVE_CURATION["workers"]) -> str:
     """The correctness oracle: the shard via the serial curation path."""
+    return shard_payload_digest(_serial_observations(workers))
+
+
+def _serial_observations(workers: int = SERVE_CURATION["workers"]) -> tuple:
     from repro.world import WorldConfig
 
     world_config = WorldConfig(
@@ -73,7 +83,19 @@ def _serial_digest(workers: int = SERVE_CURATION["workers"]) -> str:
             config=config, config_digest=digest,
         )
     )
-    return shard_payload_digest(observations)
+    return tuple(observations)
+
+
+def _envelope(source: str, observations) -> bytes:
+    """A 200 body as ``json.dumps`` of the whole envelope writes it."""
+    return json.dumps({
+        "city": CITY,
+        "isp": ISP,
+        "n_observations": len(observations),
+        "digest": shard_payload_digest(observations),
+        "source": source,
+        "observations": [observation_to_dict(obs) for obs in observations],
+    }).encode("utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +199,9 @@ class TestHttpContract:
             assert client.query("atlantis", ISP).status == 404
             assert client.query(CITY, "not-an-isp").status == 404
             assert client.get("/query?city=wichita").status == 400
+            assert client.get(
+                f"/query?city={CITY}&isp={ISP}&deadline_ms=nan"
+            ).status == 400
             assert client.get("/nowhere").status == 404
 
     def test_deadline_exceeded_is_504(self, serve_endpoint):
@@ -317,6 +342,54 @@ class _FailingExecutor(Executor):
         raise TransportError("backend unreachable")
 
 
+class _HandlerErrorExecutor(Executor):
+    """Every dispatch fails like a worker whose handler answered 500."""
+
+    name = "handler-error"
+    max_workers = 2
+
+    def map(self, fn, items):
+        raise RpcRemoteError("run_shard", 500, "handler exploded")
+
+
+class _VariantExecutor(Executor):
+    """Answers each call with the next of a few versions of the shard:
+    each re-curation returns the next version's rows, in turn."""
+
+    name = "variant"
+    max_workers = 1
+
+    def __init__(self, variants) -> None:
+        self.variants = variants
+        self._calls = itertools.count()
+
+    def map(self, fn, items):
+        variant = self.variants[next(self._calls) % len(self.variants)]
+        return [(variant[spec.start:spec.stop], 0.0) for spec in items]
+
+
+def _shifted(observations, shift: float) -> tuple:
+    """New row objects, each elapsed time moved by ``shift``."""
+    return tuple(
+        replace(obs, elapsed_seconds=obs.elapsed_seconds + shift)
+        for obs in observations
+    )
+
+
+def _count_digests(monkeypatch) -> list:
+    """Records, from now on, each ``shard_payload_digest`` call the
+    service makes."""
+    calls = []
+    digest = service_module.shard_payload_digest
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return digest(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "shard_payload_digest", counted)
+    return calls
+
+
 class _ClockAdvancingExecutor(Executor):
     """Runs specs for real but charges 1 virtual second per wave call —
     how the deadline tests make time pass without sleeping."""
@@ -354,7 +427,7 @@ class TestServeService:
         result = new.handle(CITY, ISP, _admitted(stale_first=True))
         assert result.status == 200
         assert result.source == "stale"
-        assert result.body["digest"] == fresh.body["digest"]
+        assert json.loads(result.body)["digest"] == json.loads(fresh.body)["digest"]
         # Overload with no stale available refuses 503.
         refused = new.handle(
             CITY, "att", _admitted(stale_first=True, refuse_miss=True)
@@ -381,7 +454,7 @@ class TestServeService:
         result = service.handle(CITY, ISP, _admitted())
         assert result.status == 503
         assert result.retry_after == pytest.approx(30.0)
-        assert "circuit open" in result.body["error"]
+        assert "circuit open" in json.loads(result.body)["error"]
         service.close()
 
     def test_breaker_recovery_after_reset_window(self, serve_world):
@@ -416,7 +489,8 @@ class TestServeService:
         assert result.status == 504
         # Two full waves fit in the 2.5s budget; the check before the
         # third trips.  Partial progress is reported and discarded.
-        assert 0 < result.body["completed_chunks"] < result.body["total_chunks"]
+        body = json.loads(result.body)
+        assert 0 < body["completed_chunks"] < body["total_chunks"]
         assert service.deadline_exceeded == 1
         # Nothing half-done reached the cache.
         assert service.cache.stats.stores == 0
@@ -469,10 +543,204 @@ class TestServeService:
         disk = service.handle(CITY, ISP, _admitted())
         stale = service.handle(CITY, ISP, _admitted(stale_first=True))
         digests = {
-            r.body["digest"] for r in (executed, memory, disk, stale)
+            json.loads(r.body)["digest"] for r in (executed, memory, disk, stale)
         }
         assert digests == {_serial_digest()}
         assert executed.source == "executed"
         assert memory.source == "cache" and disk.source == "cache"
         assert cache.stats.disk_shard_hits >= 1
         service.close()
+
+    def test_deterministic_backend_failure_degrades_to_stale_or_503(
+        self, serve_world, tmp_path
+    ):
+        store = DiskShardStore(tmp_path / "store")
+        service = ServeService(
+            serve_world, _config(),
+            cache=QueryResultCache(store=store),
+            executor=_HandlerErrorExecutor(),
+        )
+        refused = service.handle(CITY, ISP, _admitted())
+        assert refused.status == 503
+        assert refused.retry_after is not None
+        assert "handler exploded" in json.loads(refused.body)["error"]
+        # A shard curated under another fleet size is stale for this
+        # service: the same failure now serves it.
+        other = ServeService(
+            serve_world, _config(workers=7),
+            cache=QueryResultCache(store=store),
+            executor=resolve_executor("serial"),
+        )
+        assert other.handle(CITY, ISP, _admitted()).status == 200
+        other.close()
+        stale = service.handle(CITY, ISP, _admitted())
+        assert stale.status == 200
+        assert stale.source == "stale"
+        service.close()
+
+
+class TestEncodeOnce:
+    """A shard's payload is encoded once per content, byte for byte the
+    ``json.dumps`` of its envelope."""
+
+    def test_bodies_are_json_dumps_of_the_envelope(self, serve_world, tmp_path):
+        service = ServeService(
+            serve_world, _config(),
+            cache=QueryResultCache(store=DiskShardStore(tmp_path / "store")),
+            executor=resolve_executor("serial"),
+        )
+        executed = service.handle(CITY, ISP, _admitted())
+        cached = service.handle(CITY, ISP, _admitted())
+        stale = service.handle(
+            CITY, ISP, _admitted(stale_first=True), force=True
+        )
+        oracle = _serial_observations()
+        for result, source in (
+            (executed, "executed"), (cached, "cache"), (stale, "stale")
+        ):
+            assert result.status == 200
+            assert result.source == source
+            assert result.body == _envelope(source, oracle)
+        service.close()
+
+    def test_recuration_with_new_content_is_served_on_the_next_hit(
+        self, serve_world
+    ):
+        oracle = _serial_observations()
+        shifted = _shifted(oracle, 1.0)
+        service = ServeService(
+            serve_world, _config(),
+            cache=QueryResultCache(),
+            executor=_VariantExecutor([oracle, shifted]),
+        )
+        first = service.handle(CITY, ISP, _admitted())
+        assert first.body == _envelope("executed", oracle)
+        forced = service.handle(CITY, ISP, _admitted(), force=True)
+        hit = service.handle(CITY, ISP, _admitted())
+        assert forced.body == _envelope("executed", shifted)
+        assert hit.body == _envelope("cache", shifted)
+        assert (
+            json.loads(hit.body)["digest"] != json.loads(first.body)["digest"]
+        )
+        service.close()
+
+    def test_repeat_hit_on_unchanged_shard_does_not_digest(
+        self, serve_world, monkeypatch
+    ):
+        oracle = _serial_observations()
+        service = ServeService(
+            serve_world, _config(),
+            cache=QueryResultCache(),
+            # The second version has equal content in new row objects.
+            executor=_VariantExecutor([oracle, _shifted(oracle, 0.0)]),
+        )
+        service.handle(CITY, ISP, _admitted())
+        first_hit = service.handle(CITY, ISP, _admitted())
+        calls = _count_digests(monkeypatch)
+        repeat = service.handle(CITY, ISP, _admitted())
+        # A re-curation that returns equal rows reuses the encoding too.
+        forced = service.handle(CITY, ISP, _admitted(), force=True)
+        after = service.handle(CITY, ISP, _admitted())
+        assert calls == []
+        assert repeat.body == after.body == first_hit.body
+        assert forced.source == "executed"
+        service.close()
+
+    def test_concurrent_hits_and_recurations_serve_consistent_bodies(
+        self, serve_world
+    ):
+        """Pool threads share the per-shard encodings: every body's digest
+        must still match its rows while re-curations swap the content."""
+        variants = [
+            _shifted(_serial_observations(), float(shift)) for shift in range(3)
+        ]
+        known = {
+            shard_payload_digest(variant): [
+                observation_to_dict(obs) for obs in variant
+            ]
+            for variant in variants
+        }
+        service = ServeService(
+            serve_world, _config(),
+            cache=QueryResultCache(),
+            executor=_VariantExecutor(variants),
+        )
+        bodies, errors = [], []
+
+        def drive() -> None:
+            try:
+                for i in range(40):
+                    result = service.handle(
+                        CITY, ISP, _admitted(), force=i % 4 == 0
+                    )
+                    bodies.append(result.body)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=drive) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(bodies) == 8 * 40
+        for body in bodies:
+            payload = json.loads(body)
+            assert payload["observations"] == known[payload["digest"]]
+            assert payload["n_observations"] == len(payload["observations"])
+        service.close()
+
+    def test_stale_read_leaves_the_kept_encoding(
+        self, serve_world, tmp_path, monkeypatch
+    ):
+        store = DiskShardStore(tmp_path / "store")
+        oracle = _serial_observations()
+        service = ServeService(
+            serve_world, _config(),
+            cache=QueryResultCache(store=store),
+            executor=_VariantExecutor([oracle]),
+        )
+        service.handle(CITY, ISP, _admitted())
+        # A newer shard with other content, curated under another config.
+        other_rows = _shifted(oracle, 2.0)
+        other = ServeService(
+            serve_world, _config(workers=7),
+            cache=QueryResultCache(store=store),
+            executor=_VariantExecutor([other_rows]),
+        )
+        other.handle(CITY, ISP, _admitted())
+        other.close()
+        stale = service.handle(
+            CITY, ISP, _admitted(stale_first=True), force=True
+        )
+        assert stale.body == _envelope("stale", other_rows)
+        expected = _envelope("cache", oracle)
+        calls = _count_digests(monkeypatch)
+        assert service.handle(CITY, ISP, _admitted()).body == expected
+        assert calls == []
+        service.close()
+
+
+class TestServerParameters:
+    def test_bad_deadline_is_400_before_admission(self, serve_world):
+        """A rejected deadline_ms must not hold an admission slot: three
+        leaked slots would fill this width-2, depth-1 tier for good."""
+        admission = AdmissionController(AdmissionConfig(width=2, queue_depth=1))
+        service = ServeService(
+            serve_world, _config(),
+            cache=QueryResultCache(),
+            executor=resolve_executor("serial"),
+            admission=admission,
+        )
+        path = f"/query?city={CITY}&isp={ISP}&deadline_ms="
+        with DatasetServeServer(service, fault_profile="off") as server:
+            with ServeClient(*server.address, client_id="sloppy") as client:
+                for raw in ("abc", "abc", "abc", "nan", "inf"):
+                    assert client.get(path + raw).status == 400
+                assert admission.snapshot(service.clock.now())["inflight"] == 0
+                assert client.query(CITY, ISP).status == 200
