@@ -37,15 +37,38 @@ class AddressIndex:
         self._units_by_building: dict[str, list[Address]] = defaultdict(list)
         self._by_number_band: dict[tuple[str, int], list[Address]] = defaultdict(list)
         self._by_name_prefix: dict[tuple[str, str], list[Address]] = defaultdict(list)
+        # Normalized "NAME SUFFIX" per distinct (street_name, street_suffix):
+        # a city has thousands of addresses on a few hundred streets, so
+        # keys and candidate ranking normalize each street once.
+        self._streets: dict[tuple[str, str], str] = {}
 
+        units: dict[str, str] = {}
+        zips: dict[str, str] = {}
         for address in addresses:
-            key = canonical_key(address.street_line(), address.zip_code)
-            self._by_key[key] = address
-            building_key = canonical_key(
-                address.without_unit().street_line(), address.zip_code
-            )
+            street_id = (address.street_name, address.street_suffix)
+            street = self._streets.get(street_id)
+            if street is None:
+                street = self._streets[street_id] = normalize_street_line(
+                    f"{address.street_name} {address.street_suffix}"
+                )
+            zip5 = zips.get(address.zip_code)
+            if zip5 is None:
+                zip5 = zips[address.zip_code] = normalize_zip(address.zip_code)
+            # Normalization is token-wise and street_line() joins its parts
+            # with spaces, so the normalized line is the join of the
+            # normalized parts (a str(int) house number is its own normal
+            # form): each key equals canonical_key(address.street_line(),
+            # address.zip_code).
+            building = _join(str(address.house_number), street)
+            line = building
+            if address.unit:
+                unit = units.get(address.unit)
+                if unit is None:
+                    unit = units[address.unit] = normalize_street_line(address.unit)
+                line = _join(building, unit)
+            self._by_key[f"{line}|{zip5}"] = address
             if address.is_multi_dwelling:
-                self._units_by_building[building_key].append(address)
+                self._units_by_building[f"{building}|{zip5}"].append(address)
             band = address.house_number // _NUMBER_BAND
             self._by_number_band[(address.zip_code, band)].append(address)
             prefix = address.street_name[:3].upper()
@@ -104,13 +127,17 @@ class AddressIndex:
                 found.setdefault(address.street_line() + zip5, address)
 
         query_name = " ".join(t for t in tokens if not t.isdigit())
+        # Buckets hold many addresses per street: score each street once.
+        name_scores: dict[str, float] = {}
 
         def relevance(address: Address) -> tuple[float, float, str]:
             number_match = 1.0 if str(address.house_number) == query_number else 0.0
-            candidate_name = normalize_street_line(
-                f"{address.street_name} {address.street_suffix}"
-            )
-            name_score = SequenceMatcher(None, query_name, candidate_name).ratio()
+            candidate_name = self._streets[address.street_name, address.street_suffix]
+            name_score = name_scores.get(candidate_name)
+            if name_score is None:
+                name_score = name_scores[candidate_name] = SequenceMatcher(
+                    None, query_name, candidate_name
+                ).ratio()
             # Negative scores sort best-first; street line breaks ties
             # deterministically.
             return (-number_match, -name_score, address.street_line())
@@ -126,6 +153,11 @@ class AddressIndex:
         """
         subset = tuple(a for a in self._addresses if a.block_group in block_groups)
         return AddressIndex(subset)
+
+
+def _join(head: str, tail: str) -> str:
+    """Space-join two normalized line parts; an empty part adds nothing."""
+    return f"{head} {tail}" if tail else head
 
 
 def build_city_index(book: CityAddressBook) -> AddressIndex:

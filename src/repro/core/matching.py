@@ -13,6 +13,8 @@ matching dependency): Levenshtein via the classic two-row DP.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..addresses.normalize import normalize_street_line, normalize_zip
 
 __all__ = [
@@ -75,31 +77,51 @@ def token_similarity(a: str, b: str) -> float:
     return len(tokens_a & tokens_b) / len(tokens_a | tokens_b)
 
 
+def _number_and_street(normalized: str) -> tuple[str, str]:
+    """Split a normalized street line into (house number, the other tokens).
+
+    The number is the leading all-digit token, or "" when there is none.
+    """
+    tokens = normalized.split()
+    number = tokens[0] if tokens and tokens[0].isdigit() else ""
+    return number, " ".join(t for t in tokens if t != number)
+
+
+def _similarity_to(query_line: str) -> Callable[[str], float]:
+    """:func:`address_similarity` against one query, as a function.
+
+    The query is normalized once, and each distinct candidate street is
+    scored once per scorer: suggestion lists repeat a street across
+    house numbers and units.
+    """
+    query = normalize_street_line(query_line)
+    query_number, query_street = _number_and_street(query)
+    street_scores: dict[str, float] = {}
+
+    def similarity(candidate_line: str) -> float:
+        candidate = normalize_street_line(candidate_line)
+        if query == candidate:
+            return 1.0
+        candidate_number, candidate_street = _number_and_street(candidate)
+        number_score = 1.0 if query_number == candidate_number else 0.0
+        street_score = street_scores.get(candidate_street)
+        if street_score is None:
+            street_score = 0.5 * string_similarity(query_street, candidate_street) + 0.5 * (
+                token_similarity(query_street, candidate_street)
+            )
+            street_scores[candidate_street] = street_score
+        return 0.35 * number_score + 0.65 * street_score
+
+    return similarity
+
+
 def address_similarity(query_line: str, candidate_line: str) -> float:
     """Combined similarity of two street lines after normalization.
 
     The house number is weighted separately: a suggestion with a different
     house number is a different home even if the street matches exactly.
     """
-    query = normalize_street_line(query_line)
-    candidate = normalize_street_line(candidate_line)
-    if query == candidate:
-        return 1.0
-
-    query_tokens = query.split()
-    candidate_tokens = candidate.split()
-    query_number = query_tokens[0] if query_tokens and query_tokens[0].isdigit() else ""
-    candidate_number = (
-        candidate_tokens[0] if candidate_tokens and candidate_tokens[0].isdigit() else ""
-    )
-    number_score = 1.0 if query_number == candidate_number else 0.0
-
-    query_street = " ".join(t for t in query_tokens if t != query_number)
-    candidate_street = " ".join(t for t in candidate_tokens if t != candidate_number)
-    street_score = 0.5 * string_similarity(query_street, candidate_street) + 0.5 * (
-        token_similarity(query_street, candidate_street)
-    )
-    return 0.35 * number_score + 0.65 * street_score
+    return _similarity_to(query_line)(candidate_line)
 
 
 def best_suggestion(
@@ -115,12 +137,13 @@ def best_suggestion(
     addresses have the same zip code as our initially queried address").
     """
     query_zip5 = normalize_zip(query_zip)
+    similarity = _similarity_to(query_line)
     best_index: int | None = None
     best_score = threshold
     for index, (line, zip_code) in enumerate(suggestions):
         if normalize_zip(zip_code) != query_zip5:
             continue
-        score = address_similarity(query_line, line)
+        score = similarity(line)
         if score > best_score:
             best_score = score
             best_index = index

@@ -29,12 +29,13 @@ async query paths holds by construction, not by parallel maintenance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator
+from typing import Generator, Sequence
 
 import numpy as np
 
 from ..errors import BqtError, PlanParseError
 from ..net.clock import measure
+from ..seeding import derive_seed
 from .dom import DomNode
 from .matching import best_suggestion
 from .parsing import ObservedPlan, plans_from_markup
@@ -49,6 +50,8 @@ __all__ = [
     "SubmitForm",
     "Page",
     "QueryOutcome",
+    "pick_suggestion",
+    "pick_unit",
     "query_plan",
 ]
 
@@ -195,6 +198,31 @@ def _split_suggestion_text(text: str) -> tuple[str, str]:
     return line.strip(), zip_part.strip()
 
 
+def pick_suggestion(
+    street_line: str, zip_code: str, texts: Sequence[str]
+) -> int | None:
+    """Which of a suggestion page's listed texts BQT selects, or None.
+
+    Each text is one ``"street line, ZIP"`` entry as the page shows it.
+    A pure function of the query and the list: the columnar classifier
+    makes the same pick from the address index without a page.
+    """
+    return best_suggestion(
+        street_line, zip_code, [_split_suggestion_text(text) for text in texts]
+    )
+
+
+def pick_unit(street_line: str, zip_code: str, n_units: int) -> int:
+    """Which of an MDU page's ``n_units`` listed units BQT selects.
+
+    The paper selects a random unit from the list (Section 3.3).  The
+    draw is keyed to the building so repeated curation runs are
+    bit-identical regardless of worker/IP assignment, and so the columnar
+    classifier can make the same pick without a page.
+    """
+    return derive_seed(0, "mdu-unit", street_line.upper(), zip_code) % n_units
+
+
 def _suggestion_step(
     document: DomNode, street_line: str, zip_code: str
 ) -> str | SubmitForm:
@@ -202,8 +230,7 @@ def _suggestion_step(
     choices = _extract_choices(document, "choice")
     if not choices:
         return QueryStatus.MALFORMED_PAGE
-    parsed = [_split_suggestion_text(text) for _, text in choices]
-    index = best_suggestion(street_line, zip_code, parsed)
+    index = pick_suggestion(street_line, zip_code, [text for _, text in choices])
     if index is None:
         return QueryStatus.NO_SUGGESTION_MATCH
     value = choices[index][0]
@@ -219,13 +246,7 @@ def _mdu_step(
     choices = _extract_choices(document, "unit")
     if not choices:
         return QueryStatus.MALFORMED_PAGE
-    # The paper selects a random unit from the list (Section 3.3).
-    # The draw is keyed to the building so repeated curation runs are
-    # bit-identical regardless of worker/IP assignment.
-    from ..seeding import derive_seed
-
-    draw = derive_seed(0, "mdu-unit", street_line.upper(), zip_code)
-    value = choices[draw % len(choices)][0]
+    value = choices[pick_unit(street_line, zip_code, len(choices))][0]
     if document.select_one("select[name=unit]") is not None:
         return SubmitForm("form#unit-form", fields={"unit": value})
     return SubmitForm("form#unit-form", extra={"unit": value})

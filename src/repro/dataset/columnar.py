@@ -6,30 +6,27 @@ scalar inner loop: one full simulated browser session per task — HTML
 render, DOM parse, cookie jar, safeguard checks — even though on the
 in-process transport the observation each task produces is, since the
 scheduler PR made every stochastic draw content-keyed, a **closed-form
-function of the task's content**.  This module exploits that purity the
-way gnpy computes physics over whole spectral arrays instead of
-per-channel loops: a shard becomes struct-of-arrays numpy columns, and
-the per-task RNG draws are synthesized as whole-shard vectorized
+function of the task's content**.  This module exploits that purity: each
+task's walk is resolved from the address index, and the per-task RNG
+draws are synthesized the way gnpy computes physics over whole spectral
+arrays instead of per-channel loops — as whole-shard vectorized
 operations that reproduce the scalar streams bit for bit.
 
-Two pieces:
-
-* :class:`ColumnarShard` — a shard's observations as numpy columns
-  (struct-of-arrays), losslessly convertible to and from the record
-  objects in :mod:`repro.dataset.records`, with a ``content_digest()``
-  byte-identical to :meth:`repro.dataset.container.BroadbandDataset.
-  content_digest`.
-* :func:`run_shard_columnar` — the fast-path replay hooked into
-  :func:`repro.dataset.curation._shard_observations` (and therefore
-  under :func:`repro.exec.spec.run_shard_spec`, i.e. every backend and
-  remote workers).  Tasks whose BAT walk has no per-address branching —
-  flaky technical errors, straight lookup hits, the existing-customer
-  interstitial — are synthesized vectorially; everything that branches
-  on live DOM content (suggestion pages, MDU pickers, unrecoverable
-  misses) is replayed through the untouched scalar fleet.  The merged
-  shard is byte-identical to an all-scalar run, which the golden-digest
-  parity suite (``tests/test_columnar.py``) pins with the fast path
-  forced on and off.
+:func:`run_shard_columnar` is hooked into
+:func:`repro.dataset.curation._shard_observations` (and therefore under
+:func:`repro.exec.spec.run_shard_spec`, i.e. every backend and remote
+workers).  It classifies every task's BAT walk from the city's address
+index — straight lookups, flaky technical errors, the existing-customer
+interstitial, and the walks a lookup miss starts: BQT's pick on a
+suggestion page or an MDU unit picker, or a dead end — and synthesizes
+the whole shard's observations without a browser session.  BQT's picks
+are the workflow's own pure functions (:func:`repro.core.workflow.
+pick_suggestion` and :func:`~repro.core.workflow.pick_unit`), so the
+scalar engine and the fast path cannot diverge.  A shard with a task the
+classifier cannot resolve runs whole through the untouched scalar
+fleet.  Either way the shard is byte-identical to an all-scalar run,
+which the golden-digest parity suite (``tests/test_columnar.py``) pins
+with the fast path forced on and off.
 
 RNG-equivalence argument (why the synthesis is bit-exact):
 
@@ -58,7 +55,6 @@ RNG-equivalence argument (why the synthesis is bit-exact):
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256
@@ -70,6 +66,7 @@ from ..addresses.normalize import canonical_key
 from ..bat import pages
 from ..bat.profiles import BatProfile, profile_for
 from ..core.parsing import plans_from_markup
+from ..core.workflow import QueryStatus, pick_suggestion, pick_unit
 from ..seeding import derive_seed
 from ..world import offer_resolver
 from .records import AddressObservation, PlanObservation
@@ -82,7 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "COLUMNAR_ENV",
-    "ColumnarShard",
     "columnar_enabled",
     "hash_address_ids",
     "run_shard_columnar",
@@ -134,120 +130,6 @@ def hash_address_ids(
 
 
 # ----------------------------------------------------------------------
-# The struct-of-arrays shard container
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ColumnarShard:
-    """One shard's observations as numpy columns (struct-of-arrays).
-
-    String columns are fixed-width numpy unicode arrays; the
-    variable-length plans column is dictionary-encoded — ``plan_pool``
-    holds the distinct plan tuples (shards see a handful of offer tiers
-    across thousands of addresses) and ``plan_index`` points each row at
-    its tuple.  The encoding is lossless: :meth:`to_records` rebuilds
-    the exact :class:`~repro.dataset.records.AddressObservation` objects
-    ``from_records`` consumed, and :meth:`content_digest` serializes the
-    same bytes as the record-based dataset digest.
-    """
-
-    address_id: np.ndarray
-    city: np.ndarray
-    block_group: np.ndarray
-    isp: np.ndarray
-    status: np.ndarray
-    elapsed_seconds: np.ndarray
-    plan_index: np.ndarray
-    plan_pool: tuple[tuple[PlanObservation, ...], ...]
-
-    def __len__(self) -> int:
-        return int(self.address_id.shape[0])
-
-    @staticmethod
-    def _str_column(values: Sequence[str]) -> np.ndarray:
-        # np.array infers the minimal fixed width; an all-empty (or
-        # empty) column still needs a concrete unicode dtype.
-        if not values:
-            return np.empty(0, dtype="<U1")
-        return np.array(values, dtype=np.str_)
-
-    @classmethod
-    def from_records(
-        cls, observations: Sequence[AddressObservation]
-    ) -> "ColumnarShard":
-        """Dictionary-encode a record sequence into columns (lossless)."""
-        pool: dict[tuple[PlanObservation, ...], int] = {}
-        indexes = np.empty(len(observations), dtype=np.int64)
-        for row, obs in enumerate(observations):
-            indexes[row] = pool.setdefault(obs.plans, len(pool))
-        return cls(
-            address_id=cls._str_column([o.address_id for o in observations]),
-            city=cls._str_column([o.city for o in observations]),
-            block_group=cls._str_column(
-                [o.block_group for o in observations]
-            ),
-            isp=cls._str_column([o.isp for o in observations]),
-            status=cls._str_column([o.status for o in observations]),
-            elapsed_seconds=np.array(
-                [o.elapsed_seconds for o in observations], dtype=np.float64
-            ),
-            plan_index=indexes,
-            plan_pool=tuple(pool),
-        )
-
-    def to_records(self) -> tuple[AddressObservation, ...]:
-        """Rebuild the exact record objects this shard encodes."""
-        pool = self.plan_pool
-        return tuple(
-            AddressObservation(
-                address_id=str(self.address_id[row]),
-                city=str(self.city[row]),
-                block_group=str(self.block_group[row]),
-                isp=str(self.isp[row]),
-                status=str(self.status[row]),
-                plans=pool[int(self.plan_index[row])],
-                # numpy float64 -> Python float is the identical IEEE
-                # value; repr/round-trip exactness is what the digest
-                # relies on.
-                elapsed_seconds=float(self.elapsed_seconds[row]),
-            )
-            for row in range(len(self))
-        )
-
-    def content_digest(self) -> str:
-        """Byte-identical to ``BroadbandDataset.content_digest()``.
-
-        The plans serialization — the expensive part of the record-based
-        digest — is hoisted per *distinct* plan tuple instead of being
-        re-formatted per row, which is the columnar encoding paying off.
-        """
-        plan_strs = [
-            ";".join(
-                f"{p.name}|{p.download_mbps!r}|{p.upload_mbps!r}"
-                f"|{p.monthly_price!r}"
-                for p in plans
-            )
-            for plans in self.plan_pool
-        ]
-        hasher = sha256()
-        # repr(float(...)) — NOT repr of the numpy scalar, whose repr
-        # differs under numpy >= 2.
-        elapsed = self.elapsed_seconds.tolist()
-        for row in range(len(self)):
-            parts = (
-                str(self.address_id[row]),
-                str(self.city[row]),
-                str(self.block_group[row]),
-                str(self.isp[row]),
-                str(self.status[row]),
-                repr(elapsed[row]),
-                plan_strs[int(self.plan_index[row])],
-            )
-            hasher.update("\x1f".join(parts).encode("utf-8"))
-            hasher.update(b"\x1e")
-        return hasher.hexdigest()
-
-
-# ----------------------------------------------------------------------
 # Memoized plans-page observation
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=512)
@@ -277,11 +159,10 @@ def columnar_cache_stats() -> dict[str, object]:
 # ----------------------------------------------------------------------
 # Per-task classification
 # ----------------------------------------------------------------------
-# One classified fast-path task: (request count, per-request render-delay
-# medians, terminal status, recorded plans).
+# One classified fast-path task: the render-delay median of each request
+# it makes, its terminal status and its recorded plans.
 @dataclass(frozen=True)
 class _FastTask:
-    requests: int
     medians: tuple[float, ...]
     status: str
     plans: tuple[PlanObservation, ...]
@@ -296,72 +177,89 @@ def _classify(
 ) -> _FastTask | None:
     """Resolve one task's BAT walk without executing it.
 
-    Returns None when the walk leaves the branch-free envelope —
-    suggestion pages, MDU pickers, unrecoverable misses, empty inputs —
-    i.e. whenever the scalar engine's DOM-driven decisions would kick
-    in.  Mirrors :meth:`repro.bat.app.BatApplication._resolve` exactly,
-    including float arithmetic on the delay medians.
+    Mirrors :meth:`repro.bat.app.BatApplication._resolve` exactly,
+    including float arithmetic on the delay medians, and BQT's decisions
+    on the pages a lookup miss renders.  Returns None for a walk it does
+    not model: an empty street or ZIP (the BAT's empty-form page), or a
+    picked address the index cannot resolve.
     """
     street = entry.street_line.strip()
     zip5 = entry.zip_code.strip()
     if not street or not zip5:
-        return None  # BqtError / not-found paths: scalar's problem
+        return None
+
+    medians = [profile.home_delay]
+
+    def ended(status: str, plans: tuple[PlanObservation, ...] = ()) -> _FastTask:
+        return _FastTask(tuple(medians), status, plans)
 
     def uniform(label: str, key: str) -> float:
         return (derive_seed(app_seed, label, key) % 10_000_000) / 10_000_000.0
 
-    # Flaky check first, keyed on the *queried* spelling — exactly the
-    # server's order, so a flaky mis-spelled address is still fast-path.
-    queried_key = canonical_key(street, zip5)
-    if uniform("flaky", queried_key) < profile.flaky_error_rate:
-        return _FastTask(
-            requests=2,
-            medians=(profile.home_delay, profile.lookup_delay),
-            status="technical_error",
-            plans=(),
-        )
+    def flaky(key: str) -> bool:
+        return uniform("flaky", key) < profile.flaky_error_rate
 
-    found = index.lookup_canonical(queried_key)
+    # Flaky check first, keyed on the *queried* spelling — exactly the
+    # server's order.
+    key = canonical_key(street, zip5)
+    if flaky(key):
+        medians.append(profile.lookup_delay)
+        return ended(QueryStatus.TECHNICAL_ERROR)
+    found = index.lookup_canonical(key)
     if found is None:
-        # Suggestions / MDU picker / not-found: DOM-dependent branching.
-        return None
+        # A miss renders an MDU picker, a suggestion page or a dead end.
+        # BQT picks from the page with the query it typed, and the pick's
+        # POST re-enters the lookup on the chosen address.
+        units = index.units_at(street, zip5)
+        if units:
+            medians.append(profile.lookup_delay + profile.interstitial_delay)
+            chosen = units[pick_unit(entry.street_line, entry.zip_code, len(units))]
+        else:
+            medians.append(profile.lookup_delay)
+            candidates = index.candidates(
+                street, zip5, limit=profile.suggestion_limit
+            )
+            if not candidates:
+                return ended(QueryStatus.NOT_FOUND)
+            # Each entry as BQT reads it back from the rendered page:
+            # escaped, parsed, and whitespace-normalized by full_text().
+            texts = [
+                " ".join(f"{c.street_line()}, {c.zip_code}".split())
+                for c in candidates
+            ]
+            choice = pick_suggestion(entry.street_line, entry.zip_code, texts)
+            if choice is None:
+                return ended(QueryStatus.NO_SUGGESTION_MATCH)
+            chosen = candidates[choice]
+        key = canonical_key(chosen.street_line(), chosen.zip_code)
+        if flaky(key):
+            medians.append(profile.lookup_delay)
+            return ended(QueryStatus.TECHNICAL_ERROR)
+        found = index.lookup_canonical(key)
+        if found is None:
+            return None
 
     plans = offers(found)
     observed = _observed_plans(profile, plans) if plans else ()
-    status = "plans" if plans else "no_service"
-    existing = (
-        uniform("existing", canonical_key(found.street_line(), found.zip_code))
-        < profile.existing_customer_rate
-    )
-    if existing:
-        # home, lookup+interstitial, then the new-customer finish where
-        # the lookup is not re-charged (0.0 + final render).
-        final = (
+    status = QueryStatus.PLANS if plans else QueryStatus.NO_SERVICE
+    # The index files every address under its own canonical key, so `key`
+    # is the key the server rolls the existing-customer draw on.
+    if uniform("existing", key) < profile.existing_customer_rate:
+        # lookup+interstitial, then the new-customer finish where the
+        # lookup is not re-charged (0.0 + final render).
+        medians.append(profile.lookup_delay + profile.interstitial_delay)
+        medians.append(
             0.0 + profile.plans_delay
             if plans
             else 0.0 + profile.lookup_delay * 0.5
         )
-        return _FastTask(
-            requests=3,
-            medians=(
-                profile.home_delay,
-                profile.lookup_delay + profile.interstitial_delay,
-                final,
-            ),
-            status=status,
-            plans=observed,
+    else:
+        medians.append(
+            profile.lookup_delay + profile.plans_delay
+            if plans
+            else profile.lookup_delay + profile.lookup_delay * 0.5
         )
-    final = (
-        profile.lookup_delay + profile.plans_delay
-        if plans
-        else profile.lookup_delay + profile.lookup_delay * 0.5
-    )
-    return _FastTask(
-        requests=2,
-        medians=(profile.home_delay, final),
-        status=status,
-        plans=observed,
-    )
+    return ended(status, observed)
 
 
 # ----------------------------------------------------------------------
@@ -377,10 +275,9 @@ def run_shard_columnar(
     """Replay one (city, ISP) shard through the columnar pipeline.
 
     Returns the shard's observations — byte-identical to the scalar
-    fleet replay — or None when the whole shard must run scalar
-    (pacing enabled, or a fleet wide enough to trip the server-load
-    multiplier).  Tasks outside the branch-free envelope are replayed
-    through the scalar fleet and merged back in task order.
+    fleet replay — or None when the whole shard must run scalar: pacing
+    enabled, a fleet wide enough to trip the server-load multiplier, or
+    a task whose walk the classifier cannot resolve.
     """
     if config.pacing_time_scale != 0.0:
         # Pacing exists to make wall time track virtual time; a path
@@ -403,121 +300,84 @@ def run_shard_columnar(
     offers = offer_resolver({city: city_world}, isp)
 
     fast: list[_FastTask] = []
-    fast_positions: list[int] = []
-    fast_entries: list["NoisyAddress"] = []
-    slow_positions: list[int] = []
-    slow_entries: list["NoisyAddress"] = []
-    for position, entry in enumerate(tasks):
+    for entry in tasks:
         classified = _classify(entry, profile, app_seed, index, offers)
         if classified is None:
-            slow_positions.append(position)
-            slow_entries.append(entry)
-        else:
-            fast.append(classified)
-            fast_positions.append(position)
-            fast_entries.append(entry)
+            return None
+        fast.append(classified)
 
-    results: list[AddressObservation | None] = [None] * len(tasks)
+    counts = [len(t.medians) for t in fast]
+    total_draws = sum(counts)
+    # Per-task generators (the content-keyed streams), batched draws:
+    # each k-request task consumes indices 0..k-1 of its own fresh
+    # stream, so one standard_normal(k) call per task reproduces the
+    # scalar per-request draws exactly; the exp/multiply arithmetic is
+    # then one whole-shard vector op.
+    z_render = np.empty(total_draws, dtype=np.float64)
+    offset = 0
+    for entry, k in zip(tasks, counts):
+        rng = np.random.default_rng(
+            derive_seed(app_seed, "delays", isp, entry.street_line, entry.zip_code)
+        )
+        z_render[offset : offset + k] = rng.standard_normal(k)
+        offset += k
+    spreads = np.exp(profile.render_sigma * z_render)
 
-    if fast:
-        counts = [t.requests for t in fast]
-        total_draws = sum(counts)
-        # Per-task generators (the content-keyed streams), batched draws:
-        # each k-request task consumes indices 0..k-1 of its own fresh
-        # stream, so one standard_normal(k) call per task reproduces the
-        # scalar per-request draws exactly; the exp/multiply arithmetic
-        # is then one whole-shard vector op.
-        z_render = np.empty(total_draws, dtype=np.float64)
+    rtts: np.ndarray | None = None
+    if latency.base_rtt != 0.0:
+        # base_rtt == 0 consumes no draw at all (sample_rtt
+        # short-circuits), so the stream is only synthesized when the
+        # scalar path would have drawn from it.
+        z_rtt = np.empty(total_draws, dtype=np.float64)
         offset = 0
-        for entry, k in zip(fast_entries, counts):
+        for entry, k in zip(tasks, counts):
             rng = np.random.default_rng(
                 derive_seed(
-                    app_seed, "delays", isp, entry.street_line, entry.zip_code
+                    transport_seed,
+                    "task-rtt",
+                    isp,
+                    entry.street_line,
+                    entry.zip_code,
                 )
             )
-            z_render[offset : offset + k] = rng.standard_normal(k)
+            z_rtt[offset : offset + k] = rng.standard_normal(k)
             offset += k
-        spreads = np.exp(profile.render_sigma * z_render)
+        rtts = latency.base_rtt * np.exp(latency.sigma * z_rtt)
 
-        rtts: np.ndarray | None = None
-        if latency.base_rtt != 0.0:
-            # base_rtt == 0 consumes no draw at all (sample_rtt
-            # short-circuits), so the stream is only synthesized when
-            # the scalar path would have drawn from it.
-            z_rtt = np.empty(total_draws, dtype=np.float64)
-            offset = 0
-            for entry, k in zip(fast_entries, counts):
-                rng = np.random.default_rng(
-                    derive_seed(
-                        transport_seed,
-                        "task-rtt",
-                        isp,
-                        entry.street_line,
-                        entry.zip_code,
-                    )
-                )
-                z_rtt[offset : offset + k] = rng.standard_normal(k)
-                offset += k
-            rtts = latency.base_rtt * np.exp(latency.sigma * z_rtt)
+    spread_list = spreads.tolist()
+    rtt_list = rtts.tolist() if rtts is not None else None
+    elapsed: list[float] = []
+    offset = 0
+    for task in fast:
+        # The virtual clock's offset-free mark: the same sequence of
+        # float additions the per-request sleeps perform —
+        # rtt/2, render (x a load multiplier of exactly 1.0), rtt/2.
+        acc = 0.0
+        for i, median in enumerate(task.medians, start=offset):
+            half = rtt_list[i] / 2.0 if rtt_list is not None else 0.0
+            render = round(median * spread_list[i], 3)
+            acc += half
+            acc += render
+            acc += half
+        elapsed.append(acc)
+        offset += len(task.medians)
 
-        spread_list = spreads.tolist()
-        rtt_list = rtts.tolist() if rtts is not None else None
-        elapsed = np.empty(len(fast), dtype=np.float64)
-        offset = 0
-        for row, task in enumerate(fast):
-            # The virtual clock's offset-free mark: the same sequence of
-            # float additions the per-request sleeps perform —
-            # rtt/2, render (x a load multiplier of exactly 1.0), rtt/2.
-            acc = 0.0
-            medians = task.medians
-            for i in range(task.requests):
-                half = (
-                    rtt_list[offset + i] / 2.0 if rtt_list is not None else 0.0
-                )
-                render = round(medians[i] * spread_list[offset + i], 3)
-                acc += half
-                acc += render
-                acc += half
-            elapsed[row] = acc
-            offset += task.requests
-
-        salt = config.salt
-        address_ids = hash_address_ids(
-            [entry.truth.street_line() for entry in fast_entries],
-            [entry.truth.zip_code for entry in fast_entries],
-            salt,
+    address_ids = hash_address_ids(
+        [entry.truth.street_line() for entry in tasks],
+        [entry.truth.zip_code for entry in tasks],
+        config.salt,
+    )
+    return tuple(
+        AddressObservation(
+            address_id=address_id,
+            city=entry.city,
+            block_group=entry.truth.block_group,
+            isp=isp,
+            status=task.status,
+            plans=task.plans,
+            elapsed_seconds=seconds,
         )
-        pool: dict[tuple[PlanObservation, ...], int] = {}
-        plan_indexes = np.empty(len(fast), dtype=np.int64)
-        for row, task in enumerate(fast):
-            plan_indexes[row] = pool.setdefault(task.plans, len(pool))
-        shard = ColumnarShard(
-            address_id=ColumnarShard._str_column(address_ids),
-            city=ColumnarShard._str_column(
-                [entry.city for entry in fast_entries]
-            ),
-            block_group=ColumnarShard._str_column(
-                [entry.truth.block_group for entry in fast_entries]
-            ),
-            isp=ColumnarShard._str_column([isp] * len(fast)),
-            status=ColumnarShard._str_column([t.status for t in fast]),
-            elapsed_seconds=elapsed,
-            plan_index=plan_indexes,
-            plan_pool=tuple(pool),
+        for address_id, entry, task, seconds in zip(
+            address_ids, tasks, fast, elapsed
         )
-        for position, observation in zip(fast_positions, shard.to_records()):
-            results[position] = observation
-
-    if slow_entries:
-        # Content-keyed task purity (the chunk-scheduling contract) makes
-        # any task subset replay byte-identically on a fresh fleet — the
-        # same property sub-shard chunking already relies on.
-        from .curation import _scalar_shard_observations
-
-        scalar = _scalar_shard_observations(
-            world_config, city_world, isp, config, slow_entries
-        )
-        for position, observation in zip(slow_positions, scalar):
-            results[position] = observation
-
-    return tuple(results)  # type: ignore[arg-type]
+    )

@@ -316,6 +316,9 @@ _ADDRESS_INDEX_MEMO: "OrderedDict[tuple[WorldConfig, str], AddressIndex]" = (
 )
 _ADDRESS_INDEX_MEMO_MAX = 8
 _ADDRESS_INDEX_LOCK = threading.Lock()
+# One build lock per key being built: concurrent shards of a cold city
+# wait for the first thread's index instead of each building their own.
+_ADDRESS_INDEX_BUILDS: dict[tuple[WorldConfig, str], threading.Lock] = {}
 # Cumulative wall time spent building indexes in THIS process, so the
 # run report can attribute index cost separately from query replay.
 _INDEX_BUILD_SECONDS = 0.0
@@ -327,6 +330,14 @@ def index_build_seconds() -> float:
         return _INDEX_BUILD_SECONDS
 
 
+def _memoized_index(key: tuple[WorldConfig, str]) -> AddressIndex | None:
+    # Caller holds _ADDRESS_INDEX_LOCK.
+    index = _ADDRESS_INDEX_MEMO.get(key)
+    if index is not None:
+        _ADDRESS_INDEX_MEMO.move_to_end(key)
+    return index
+
+
 def _city_address_index(
     world_config: WorldConfig, city_world: CityWorld
 ) -> AddressIndex:
@@ -335,25 +346,31 @@ def _city_address_index(
     Keyed by ``(world_config, city name)``: :func:`repro.world.
     build_city_world` is a pure function of that pair, so any
     ``city_world`` passed alongside the key indexes to identical content.
-    Two threads racing on a miss both build equivalent indexes and the
-    last write wins — harmless.
+    Single flight: threads that miss on the same key while it is being
+    built wait for that build, so each index is built (and its build
+    time counted) once.
     """
     global _INDEX_BUILD_SECONDS
     key = (world_config, city_world.info.name)
     with _ADDRESS_INDEX_LOCK:
-        index = _ADDRESS_INDEX_MEMO.get(key)
+        index = _memoized_index(key)
         if index is not None:
-            _ADDRESS_INDEX_MEMO.move_to_end(key)
             return index
-    started = time.perf_counter()
-    index = AddressIndex(tuple(city_world.book.canonical))
-    built = time.perf_counter() - started
-    with _ADDRESS_INDEX_LOCK:
-        _INDEX_BUILD_SECONDS += built
-        _ADDRESS_INDEX_MEMO[key] = index
-        _ADDRESS_INDEX_MEMO.move_to_end(key)
-        while len(_ADDRESS_INDEX_MEMO) > _ADDRESS_INDEX_MEMO_MAX:
-            _ADDRESS_INDEX_MEMO.popitem(last=False)
+        build_lock = _ADDRESS_INDEX_BUILDS.setdefault(key, threading.Lock())
+    with build_lock:
+        with _ADDRESS_INDEX_LOCK:
+            index = _memoized_index(key)
+            if index is not None:
+                return index
+        started = time.perf_counter()
+        index = AddressIndex(tuple(city_world.book.canonical))
+        built = time.perf_counter() - started
+        with _ADDRESS_INDEX_LOCK:
+            _INDEX_BUILD_SECONDS += built
+            _ADDRESS_INDEX_MEMO[key] = index
+            while len(_ADDRESS_INDEX_MEMO) > _ADDRESS_INDEX_MEMO_MAX:
+                _ADDRESS_INDEX_MEMO.popitem(last=False)
+            _ADDRESS_INDEX_BUILDS.pop(key, None)
     return index
 
 
@@ -373,10 +390,10 @@ def _shard_observations(
 
     This is the hot-path dispatcher: shards first try the columnar fast
     path (:func:`repro.dataset.columnar.run_shard_columnar`), which
-    synthesizes the branch-free majority of tasks as whole-shard numpy
-    operations and replays only DOM-branching tasks through the scalar
-    fleet — byte-identical output either way, pinned by the golden
-    parity suite.  ``REPRO_COLUMNAR=0`` forces everything scalar.
+    synthesizes every task's walk as whole-shard numpy operations; a
+    shard it declines replays whole through the scalar fleet —
+    byte-identical output either way, pinned by the golden parity
+    suite.  ``REPRO_COLUMNAR=0`` forces everything scalar.
     """
     seed = world_config.seed
     if tasks is None:
@@ -407,9 +424,10 @@ def _scalar_shard_observations(
     """The scalar replay: a real fleet against fresh per-shard servers.
 
     The shard's transport, BAT application, proxy pool and fleet are all
-    constructed here from seeds derived from ``(city, ISP)``.  Also the
-    fallback engine for task subsets the columnar path cannot synthesize
-    — per-task content keying makes any subset replay byte-identically.
+    constructed here from seeds derived from ``(city, ISP)``.  This is
+    the oracle the columnar path is checked against, and per-task content
+    keying makes any task subset replay byte-identically (what sub-shard
+    chunking relies on).
     """
     city = city_world.info.name
     seed = world_config.seed

@@ -1,45 +1,71 @@
 """The columnar fast path, locked down by golden digests and properties.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * **Golden parity** — the pinned seed configurations must produce the
   checked-in digests with the columnar path forced on and forced off,
   cold, warm-from-disk, and incrementally re-curated, on every backend
   including remote worker processes.  The fast path is only allowed to
   exist because these stay byte-identical.
-* **Record-level parity** — shard observations compare equal object by
-  object (not just digest) between the two paths, so a digest collision
-  can never mask a drift.
-* **Properties (hypothesis)** — columnar<->record round-trips are
-  lossless, the columnar digest matches the record-based dataset digest
-  on arbitrary observations, batch hashing matches the scalar hash on
-  arbitrary strings, and the vectorized RNG synthesis reproduces the
-  scalar draw sequences element for element.
+* **Record-level parity and walk coverage** — shard observations compare
+  equal object by object (not just digest) between the two paths, so a
+  digest collision can never mask a drift; on a seven-ISP world every
+  walk kind BQT takes occurs and no task leaves the fast path.
+* **Matching oracles** — the address index's candidates and BQT's
+  suggestion matcher equal reference copies of their pre-optimization
+  code, and the index's keys equal ``canonical_key``.
+* **Properties (hypothesis)** — batch hashing matches the scalar hash on
+  arbitrary strings, the vectorized RNG synthesis reproduces the scalar
+  draw sequences element for element, and ``best_suggestion`` equals its
+  reference on generated lines and ZIPs.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+import time
+from collections import Counter, defaultdict
+from dataclasses import replace
+from difflib import SequenceMatcher
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.addresses.database import AddressIndex
+from repro.addresses.normalize import (
+    canonical_key,
+    normalize_street_line,
+    normalize_zip,
+)
+from repro.core import workflow
+from repro.core.matching import (
+    DEFAULT_ACCEPT_THRESHOLD,
+    address_similarity,
+    best_suggestion,
+    string_similarity,
+    token_similarity,
+)
+from repro.core.templates import TemplateKind
+from repro.core.workflow import QueryStatus
 from repro.dataset import CurationConfig, CurationPipeline, SamplingConfig
+from repro.dataset import columnar, curation
 from repro.dataset.columnar import (
     COLUMNAR_ENV,
-    ColumnarShard,
     columnar_enabled,
     hash_address_ids,
     run_shard_columnar,
 )
-from repro.dataset.container import BroadbandDataset
 from repro.dataset.curation import (
+    _city_address_index,
     _scalar_shard_observations,
     _shard_observations,
     _shard_tasks,
     hash_address_id,
+    index_build_seconds,
 )
-from repro.dataset.records import AddressObservation, PlanObservation
 from repro.exec import DiskShardStore, QueryResultCache
 from repro.net.latency import LatencyModel
 from repro.world import WorldConfig, build_world
@@ -64,6 +90,28 @@ GOLDEN_NOLA_SEED42 = (
 @pytest.fixture(scope="module")
 def small_world():
     return build_world(WorldConfig(seed=5, scale=0.05, cities=("wichita",)))
+
+
+@pytest.fixture(scope="module")
+def walk_world():
+    """All seven ISPs, both suggestion styles, and every walk kind."""
+    return build_world(
+        WorldConfig(
+            seed=42,
+            scale=0.05,
+            cities=("wichita", "baltimore", "billings", "durham"),
+        )
+    )
+
+
+def _world_shards(world):
+    """Each (city world, ISP, sampled tasks) shard of ``world``."""
+    for city_world in world.cities.values():
+        for isp in city_world.info.isps:
+            tasks = _shard_tasks(
+                city_world, isp, SMALL_CONFIG.sampling, world.config.seed
+            )
+            yield city_world, isp, tasks
 
 
 @pytest.fixture
@@ -94,10 +142,26 @@ class TestGate:
         monkeypatch.delenv(COLUMNAR_ENV, raising=False)
         assert columnar_enabled()
 
+    def test_unresolvable_task_gates_whole_shard(self, small_world, monkeypatch):
+        """A task the classifier cannot resolve (an empty ZIP renders the
+        BAT's empty-form page) sends the whole shard down the scalar path."""
+        world_config = small_world.config
+        city_world = small_world.city("wichita")
+        tasks = _shard_tasks(city_world, "cox", SMALL_CONFIG.sampling, 5)
+        tasks[3] = replace(tasks[3], zip_code=" ")
+        assert (
+            run_shard_columnar(world_config, city_world, "cox", SMALL_CONFIG, tasks)
+            is None
+        )
+        monkeypatch.setenv(COLUMNAR_ENV, "1")
+        assert _shard_observations(
+            world_config, city_world, "cox", SMALL_CONFIG, tasks
+        ) == _scalar_shard_observations(
+            world_config, city_world, "cox", SMALL_CONFIG, tasks
+        )
+
     def test_pacing_gates_whole_shard(self, small_world):
         """A paced shard must decline the fast path (it never sleeps)."""
-        from dataclasses import replace
-
         world_config = small_world.config
         city_world = small_world.city("wichita")
         config = replace(SMALL_CONFIG, pacing_time_scale=8e-5)
@@ -139,7 +203,7 @@ def test_shard_observations_identical_records(small_world, monkeypatch):
 
 def test_fallback_subset_matches_full_scalar(small_world):
     """The scalar engine replays any task subset byte-identically — the
-    property the columnar path's ineligible-task fallback rests on."""
+    property sub-shard chunking rests on."""
     world_config = small_world.config
     city_world = small_world.city("wichita")
     tasks = _shard_tasks(city_world, "att", SMALL_CONFIG.sampling, 5)
@@ -151,6 +215,98 @@ def test_fallback_subset_matches_full_scalar(small_world):
         world_config, city_world, "att", SMALL_CONFIG, subset
     )
     assert replayed == tuple(full[i] for i in range(1, len(tasks), 3))
+
+
+# ----------------------------------------------------------------------
+# Walk coverage (slow tier)
+# ----------------------------------------------------------------------
+_PICK_PAGES = (TemplateKind.SUGGESTIONS, TemplateKind.MDU)
+
+#: Each walk kind a miss can start, as the scalar engine's visited
+#: templates (``QueryResult.steps``) and terminal status show it.
+_WALK_KINDS = {
+    "suggestion pick": lambda steps, status: (
+        steps[1:2] == (TemplateKind.SUGGESTIONS,) and len(steps) > 2
+    ),
+    "no_suggestion_match": lambda steps, status: (
+        status == QueryStatus.NO_SUGGESTION_MATCH
+    ),
+    "MDU pick": lambda steps, status: steps[1:2] == (TemplateKind.MDU,),
+    "technical error after a pick": lambda steps, status: (
+        steps[1:2] in [(kind,) for kind in _PICK_PAGES]
+        and steps[2:] == (TemplateKind.TECHNICAL_ERROR,)
+    ),
+    "interstitial after a pick": lambda steps, status: (
+        steps[1:2] in [(kind,) for kind in _PICK_PAGES]
+        and steps[2:3] == (TemplateKind.EXISTING_CUSTOMER,)
+    ),
+    "not_found": lambda steps, status: status == QueryStatus.NOT_FOUND,
+}
+
+
+def _recording(pick, sink):
+    def recorded(street_line, zip_code, texts):
+        sink.append((street_line, zip_code, list(texts)))
+        return pick(street_line, zip_code, texts)
+
+    return recorded
+
+
+@pytest.mark.slow
+def test_every_walk_is_synthesized(walk_world, monkeypatch):
+    """No task of a seven-ISP world replays through the fleet.
+
+    Every shard's fast-path records equal the scalar oracle's over the
+    same tasks, every walk kind occurs (so this cannot pass vacuously),
+    and on every suggestion page the texts the classifier scores are the
+    ones BQT reads back from the rendered, parsed page, in both the
+    ``select`` and ``list`` styles.
+    """
+    from repro.bat.profiles import profile_for
+
+    walks: Counter = Counter()
+
+    class RecordingFleet(curation.ContainerFleet):
+        def run(self, tasks):
+            report = super().run(tasks)
+            walks.update((r.steps, r.status) for r in report.results)
+            return report
+
+    def no_fleet(*args, **kwargs):
+        raise AssertionError("a shard left the columnar path")
+
+    monkeypatch.setattr(curation, "ContainerFleet", RecordingFleet)
+    monkeypatch.setenv(COLUMNAR_ENV, "1")
+    pick_suggestion = workflow.pick_suggestion
+    styles = set()
+    for city_world, isp, tasks in _world_shards(walk_world):
+        scored: list = []
+        read: list = []
+        monkeypatch.setattr(
+            columnar, "pick_suggestion", _recording(pick_suggestion, scored)
+        )
+        monkeypatch.setattr(curation, "_scalar_shard_observations", no_fleet)
+        fast = _shard_observations(
+            walk_world.config, city_world, isp, SMALL_CONFIG, tasks
+        )
+        monkeypatch.setattr(
+            workflow, "pick_suggestion", _recording(pick_suggestion, read)
+        )
+        oracle = _scalar_shard_observations(
+            walk_world.config, city_world, isp, SMALL_CONFIG, tasks
+        )
+        assert fast == oracle, (city_world.info.name, isp)
+        assert scored == read, (city_world.info.name, isp)
+        if read:
+            styles.add(profile_for(isp).suggestion_style)
+
+    assert styles == {"select", "list"}
+    missing = [
+        name
+        for name, occurs in _WALK_KINDS.items()
+        if not any(occurs(steps, status) for steps, status in walks)
+    ]
+    assert not missing, (missing, walks)
 
 
 # ----------------------------------------------------------------------
@@ -225,56 +381,8 @@ class TestRemoteGoldenParity:
 
 
 # ----------------------------------------------------------------------
-# The columnar container: lossless round-trips (hypothesis)
+# Batched address-id hashing (hypothesis)
 # ----------------------------------------------------------------------
-# Fixed-width numpy unicode columns cannot represent *trailing* NUL
-# codepoints (they read back stripped); no real column value contains a
-# NUL, so strategies exclude it rather than paper over it in the codec.
-# Lone surrogates are excluded too: both digests (columnar and record)
-# UTF-8-encode and would raise identically on them.
-_text = st.text(
-    alphabet=st.characters(
-        blacklist_characters="\x00", blacklist_categories=("Cs",)
-    ),
-    max_size=24,
-)
-_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
-
-_plan = st.builds(
-    PlanObservation,
-    name=_text,
-    download_mbps=_floats,
-    upload_mbps=_floats,
-    monthly_price=_floats,
-)
-_observation = st.builds(
-    AddressObservation,
-    address_id=_text,
-    city=_text,
-    block_group=_text,
-    isp=_text,
-    status=_text,
-    plans=st.tuples() | st.tuples(_plan) | st.tuples(_plan, _plan),
-    elapsed_seconds=_floats,
-)
-_observations = st.lists(_observation, max_size=12).map(tuple)
-
-
-@settings(max_examples=60, deadline=None)
-@given(observations=_observations)
-def test_round_trip_is_lossless(observations):
-    shard = ColumnarShard.from_records(observations)
-    assert len(shard) == len(observations)
-    assert shard.to_records() == observations
-
-
-@settings(max_examples=60, deadline=None)
-@given(observations=_observations)
-def test_columnar_digest_matches_dataset_digest(observations):
-    shard = ColumnarShard.from_records(observations)
-    assert shard.content_digest() == BroadbandDataset(observations).content_digest()
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     pairs=st.lists(
@@ -293,6 +401,165 @@ def test_batch_hash_matches_scalar(pairs, salt):
         hash_address_id(street, zip5, salt)
         for street, zip5 in zip(streets, zips)
     ]
+
+
+# ----------------------------------------------------------------------
+# Matching oracles: the index and matcher before per-street scoring
+# ----------------------------------------------------------------------
+def _reference_candidates(index, street_line, zip_code, limit=25):
+    """``AddressIndex.candidates`` as it was: every address re-scored."""
+    zip5 = normalize_zip(zip_code)
+    tokens = normalize_street_line(street_line).split()
+    found = {}
+
+    query_number = tokens[0] if tokens and tokens[0].isdigit() else ""
+    if query_number:
+        band = int(query_number) // 10
+        for nearby_band in (band - 1, band, band + 1):
+            for address in index._by_number_band.get((zip5, nearby_band), ()):
+                found.setdefault(address.street_line() + zip5, address)
+
+    name_token = next((t for t in tokens if not t.isdigit()), "")
+    if name_token:
+        prefix = name_token[:3]
+        for address in index._by_name_prefix.get((zip5, prefix), ()):
+            found.setdefault(address.street_line() + zip5, address)
+
+    query_name = " ".join(t for t in tokens if not t.isdigit())
+
+    def relevance(address):
+        number_match = 1.0 if str(address.house_number) == query_number else 0.0
+        candidate_name = normalize_street_line(
+            f"{address.street_name} {address.street_suffix}"
+        )
+        name_score = SequenceMatcher(None, query_name, candidate_name).ratio()
+        return (-number_match, -name_score, address.street_line())
+
+    ordered = sorted(found.values(), key=relevance)
+    return tuple(ordered[:limit])
+
+
+def _reference_address_similarity(query_line, candidate_line):
+    """``address_similarity`` as it was: both lines normalized per call."""
+    query = normalize_street_line(query_line)
+    candidate = normalize_street_line(candidate_line)
+    if query == candidate:
+        return 1.0
+
+    query_tokens = query.split()
+    candidate_tokens = candidate.split()
+    query_number = query_tokens[0] if query_tokens and query_tokens[0].isdigit() else ""
+    candidate_number = (
+        candidate_tokens[0] if candidate_tokens and candidate_tokens[0].isdigit() else ""
+    )
+    number_score = 1.0 if query_number == candidate_number else 0.0
+
+    query_street = " ".join(t for t in query_tokens if t != query_number)
+    candidate_street = " ".join(t for t in candidate_tokens if t != candidate_number)
+    street_score = 0.5 * string_similarity(query_street, candidate_street) + 0.5 * (
+        token_similarity(query_street, candidate_street)
+    )
+    return 0.35 * number_score + 0.65 * street_score
+
+
+def _reference_best_suggestion(
+    query_line, query_zip, suggestions, threshold=DEFAULT_ACCEPT_THRESHOLD
+):
+    """``best_suggestion`` as it was: every suggestion scored afresh."""
+    query_zip5 = normalize_zip(query_zip)
+    best_index = None
+    best_score = threshold
+    for index, (line, zip_code) in enumerate(suggestions):
+        if normalize_zip(zip_code) != query_zip5:
+            continue
+        score = _reference_address_similarity(query_line, line)
+        if score > best_score:
+            best_score = score
+            best_index = index
+    return best_index
+
+
+@pytest.mark.slow
+def test_candidates_match_reference(walk_world):
+    """Every sampled query ranks exactly as before, under its own ZIP and
+    under the next ZIP the city's queries use."""
+    for city_world in walk_world.cities.values():
+        index = AddressIndex(tuple(city_world.book.canonical))
+        queries = sorted(
+            {
+                (entry.street_line.strip(), entry.zip_code.strip())
+                for shard_world, _, tasks in _world_shards(walk_world)
+                if shard_world is city_world
+                for entry in tasks
+            }
+        )
+        zips = sorted({zip5 for _, zip5 in queries})
+        neighbour = {zip5: zips[(i + 1) % len(zips)] for i, zip5 in enumerate(zips)}
+        swapped = [(line, neighbour[zip5]) for line, zip5 in queries]
+        limit = len(index)  # the whole ranking, not just its head
+        for line, zip5 in queries + swapped:
+            assert index.candidates(line, zip5, limit=limit) == (
+                _reference_candidates(index, line, zip5, limit=limit)
+            ), (line, zip5)
+
+
+def test_index_keys_equal_canonical_key(walk_world):
+    """``lookup`` and ``units_at`` find every canonical address under the
+    keys ``canonical_key`` builds."""
+    for city_world in walk_world.cities.values():
+        addresses = city_world.book.canonical
+        index = AddressIndex(tuple(addresses))
+        by_key = {}
+        units = defaultdict(list)
+        for address in addresses:
+            by_key[canonical_key(address.street_line(), address.zip_code)] = address
+            if address.is_multi_dwelling:
+                building = address.without_unit().street_line()
+                units[canonical_key(building, address.zip_code)].append(address)
+        assert units, "the world must have multi-dwelling buildings"
+        for address in addresses:
+            key = canonical_key(address.street_line(), address.zip_code)
+            assert index.lookup(address.street_line(), address.zip_code) is by_key[key]
+            assert index.lookup_canonical(key) is by_key[key]
+            if address.is_multi_dwelling:
+                building = address.without_unit().street_line()
+                assert index.units_at(building, address.zip_code) == tuple(
+                    units[canonical_key(building, address.zip_code)]
+                )
+        assert index._by_key == by_key
+
+
+_NUMBERS = st.sampled_from(["", "12", "012", "120", "125", "7", "12B"])
+_WORDS = st.sampled_from(
+    ["Magnolia", "MAGNOLIA", "Magnola", "Oak", "Oakk", "12th", "Main",
+     "Avenue", "Ave.", "AV", "St", "Street", "Apt", "#", "Unit", "3", "12"]
+)
+_LINES = st.builds(
+    lambda number, words: " ".join([number, *words]).strip(),
+    _NUMBERS,
+    st.lists(_WORDS, max_size=5),
+) | st.text(max_size=24)
+_ZIPS = st.sampled_from(["70112", "70112-1234", " 70112", "70113", "7011", ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    query_line=_LINES,
+    query_zip=_ZIPS,
+    suggestions=st.lists(st.tuples(_LINES, _ZIPS), max_size=10),
+    threshold=st.sampled_from([DEFAULT_ACCEPT_THRESHOLD, 0.0, 0.5, 0.99]),
+)
+def test_best_suggestion_matches_reference(
+    query_line, query_zip, suggestions, threshold
+):
+    assert best_suggestion(
+        query_line, query_zip, suggestions, threshold
+    ) == _reference_best_suggestion(query_line, query_zip, suggestions, threshold)
+    for line, _ in suggestions:
+        # Bit-identical scores, not just the same winner.
+        assert address_similarity(query_line, line) == (
+            _reference_address_similarity(query_line, line)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -359,3 +626,45 @@ def test_index_build_time_is_recorded():
     warm = CurationPipeline(world, SMALL_CONFIG)
     warm.curate(isps=("cox",))
     assert warm.last_run.index_build_s == 0.0
+
+
+def test_concurrent_cold_index_is_built_once(monkeypatch):
+    """Threads missing on one cold key share a single build (single
+    flight), and the build time is counted once."""
+    world = build_world(WorldConfig(seed=988, scale=0.02, cities=("wichita",)))
+    city_world = world.city("wichita")
+    durations = []
+
+    def slow_index(addresses):
+        started = time.perf_counter()
+        time.sleep(0.2)  # hold the build open while the other threads miss
+        index = AddressIndex(addresses)
+        durations.append(time.perf_counter() - started)
+        return index
+
+    monkeypatch.setattr(curation, "AddressIndex", slow_index)
+    threads = 8
+    barrier = threading.Barrier(threads)
+    indexes = []
+
+    def fetch():
+        barrier.wait(timeout=30)
+        indexes.append(_city_address_index(world.config, city_world))
+
+    before = index_build_seconds()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=fetch) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(durations) == 1
+    assert len(indexes) == threads
+    assert all(index is indexes[0] for index in indexes)
+    assert index_build_seconds() - before == pytest.approx(durations[0], abs=0.05)
