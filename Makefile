@@ -15,7 +15,7 @@ bench:
 	$(PYTEST) -q benchmarks
 
 ## CPU-path gate: columnar/scalar golden parity both ways, then Bench
-## E-X10 (fails if the columnar fast path drops below 2x scalar).
+## E-X10 (fails if the columnar fast path drops below 10x scalar).
 bench-cpu:
 	REPRO_COLUMNAR=1 $(PYTEST) -q tests/test_columnar.py
 	REPRO_COLUMNAR=0 $(PYTEST) -q tests/test_columnar.py -m "not slow"

@@ -2,7 +2,6 @@
 classification, suggestion matching, plan parsing, workflow, fleet
 orchestration and microbenchmark metrics."""
 
-from .aio import AsyncBroadbandQueryTool, AsyncBrowser
 from .bqt import BroadbandQueryTool
 from .dom import DomNode, Selector, parse_html, parse_html_cached
 from .matching import (
@@ -32,8 +31,6 @@ from .webdriver import Browser, PageLoad
 from .workflow import QueryResult, QueryStatus, QueryWorkflow
 
 __all__ = [
-    "AsyncBroadbandQueryTool",
-    "AsyncBrowser",
     "BroadbandQueryTool",
     "DomNode",
     "Selector",

@@ -20,12 +20,6 @@ Two execution modes exist:
   real-TCP transport, where servers honor render delays with real sleeps,
   the thread and process backends overlap that blocking time and deliver
   genuine wall-clock speedup; results always come back in task order.
-
-The batched mode has an **async flavour**: an
-:class:`~repro.net.aio.AsyncTransport` plus the ``"async"`` executor runs
-every worker slice as a coroutine on one event loop — the whole fleet
-shares keep-alive connections and zero extra threads, which is the
-fastest engine on the real-TCP path (``benchmarks/test_async_scaling.py``).
 """
 
 from __future__ import annotations
@@ -37,11 +31,9 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..exec.base import Executor, resolve_executor
-from ..net.aio import AsyncTransport
 from ..net.proxy import ResidentialProxyPool
 from ..net.transport import InProcessTransport, Transport
 from ..seeding import derive_seed
-from .aio import run_worker_batch as _run_worker_batch_async
 from .bqt import BroadbandQueryTool
 from .workflow import QueryResult
 
@@ -85,7 +77,7 @@ class _WorkerBatch:
     """One worker's round-robin slice, self-contained and picklable
     (provided the transport itself pickles, e.g. the TCP transport)."""
 
-    transport: Transport | AsyncTransport
+    transport: Transport
     client_ip: str
     seed: int
     politeness_seconds: float
@@ -127,7 +119,7 @@ class ContainerFleet:
 
     def __init__(
         self,
-        transport: Transport | AsyncTransport,
+        transport: Transport,
         n_workers: int,
         seed: int = 0,
         proxy_pool: ResidentialProxyPool | None = None,
@@ -165,35 +157,18 @@ class ContainerFleet:
         Results are always returned in task order, whichever execution
         mode runs them.
         """
-        if isinstance(self._transport, AsyncTransport) and (
-            self.executor is None or self.executor.name != "async"
-        ):
-            raise ConfigurationError(
-                "an async transport can only be driven by the async "
-                "executor backend (ContainerFleet(..., executor='async'))"
-            )
         if (
             self.executor is not None
-            and self.executor.name == "async"
-            and not isinstance(self._transport, AsyncTransport)
+            and self.executor.name == "process"
+            and isinstance(self._transport, InProcessTransport)
         ):
             raise ConfigurationError(
-                "the async executor drives the fleet only over an async "
-                "transport (repro.net.aio.AsyncTcpTransport); on a "
-                "blocking transport its worker batches cannot await and "
-                "would silently serialize — use the thread backend there"
+                "the in-process transport cannot cross process "
+                "boundaries; use the thread backend here, or "
+                "parallelize at the curation layer (city/ISP shards) "
+                "where the process backend rebuilds world state per "
+                "worker"
             )
-        if self.executor is not None and self.executor.name != "serial":
-            if isinstance(self._transport, InProcessTransport) and (
-                self.executor.name == "process"
-            ):
-                raise ConfigurationError(
-                    "the in-process transport cannot cross process "
-                    "boundaries; use the thread backend here, or "
-                    "parallelize at the curation layer (city/ISP shards) "
-                    "where the process backend rebuilds world state per "
-                    "worker"
-                )
         if isinstance(self._transport, InProcessTransport):
             self._transport.concurrency = self.n_workers
 
@@ -253,15 +228,7 @@ class ContainerFleet:
             )
             for worker_index, ip in enumerate(leased)
         ]
-        if (
-            self.executor.name == "async"
-            and isinstance(self._transport, AsyncTransport)
-        ):
-            # Every worker slice becomes one coroutine; the whole fleet
-            # shares one event loop and the transport's keep-alive pool.
-            outcomes = self.executor.map(_run_worker_batch_async, batches)
-        else:
-            outcomes = self.executor.map(_run_worker_batch, batches)
+        outcomes = self.executor.map(_run_worker_batch, batches)
 
         # Interleave the per-worker result streams back into task order.
         results: list[QueryResult | None] = [None] * len(tasks)

@@ -45,10 +45,9 @@ def build_form_request(
 ) -> HttpRequest:
     """Build the request a form submission produces (pure DOM -> HTTP).
 
-    Shared by the synchronous :class:`Browser` and the asyncio browser in
-    :mod:`repro.core.aio`, so both engines serialize form submissions
-    identically.  ``fields`` override the form's default values by field
-    name; ``extra`` adds submit-button name/value pairs.
+    :meth:`Browser.submit_form` sends what this returns.  ``fields``
+    override the form's default values by field name; ``extra`` adds
+    submit-button name/value pairs.
     """
     form = document.select_one(form_selector)
     if form is None:

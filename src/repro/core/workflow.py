@@ -19,11 +19,11 @@ between BATs.
 The decision logic is **sans-I/O**: :func:`query_plan` is a generator that
 yields browser commands (:class:`Navigate` / :class:`SubmitForm`) and
 receives rendered :class:`Page` states, finally returning a
-:class:`QueryOutcome`.  The synchronous driver (:class:`QueryWorkflow`,
-used by :class:`~repro.core.bqt.BroadbandQueryTool`) and the asyncio
-driver (:mod:`repro.core.aio`) both execute this one generator, so the
-two engines cannot diverge in behaviour — determinism across the sync and
-async query paths holds by construction, not by parallel maintenance.
+:class:`QueryOutcome`.  The driver (:class:`QueryWorkflow`, used by
+:class:`~repro.core.bqt.BroadbandQueryTool`) owns the browser; the two
+page decisions (:func:`pick_suggestion`, :func:`pick_unit`) are pure
+functions that the columnar classifier in :mod:`repro.dataset.columnar`
+calls too, so the scalar oracle and the fast path cannot diverge on them.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class Page:
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """Terminal state of a query plan (drivers add clock/identity info)."""
+    """Terminal state of a query plan (the driver adds clock/identity info)."""
 
     status: str
     plans: tuple[ObservedPlan, ...] = ()
@@ -253,7 +253,7 @@ def _mdu_step(
 
 
 # ----------------------------------------------------------------------
-# The query plan (one generator, every driver)
+# The query plan (sans-I/O generator)
 # ----------------------------------------------------------------------
 def query_plan(
     host: str, street_line: str, zip_code: str
@@ -262,11 +262,10 @@ def query_plan(
 
     Yields browser commands, receives the :class:`Page` each one produced,
     and returns a :class:`QueryOutcome`.  Contains every template-handling
-    decision BQT makes and not a single byte of I/O — which is what lets
-    the threaded and asyncio engines share it verbatim.  (The querying
-    ISP never appears: BQT's decisions are discovered from the rendered
-    DOM, never keyed to the ISP — drivers stamp the ISP onto the final
-    :class:`QueryResult` themselves.)
+    decision BQT makes and not a single byte of I/O; the driver does the
+    fetching.  (The querying ISP never appears: BQT's decisions are
+    discovered from the rendered DOM, never keyed to the ISP — the driver
+    stamps the ISP onto the final :class:`QueryResult` itself.)
     """
     steps: list[str] = []
 
@@ -353,7 +352,7 @@ def query_plan(
 
 
 class QueryWorkflow:
-    """Executes BAT query workflows on a (synchronous) browser session."""
+    """Executes BAT query workflows on a browser session."""
 
     def __init__(self, browser: Browser, rng: np.random.Generator) -> None:
         self._browser = browser

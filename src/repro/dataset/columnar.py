@@ -1,6 +1,6 @@
 """Columnar curation core: the vectorized single-query hot path.
 
-Every scaling layer in this library (threads, async, LPT chunking,
+Every scaling layer in this library (threads, processes, LPT chunking,
 distributed fleets, the serving tier) multiplies the *same* per-address
 scalar inner loop: one full simulated browser session per task — HTML
 render, DOM parse, cookie jar, safeguard checks — even though on the

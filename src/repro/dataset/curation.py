@@ -165,10 +165,7 @@ class CurationConfig:
             the regime the scheduler benchmarks measure.  Deliberately
             excluded from shard config digests: pacing never changes a
             single observation byte.  Pair pacing with the thread
-            backend: on the ``"async"`` backend the blocking pacing
-            sleep runs on the event-loop thread and serializes every
-            dispatch unit (results stay byte-identical; only wall time
-            suffers).
+            backend, which overlaps the blocking sleeps.
     """
 
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
@@ -497,7 +494,7 @@ class _ShardPlan:
     city_world: CityWorld
     cache_keys: tuple[str, ...]
     # The shard's sampled tasks in canonical (geoid-sorted) order; the
-    # scheduler's chunk spans slice this list, and the thread/async/serial
+    # scheduler's chunk spans slice this list, and the thread/serial
     # paths replay it directly.
     tasks: tuple[NoisyAddress, ...] | None = None
     # Config digest of this shard (incremental re-curation unit); labels
@@ -523,7 +520,7 @@ class CurationPipeline:
         config: Pipeline knobs (sampling, fleet size, politeness, salt).
         executor: Execution backend for (city, ISP) shards — an
             :class:`~repro.exec.Executor`, a backend name (``"serial"``,
-            ``"thread"``, ``"process"``, ``"async"``), or None for
+            ``"thread"``, ``"process"``, ``"remote"``), or None for
             serial.  Every backend produces the same dataset, byte for
             byte.
         cache: Optional :class:`~repro.exec.QueryResultCache`; shards whose
@@ -802,7 +799,7 @@ class CurationPipeline:
             for unit in units
         ]
         # Pre-seed the shared city memo with this pipeline's already-built
-        # cities: thread/async/serial spec runs share them outright, and
+        # cities: thread/serial spec runs share them outright, and
         # fork-started process workers inherit the seeded dict
         # (spawn-started and remote workers rebuild, byte-equivalently).
         seeded = seed_city_worlds(

@@ -3,7 +3,7 @@
 The curation pipeline and the container fleet dispatch independent units
 of work (city/ISP shards, per-worker query batches) through an
 :class:`~repro.exec.base.Executor`.  Four interchangeable backends exist
-— serial, thread pool, process pool, and an asyncio coroutine fleet — and
+— serial, thread pool, process pool, and remote workers over RPC — and
 because every dispatched unit is a pure function of configuration and
 derived seeds, all four produce byte-identical datasets; only wall-clock
 time differs.
@@ -23,7 +23,6 @@ byte-transparent sub-shard chunks so no single straggler serializes the
 tail of a run.
 """
 
-from .aio import DEFAULT_ASYNC_CONCURRENCY, AsyncExecutor
 from .base import (
     EXECUTOR_BACKENDS,
     Executor,
@@ -102,8 +101,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadPoolBackend",
     "ProcessPoolBackend",
-    "AsyncExecutor",
-    "DEFAULT_ASYNC_CONCURRENCY",
     "DistributedExecutor",
     "WorkerInfo",
     "default_remote_workers",

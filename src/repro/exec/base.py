@@ -2,7 +2,7 @@
 
 An :class:`Executor` maps a function over a list of work items and returns
 the results **in item order** — the one contract every consumer in the
-library relies on for determinism.  Three interchangeable backends
+library relies on for determinism.  Four interchangeable backends
 implement it:
 
 * :class:`~repro.exec.serial.SerialExecutor` — a plain loop in the calling
@@ -15,11 +15,6 @@ implement it:
   :class:`concurrent.futures.ProcessPoolExecutor`; sidesteps the GIL for
   CPU-bound work on multi-core hosts.  Work functions and items must be
   picklable;
-* :class:`~repro.exec.aio.AsyncExecutor` — a semaphore-bounded coroutine
-  fleet on one asyncio event loop; the cheapest way to overlap thousands
-  of I/O-bound work items (the async-TCP query path).  Coroutine work
-  functions run concurrently; synchronous ones degrade to an in-order
-  loop;
 * :class:`~repro.exec.remote.DistributedExecutor` — shard specs shipped
   over RPC to ``python -m repro.dataset worker`` processes on any
   machine (``REPRO_REMOTE_WORKERS`` / ``--remote-workers``).  Only
@@ -78,7 +73,7 @@ class Executor(ABC):
     """Order-preserving batch executor over independent work items."""
 
     #: Registry key of the backend (``"serial"``, ``"thread"``,
-    #: ``"process"``, ``"async"``).
+    #: ``"process"``, ``"remote"``).
     name: str = "abstract"
 
     @abstractmethod
@@ -97,8 +92,8 @@ class Executor(ABC):
     def width(self) -> int:
         """How many work items this backend runs concurrently.
 
-        One for the serial backend; the pool/semaphore width for the
-        parallel backends (they all expose ``max_workers``).  The curation
+        One for the serial backend; the pool width for the thread and
+        process backends (they expose ``max_workers``).  The curation
         scheduler sizes sub-shard chunks from this so no single dispatch
         unit can serialize the tail of a run.
         """
@@ -129,7 +124,6 @@ class Executor(ABC):
 def _backend_factories() -> dict[str, Callable[..., Executor]]:
     # Imported lazily so ``base`` has no import-time dependency on the
     # concrete backends (which import ``base`` themselves).
-    from .aio import AsyncExecutor
     from .processes import ProcessPoolBackend
     from .remote import DistributedExecutor
     from .serial import SerialExecutor
@@ -139,7 +133,6 @@ def _backend_factories() -> dict[str, Callable[..., Executor]]:
         "serial": SerialExecutor,
         "thread": ThreadPoolBackend,
         "process": ProcessPoolBackend,
-        "async": AsyncExecutor,
         "remote": DistributedExecutor,
     }
 
@@ -149,7 +142,7 @@ def _backend_factories() -> dict[str, Callable[..., Executor]]:
 #: backend additionally needs worker addresses (``REPRO_REMOTE_WORKERS``
 #: or the ``--remote-workers`` CLI flag).
 EXECUTOR_BACKENDS: tuple[str, ...] = (
-    "serial", "thread", "process", "async", "remote",
+    "serial", "thread", "process", "remote",
 )
 
 

@@ -9,7 +9,7 @@ optional chunk span, config digest) — and :func:`run_shard_spec` is the
 single entry point that rehydrates a spec into byte-identical work in any
 process on any machine:
 
-* every local backend (serial / thread / process / async) maps
+* every local backend (serial / thread / process) maps
   :func:`run_shard_spec` over specs via
   :meth:`repro.exec.base.Executor.map_specs`;
 * the remote backend (:mod:`repro.exec.remote`) serializes specs with

@@ -188,7 +188,7 @@ def get_context(
             the paper uses 30 — benches default lower to bound runtime).
         cities: Restrict to a subset of cities (tests); None = all thirty.
         backend: Curation execution backend name (``"serial"``,
-            ``"thread"``, ``"process"``, ``"async"``, ``"remote"``;
+            ``"thread"``, ``"process"``, ``"remote"``;
             None = ``REPRO_EXEC_BACKEND`` or serial; ``"remote"``
             additionally reads the worker fleet from
             ``REPRO_REMOTE_WORKERS``).  Every backend yields the

@@ -81,10 +81,10 @@ def correlated_uniform_field(
     yields a spatially clustered subset containing roughly a ``p`` fraction
     of cells.
     """
-    from scipy.stats import norm
+    from scipy.special import ndtr  # norm.cdf without importing scipy.stats
 
     gaussian = smoothed_gaussian_field(rows, cols, rng, smoothing_radius, passes)
-    return norm.cdf(gaussian)
+    return ndtr(gaussian)
 
 
 def field_to_grid_values(field: np.ndarray, grid: CityGrid) -> np.ndarray:

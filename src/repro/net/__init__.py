@@ -1,6 +1,5 @@
 """Simulated network substrate: HTTP, clocks, transports, cookies, proxies."""
 
-from .aio import AsyncTcpBatServer, AsyncTcpTransport, AsyncTransport
 from .clock import Clock, RealClock, VirtualClock
 from .cookies import CookieJar, parse_set_cookie
 from .faults import (
@@ -26,9 +25,6 @@ from .tcp import TcpBatServer, TcpTransport
 from .transport import RENDER_HEADER, BatServerApp, InProcessTransport, Transport
 
 __all__ = [
-    "AsyncTransport",
-    "AsyncTcpTransport",
-    "AsyncTcpBatServer",
     "FAULT_PROFILE_ENV",
     "FaultAction",
     "FaultInjector",

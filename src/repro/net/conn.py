@@ -1,4 +1,4 @@
-"""One connection layer: the two server shells and the sync client pool.
+"""One connection layer: the two server shells and the client pool.
 
 Every socket endpoint in :mod:`repro` speaks the same Content-Length-framed
 HTTP/1.1 (:func:`~repro.net.http.frame_http_message`).  A server is an app
@@ -13,7 +13,7 @@ connection closes.  It also closes after a response whose ``Connection``
 header is not ``keep-alive``; an app may pin that header, otherwise the
 shell echoes the request's choice.
 
-Every sync client sends through a :class:`KeepAlivePool`, which holds the
+Every client sends through a :class:`KeepAlivePool`, which holds the
 keep-alive sockets to one address and applies the one resend rule.
 """
 
@@ -373,7 +373,7 @@ class AsyncServer(_ServerShell):
 
 
 # ----------------------------------------------------------------------
-# Sync client
+# Client
 # ----------------------------------------------------------------------
 class _Conn:
     """One client socket plus the bytes read past its last response."""

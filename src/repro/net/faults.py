@@ -2,9 +2,8 @@
 
 The paper's measurement campaign ran over flaky last-mile links; this
 module lets every socket endpoint in :mod:`repro` — the server shells and
-the sync client pool in :mod:`repro.net.conn`, and the asyncio client in
-:mod:`repro.net.aio` — replay that flakiness on demand, *identically on
-every run*.
+the client pool in :mod:`repro.net.conn` — replay that flakiness on
+demand, *identically on every run*.
 
 A :class:`FaultProfile` is pure configuration: a seed plus per-direction
 fault rates (``client`` = everything a client endpoint sends, ``server``
@@ -115,9 +114,8 @@ class FaultProfile:
     """A seeded, per-direction fault-injection configuration.
 
     ``client`` rates are applied to frames sent by client endpoints
-    (:class:`~repro.net.conn.KeepAlivePool`,
-    :class:`~repro.net.aio.AsyncTcpTransport`); ``server`` rates to
-    frames sent by server endpoints.  ``delay_seconds`` bounds the pause
+    (:class:`~repro.net.conn.KeepAlivePool`); ``server`` rates to frames
+    sent by server endpoints.  ``delay_seconds`` bounds the pause
     a ``delay`` fault inserts.
     """
 

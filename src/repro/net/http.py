@@ -73,9 +73,8 @@ def _canonical_header(name: str) -> str:
 # Sans-I/O Content-Length framing
 # ----------------------------------------------------------------------
 # One framing implementation serves every endpoint — the server shells and
-# the sync client pool in repro.net.conn and the asyncio transport in
-# repro.net.aio — so keep-alive and pipelined connections split messages
-# identically everywhere.
+# the client pool in repro.net.conn — so keep-alive and pipelined
+# connections split messages identically everywhere.
 
 
 def message_content_length(head: bytes) -> int:

@@ -6,7 +6,7 @@ deliberately *not* a new wire format: messages are the same minimal
 HTTP/1.1 messages as everything else in :mod:`repro.net`, split off the
 socket by the one shared framing function
 (:func:`repro.net.http.frame_http_message`) that already serves the BAT
-client/server paths, sync and async.  A call is::
+client and server paths.  A call is::
 
     POST /rpc/<method> HTTP/1.1          ->   HTTP/1.1 200 OK
     Content-Type: application/json            Content-Type: application/json
@@ -35,7 +35,7 @@ Error taxonomy — the split matters to the dispatcher:
 Connections are keep-alive on both ends: the server is an app on the
 threaded shell (:class:`~repro.net.conn.ThreadedServer`), and the client
 keeps its socket across calls in a :class:`~repro.net.conn.KeepAlivePool`,
-whose one resend rule every sync client shares — a request is resent
+whose one resend rule every client shares — a request is resent
 only when it provably never reached the server's handler.
 """
 

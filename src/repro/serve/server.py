@@ -1,8 +1,7 @@
 """The HTTP endpoint of the serving tier.
 
 :class:`DatasetServeServer` is an app on the asyncio server shell
-(:class:`~repro.net.conn.AsyncServer`), like
-:class:`~repro.net.aio.AsyncTcpBatServer`: one event loop hosted on a
+(:class:`~repro.net.conn.AsyncServer`): one event loop hosted on a
 daemon thread, the shared keep-alive framing loop, a
 ``start()``/``stop()``/context-manager sync facade, and the same
 server-side fault seam, so the serving endpoint runs under exactly the

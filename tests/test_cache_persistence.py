@@ -51,7 +51,7 @@ from repro.world import WorldConfig, build_world
 
 ROOT = Path(__file__).resolve().parent.parent
 
-BACKENDS = ["serial", "thread", "process", "async"]
+BACKENDS = ["serial", "thread", "process"]
 
 SMALL_CONFIG = CurationConfig(
     sampling=SamplingConfig(fraction=0.10, min_samples=5), n_workers=10
@@ -565,7 +565,6 @@ class TestIncrementalRecuration:
             "serial",
             pytest.param("thread", marks=pytest.mark.slow),
             pytest.param("process", marks=pytest.mark.slow),
-            pytest.param("async", marks=pytest.mark.slow),
         ],
     )
     def test_one_isp_change_replays_one_shard(

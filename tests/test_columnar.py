@@ -70,7 +70,7 @@ from repro.exec import DiskShardStore, QueryResultCache
 from repro.net.latency import LatencyModel
 from repro.world import WorldConfig, build_world
 
-BACKENDS = ["serial", "thread", "process", "async"]
+BACKENDS = ["serial", "thread", "process"]
 
 SMALL_CONFIG = CurationConfig(
     sampling=SamplingConfig(fraction=0.10, min_samples=5), n_workers=10

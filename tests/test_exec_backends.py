@@ -1,5 +1,5 @@
 """The executor layer: backends, registry, fleet batching, and the
-determinism-parity guarantee (serial == thread == process == async, byte
+determinism-parity guarantee (serial == thread == process == remote, byte
 for byte).
 """
 
@@ -19,7 +19,6 @@ from repro.dataset.sampling import sample_city
 from repro.errors import ConfigurationError
 from repro.exec import (
     EXECUTOR_BACKENDS,
-    AsyncExecutor,
     DistributedExecutor,
     Executor,
     ProcessPoolBackend,
@@ -30,7 +29,7 @@ from repro.exec import (
     resolve_executor,
 )
 
-BACKENDS = ["serial", "thread", "process", "async"]
+BACKENDS = ["serial", "thread", "process"]
 
 
 # ----------------------------------------------------------------------
@@ -51,13 +50,28 @@ class TestExecutorContract:
         assert resolve_executor(executor) is executor
 
     def test_resolve_unknown_raises(self):
-        with pytest.raises(ConfigurationError):
-            resolve_executor("cluster")
+        for name in ("cluster", "async"):
+            with pytest.raises(
+                ConfigurationError,
+                match=rf"unknown executor backend '{name}' "
+                r"\(available: serial, thread, process, remote\)",
+            ):
+                resolve_executor(name)
 
     def test_registry_names(self):
-        assert set(EXECUTOR_BACKENDS) == {
-            "serial", "thread", "process", "async", "remote",
-        }
+        assert EXECUTOR_BACKENDS == ("serial", "thread", "process", "remote")
+
+    def test_cli_rejects_async_backend(self, tmp_path, capsys):
+        from repro.dataset.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "--backend", "async", "--out", str(tmp_path / "rel.csv"),
+                "--cities", "wichita", "--scale", "0.02",
+            ])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'async'" in capsys.readouterr().err
+        assert not (tmp_path / "rel.csv").exists()
 
     def test_resolve_remote_reads_env_fleet(self, monkeypatch):
         monkeypatch.setenv("REPRO_REMOTE_WORKERS", "127.0.0.1:7071")
@@ -79,7 +93,6 @@ class TestExecutorContract:
             SerialExecutor(),
             ThreadPoolBackend(max_workers=4),
             ProcessPoolBackend(max_workers=2),
-            AsyncExecutor(max_workers=4),
         ],
         ids=BACKENDS,
     )
@@ -92,9 +105,8 @@ class TestExecutorContract:
         [
             SerialExecutor(),
             ThreadPoolBackend(max_workers=4),
-            AsyncExecutor(max_workers=4),
         ],
-        ids=["serial", "thread", "async"],
+        ids=["serial", "thread"],
     )
     def test_map_propagates_exceptions(self, executor):
         with pytest.raises(ValueError, match="item 3"):
@@ -106,7 +118,6 @@ class TestExecutorContract:
             SerialExecutor(),
             ThreadPoolBackend(),
             ProcessPoolBackend(),
-            AsyncExecutor(),
         ],
         ids=BACKENDS,
     )
@@ -118,33 +129,6 @@ class TestExecutorContract:
             ThreadPoolBackend(max_workers=0)
         with pytest.raises(ConfigurationError):
             ProcessPoolBackend(max_workers=0)
-        with pytest.raises(ConfigurationError):
-            AsyncExecutor(max_workers=0)
-
-    def test_async_map_runs_coroutines_in_item_order(self):
-        async def double(x: int) -> int:
-            return x * 2
-
-        executor = AsyncExecutor(max_workers=3)
-        assert executor.map(double, list(range(17))) == [
-            i * 2 for i in range(17)
-        ]
-
-    def test_async_map_raises_first_item_order_failure(self):
-        import asyncio
-
-        async def explode_fast_on_five(x: int) -> int:
-            # Item 5 fails *immediately*; item 3 fails after a loop tick.
-            # Item order, not completion order, must decide what raises.
-            if x == 3:
-                await asyncio.sleep(0.01)
-                raise ValueError("item 3 exploded")
-            if x == 5:
-                raise ValueError("item 5 exploded")
-            return x
-
-        with pytest.raises(ValueError, match="item 3"):
-            AsyncExecutor().map(explode_fast_on_five, list(range(6)))
 
 
 def _square(x: int) -> int:
@@ -232,7 +216,7 @@ def _curate(world, backend):
 
 
 class TestDeterminismParity:
-    @pytest.mark.parametrize("backend", ["thread", "process", "async"])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_backends_byte_identical(
         self, tiny_world, tiny_dataset, backend, tmp_path
     ):

@@ -12,8 +12,6 @@ import pytest
 
 from repro.errors import ConfigurationError, TransportError
 from repro.net import (
-    AsyncTcpBatServer,
-    AsyncTcpTransport,
     FaultInjector,
     FaultProfile,
     FaultRates,
@@ -28,7 +26,9 @@ from repro.net import (
     frame_http_message,
     resolve_fault_profile,
 )
+from repro.net.conn import AsyncServer
 from repro.net.faults import FAULT_PROFILE_ENV
+from repro.net.tcp import BatHost
 from repro.net.transport import RENDER_HEADER
 
 
@@ -237,7 +237,7 @@ class TestFaultySocket:
 
 # ----------------------------------------------------------------------
 # Frame fuzz: split / pipelined / duplicated / truncated messages against
-# the shared framer and all four endpoints
+# the shared framer, both server shells and the RPC server
 # ----------------------------------------------------------------------
 REQUEST = (
     b"POST /check HTTP/1.1\r\nHost: ping.example\r\n"
@@ -257,6 +257,26 @@ class _PingApp:
         response = HttpResponse.html(body)
         response.set_header(RENDER_HEADER, "5.0")
         return response
+
+
+class _AsyncPingServer(AsyncServer):
+    """The ping app on the asyncio shell the serving tier runs on."""
+
+    hostname = _PingApp.hostname
+    reject = staticmethod(BatHost.reject)
+
+    def __init__(self) -> None:
+        super().__init__(self.hostname, fault_profile="off")
+        self._bat = BatHost(_PingApp(), 0.0)
+
+    async def respond(self, request, peer):
+        return self._bat.handle(request, peer)[0]
+
+
+@pytest.fixture(scope="module")
+def async_server():
+    with _AsyncPingServer() as srv:
+        yield srv
 
 
 def _drain(sock: socket.socket) -> bytes:
@@ -351,15 +371,8 @@ class TestSyncServerFuzz:
 
 
 class TestAsyncServerFuzz:
-    @pytest.fixture(scope="class")
-    def server(self):
-        with AsyncTcpBatServer(
-            _PingApp(), time_scale=0.0, fault_profile="off"
-        ) as srv:
-            yield srv
-
-    def test_byte_dribbled_request_still_served(self, server):
-        with socket.create_connection(server.address, timeout=5.0) as sock:
+    def test_byte_dribbled_request_still_served(self, async_server):
+        with socket.create_connection(async_server.address, timeout=5.0) as sock:
             for i in range(0, len(REQUEST), 3):
                 sock.sendall(REQUEST[i : i + 3])
             raw = _drain(sock)
@@ -367,14 +380,50 @@ class TestAsyncServerFuzz:
         assert response.status == 200
         assert "pong 987" in response.text()
 
-    def test_truncated_request_never_gets_a_200(self, server):
+    def test_truncated_request_never_gets_a_200(self, async_server):
         for cut in (4, len(REQUEST) // 2, len(REQUEST) - 1):
-            with socket.create_connection(server.address, timeout=5.0) as sock:
+            with socket.create_connection(
+                async_server.address, timeout=5.0
+            ) as sock:
                 sock.sendall(REQUEST[:cut])
                 sock.shutdown(socket.SHUT_WR)
                 raw = _drain(sock)
             if raw:
                 assert HttpResponse.from_bytes(raw).status == 400, cut
+
+
+class TestAsyncServerConnection:
+    """The asyncio shell echoes the client's ``Connection`` choice."""
+
+    def test_sync_client_against_async_server(self, async_server):
+        """One-shot Connection: close clients work against the shell."""
+        transport = TcpTransport({async_server.hostname: async_server.address})
+        for i in range(3):
+            response = transport.send(
+                HttpRequest.form_post("/check", {"n": str(i)}),
+                async_server.hostname,
+                "73.5.5.5",
+                RealClock(),
+            )
+            assert f"pong {i}" in response.text()
+
+    def test_sync_keepalive_client_against_async_server(self, async_server):
+        transport = TcpTransport(
+            {async_server.hostname: async_server.address}, keep_alive=True,
+            fault_profile="off",
+        )
+        try:
+            for i in range(5):
+                response = transport.send(
+                    HttpRequest.form_post("/check", {"n": str(i)}),
+                    async_server.hostname,
+                    "73.5.5.5",
+                    RealClock(),
+                )
+                assert f"pong {i}" in response.text()
+            assert len(transport._pools[async_server.hostname]._idle) == 1
+        finally:
+            transport.close()
 
 
 class TestRpcServerFuzz:
@@ -428,7 +477,7 @@ class TestRpcServerFuzz:
 
 
 # ----------------------------------------------------------------------
-# Chaos-vs-clean golden equivalence (sync and async BQT workflows)
+# Chaos-vs-clean golden equivalence (the BQT workflow over TCP)
 # ----------------------------------------------------------------------
 # Loss-shaped client faults only: drop/truncate/reset all fail provably
 # before the BAT handled the request, so the transports' retry budget
@@ -477,47 +526,6 @@ class TestChaosGolden:
     def test_sync_bqt_identical_under_client_loss(self, tiny_world):
         clean = self._sync_outcomes(tiny_world, "off")
         chaos = self._sync_outcomes(tiny_world, CHAOS_CLIENT)
-        assert chaos == clean
-        assert any(status == "plans" for status, *_ in clean)
-
-    def test_async_bqt_identical_under_client_loss(self, tiny_world):
-        import asyncio
-
-        from repro.core import AsyncBroadbandQueryTool
-
-        entries = tiny_world.city("new-orleans").book.feed[:8]
-
-        def outcomes(fault_profile):
-            with AsyncTcpBatServer(
-                _fresh_cox_app(tiny_world), time_scale=0.0, fault_profile="off"
-            ) as srv:
-                async def go():
-                    transport = AsyncTcpTransport(
-                        {srv.hostname: srv.address},
-                        fault_profile=fault_profile,
-                    )
-                    tool = AsyncBroadbandQueryTool(
-                        transport,
-                        client_ip="24.10.20.30",
-                        clock=RealClock(),
-                        politeness_seconds=0.0,
-                    )
-                    results = []
-                    for entry in entries:
-                        results.append(
-                            await tool.query(
-                                "cox", entry.street_line, entry.zip_code
-                            )
-                        )
-                    await transport.close()
-                    return [
-                        (r.status, r.plans, r.resolved_line) for r in results
-                    ]
-
-                return asyncio.run(go())
-
-        clean = outcomes("off")
-        chaos = outcomes(CHAOS_CLIENT)
         assert chaos == clean
         assert any(status == "plans" for status, *_ in clean)
 

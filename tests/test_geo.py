@@ -1,5 +1,10 @@
 """Tests for the synthetic census geography substrate."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -233,6 +238,31 @@ class TestFields:
         rng = np.random.default_rng(0)
         field = correlated_uniform_field(10, 10, rng)
         assert field.min() >= 0.0 and field.max() <= 1.0
+
+    def test_world_build_does_not_import_scipy_stats(self):
+        """A fresh interpreter builds a world without loading scipy.stats,
+        whose import alone costs more than a small world build."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        existing = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=f"{src}{os.pathsep}{existing}" if existing else src,
+        )
+        script = (
+            "import sys\n"
+            "from repro.world import WorldConfig, build_world\n"
+            "build_world(WorldConfig(scale=0.02, cities=('wichita',)))\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.strip() == "False"
 
     def test_field_to_grid_values_partial_row(self):
         grid = CityGrid(get_city("fargo"), 10, seed=1)  # 3x4 grid, 10 cells

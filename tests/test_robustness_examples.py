@@ -33,9 +33,7 @@ class TestUploadConsistency:
             upload_cv_consistency(BroadbandDataset(()), "x", "att")
 
 
-@pytest.mark.parametrize(
-    "script", ["quickstart.py", "tcp_live_scrape.py", "async_fleet_scrape.py"]
-)
+@pytest.mark.parametrize("script", ["quickstart.py", "tcp_live_scrape.py"])
 def test_example_scripts_run(script):
     """The fast examples must run end to end as real subprocesses."""
     completed = subprocess.run(

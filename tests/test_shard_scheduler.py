@@ -41,7 +41,7 @@ from repro.exec import (
 )
 from repro.world import WorldConfig, build_world
 
-BACKENDS = ["serial", "thread", "process", "async"]
+BACKENDS = ["serial", "thread", "process"]
 
 SMALL_CONFIG = CurationConfig(
     sampling=SamplingConfig(fraction=0.10, min_samples=5), n_workers=10
@@ -406,7 +406,6 @@ class TestRunReport:
 
     def test_executor_width(self):
         from repro.exec import (
-            AsyncExecutor,
             ProcessPoolBackend,
             SerialExecutor,
             ThreadPoolBackend,
@@ -415,7 +414,6 @@ class TestRunReport:
         assert SerialExecutor().width == 1
         assert ThreadPoolBackend(max_workers=7).width == 7
         assert ProcessPoolBackend(max_workers=3).width == 3
-        assert AsyncExecutor(max_workers=9).width == 9
 
 
 # ----------------------------------------------------------------------

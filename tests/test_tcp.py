@@ -491,26 +491,6 @@ class TestTruncatedResponses:
                 HttpRequest.get("/"), "trunc.example", "73.1.1.1", RealClock()
             )
 
-    def test_async_truncated_body_raises(self):
-        import asyncio
-
-        from repro.net import AsyncTcpTransport
-
-        address = self._one_shot_server(
-            b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nshort"
-        )
-
-        async def go():
-            transport = AsyncTcpTransport(
-                {"trunc.example": address}, fault_profile="off"
-            )
-            await transport.send(
-                HttpRequest.get("/"), "trunc.example", "73.1.1.1", RealClock()
-            )
-
-        with pytest.raises(TransportError, match="truncated"):
-            asyncio.run(go())
-
 
 class _SilentServer:
     """Reads each request, then closes without replying; counts requests."""
