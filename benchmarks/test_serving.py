@@ -9,8 +9,9 @@ same overload mix and measures what each delivers:
 * **admission** — the PCN-style controller: virtual-queue congestion
   states, batch shedding with ``Retry-After``, a bounded in-flight queue.
 * **baseline** (``--no-admission``) — the "hope for the best" tier: same
-  service, same executor, no admission machinery; forced work piles into
-  an unbounded FIFO pool queue and interactive requests stand in it.
+  service, same executor, no admission machinery; every request runs at
+  once on its own connection thread, so forced work piles up unbounded
+  and interactive requests share the CPU with all of it.
 
 Workload (identical for both runs, sized from a calibrated capacity):
 

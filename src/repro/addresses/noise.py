@@ -22,7 +22,7 @@ and the ablation benches can turn noise off entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

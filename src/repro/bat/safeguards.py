@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["SafeguardPolicy", "SafeguardDecision", "RateLimiter"]
 
@@ -59,13 +59,6 @@ class RateLimiter:
             events.popleft()
         events.append(now)
         return len(events) <= self.max_requests
-
-    def requests_in_window(self, ip: str, now: float) -> int:
-        events = self._events.get(ip)
-        if not events:
-            return 0
-        cutoff = now - self.window_seconds
-        return sum(1 for t in events if t >= cutoff)
 
 
 @dataclass

@@ -10,8 +10,6 @@ in parallel behind a residential proxy pool.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from ..addresses.noise import NoisyAddress
@@ -65,10 +63,6 @@ class BroadbandQueryTool:
     def client_ip(self) -> str:
         return self._browser.client_ip
 
-    @property
-    def queries_run(self) -> int:
-        return self._queries_run
-
     def query(self, isp_name: str, street_line: str, zip_code: str) -> QueryResult:
         """Query one ISP for the plans offered at one street address."""
         if not street_line.strip():
@@ -90,15 +84,3 @@ class BroadbandQueryTool:
     def query_address(self, isp_name: str, address: NoisyAddress) -> QueryResult:
         """Query using a feed entry (its noisy public spelling)."""
         return self.query(isp_name, address.street_line, address.zip_code)
-
-    def query_batch(
-        self, isp_name: str, addresses: Iterable[NoisyAddress]
-    ) -> list[QueryResult]:
-        """Query a sequence of feed entries against one ISP."""
-        return [self.query_address(isp_name, address) for address in addresses]
-
-    def query_many(
-        self, tasks: Sequence[tuple[str, str, str]]
-    ) -> list[QueryResult]:
-        """Query arbitrary (isp, street_line, zip) tasks sequentially."""
-        return [self.query(isp, line, zip_code) for isp, line, zip_code in tasks]

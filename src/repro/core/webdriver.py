@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import BqtError, TransportError
+from ..errors import BqtError
 from ..net.clock import Clock, VirtualClock, measure
 from ..net.cookies import CookieJar
 from ..net.http import HttpRequest
@@ -128,18 +128,6 @@ class Browser:
         )
         return self._fetch(request, self.host)
 
-    def select_and_submit(
-        self, form_selector: str, select_name: str, option_value: str
-    ) -> DomNode:
-        """Choose a drop-down option and submit its form."""
-        return self.submit_form(form_selector, fields={select_name: option_value})
-
-    def click_list_button(
-        self, form_selector: str, button_name: str, button_value: str
-    ) -> DomNode:
-        """Click one button of a clickable-list form (name/value submit)."""
-        return self.submit_form(form_selector, extra={button_name: button_value})
-
     # ------------------------------------------------------------------
     # Session management
     # ------------------------------------------------------------------
@@ -151,10 +139,6 @@ class Browser:
         self.status = 0
         self.host = None
         self.history.clear()
-
-    def session_elapsed(self) -> float:
-        """Total fetch time accumulated in this session's history."""
-        return sum(load.elapsed_seconds for load in self.history)
 
     def cookies_for(self, host: str) -> dict[str, str]:
         return self._jar.cookies_for(host)

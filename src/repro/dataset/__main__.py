@@ -65,8 +65,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "cache":
         return cache_main(argv[1:])
     if argv and argv[0] == "serve":
-        # Imported lazily: the serving tier pulls asyncio + admission
-        # machinery the batch CLI never needs.
+        # Imported lazily: the serving tier pulls admission machinery
+        # the batch CLI never needs.
         from ..serve.cli import serve_main
 
         return serve_main(argv[1:])

@@ -273,11 +273,6 @@ class CurationRunReport:
         return len(self.shards)
 
     @property
-    def memory_shards(self) -> int:
-        """Cached shards served straight from the in-memory tier."""
-        return self.cached_shards - self.disk_shards
-
-    @property
     def chunked_shards(self) -> int:
         """Dispatched shards that were split into more than one chunk."""
         return sum(1 for timing in self.shard_timings if timing.chunks > 1)

@@ -378,10 +378,11 @@ class DistributedExecutor(Executor):
     ) -> "list[tuple[tuple[AddressObservation, ...], float]]":
         """Dispatch against whatever the directory says the fleet is.
 
-        The reconcile loop below runs in the caller's thread: every pass
-        it (1) spawns dispatch connections for each newly-registered
+        The reconcile loop below runs in the caller's thread and passes
+        on every result and at least every 50 ms: every pass it (1)
+        spawns dispatch connections for each newly-registered
         ``(worker, incarnation)`` — a hot-added worker starts stealing
-        from the shared LPT queue within one directory change; (2)
+        from the shared LPT queue within one pass; (2)
         retires the connection set of any worker the failure detector
         declared dead (or that gracefully left), re-queueing its
         unanswered in-flight specs at the queue front; (3) fails only
@@ -431,14 +432,9 @@ class DistributedExecutor(Executor):
                         f"{self._coordinator.address[1]} within "
                         f"{self.join_timeout:.0f}s"
                     )
-                # Wake on either a result landing (state.cv) or a
-                # membership change (directory version) — both bounded,
-                # so neither can stall the other's signal for long.
-                version = directory.version
                 with state.cv:
                     if state.unfinished > 0 and state.error is None:
                         state.cv.wait(timeout=0.05)
-                directory.wait_for_change(version, timeout=0.05)
         finally:
             with state.cv:
                 state.closing = True

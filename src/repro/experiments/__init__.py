@@ -42,14 +42,8 @@ ALL_EXPERIMENTS = {
 }
 
 
-def run_all(context: ExperimentContext) -> dict[str, ExperimentResult]:
-    """Run every registered experiment against one context."""
-    return {name: run(context) for name, run in ALL_EXPERIMENTS.items()}
-
-
 __all__ = [
     "ALL_EXPERIMENTS",
-    "run_all",
     "ExperimentResult",
     "cdf_rows",
     "render_table",

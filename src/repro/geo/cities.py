@@ -17,7 +17,7 @@ Orleans, Fios in the Northeast corridor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import UnknownCityError
 

@@ -29,11 +29,7 @@ from ..geo.acs import AcsTable
 from ..geo.grid import CityGrid
 from ..seeding import derive_seed
 from .deployment import CityDeployment
-from .market import (
-    MODE_CABLE_FIBER_DUOPOLY,
-    MODE_UNSERVED,
-    CityMarket,
-)
+from .market import MODE_CABLE_FIBER_DUOPOLY, CityMarket
 from .plans import Plan, catalog_for, dsl_plans, fiber_plans
 from .providers import get_isp
 

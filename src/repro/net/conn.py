@@ -1,17 +1,16 @@
-"""One connection layer: the two server shells and the client pool.
+"""One connection layer: the server shell and the client pool.
 
 Every socket endpoint in :mod:`repro` speaks the same Content-Length-framed
 HTTP/1.1 (:func:`~repro.net.http.frame_http_message`).  A server is an app
-on one of two shells, :class:`ThreadedServer` (a thread per connection) or
-:class:`AsyncServer` (coroutines on one event loop); each owns the
-listener, the accept loop, the live-connection set, the server-side fault
-seam, the keep-alive loop and a prompt ``stop()``.  The app is the
-subclass: :meth:`respond` answers one parsed request, and :meth:`reject`
-picks the reply, if any, to bytes that could not be framed or parsed (or
-to a :class:`ValueError` from :meth:`respond`), after which the
-connection closes.  It also closes after a response whose ``Connection``
-header is not ``keep-alive``; an app may pin that header, otherwise the
-shell echoes the request's choice.
+on :class:`ThreadedServer`, which serves each connection on its own thread
+and owns the listener, the accept loop, the live-connection set, the
+server-side fault seam, the keep-alive loop and a prompt ``stop()``.  The
+app is the subclass: :meth:`respond` answers one parsed request, and
+:meth:`reject` picks the reply, if any, to bytes that could not be framed
+or parsed (or to a :class:`ValueError` from :meth:`respond`), after which
+the connection closes.  It also closes after a response whose
+``Connection`` header is not ``keep-alive``; an app may pin that header,
+otherwise the shell echoes the request's choice.
 
 Every client sends through a :class:`KeepAlivePool`, which holds the
 keep-alive sockets to one address and applies the one resend rule.
@@ -19,23 +18,15 @@ keep-alive sockets to one address and applies the one resend rule.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import socket
 import threading
 
 from ..errors import TransportError
-from .faults import (
-    FaultInjector,
-    FaultProfile,
-    FaultySocket,
-    faulty_write,
-    resolve_fault_profile,
-)
+from .faults import FaultProfile, FaultySocket, resolve_fault_profile
 from .http import HttpRequest, HttpResponse, frame_http_message
 
 __all__ = [
-    "AsyncServer",
     "KeepAlivePool",
     "ThreadedServer",
     "read_http_message",
@@ -94,51 +85,17 @@ def _keep_alive(request: HttpRequest, response: HttpResponse) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Server shells
+# Server shell
 # ----------------------------------------------------------------------
-class _ServerShell:
-    """What both shells share: ``reject``, the fault seam, ``with``.
-
-    ``label`` names the server's thread and keys its fault streams:
-    connection ``n`` draws from ``profile.injector("server", label, n)``.
-    """
-
-    def __init__(
-        self, label: str, fault_profile: FaultProfile | str | None
-    ) -> None:
-        self.label = label
-        self._fault_profile = resolve_fault_profile(fault_profile)
-        self._conn_count = 0
-
-    def _next_injector(self) -> FaultInjector | None:
-        """Count one accepted connection; its injector under a profile.
-
-        Callers on the threaded shell hold the shell's lock.
-        """
-        self._conn_count += 1
-        profile = self._fault_profile
-        if profile is None or not profile.server.any:
-            return None
-        return profile.injector("server", self.label, self._conn_count)
-
-    def reject(self, error: Exception) -> HttpResponse | None:
-        """The reply to a malformed request; None closes without one."""
-        return None
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
-class ThreadedServer(_ServerShell):
+class ThreadedServer:
     """A TCP listener serving each connection on its own thread.
 
     The listener binds at construction, so :attr:`address` is known
     before :meth:`start`.  Subclasses implement :meth:`respond`, which
     may block: it runs on the connection's thread.
+
+    ``label`` names the server's thread and keys its fault streams:
+    connection ``n`` draws from ``profile.injector("server", label, n)``.
     """
 
     def __init__(
@@ -148,7 +105,9 @@ class ThreadedServer(_ServerShell):
         port: int = 0,
         fault_profile: FaultProfile | str | None = None,
     ) -> None:
-        super().__init__(label, fault_profile)
+        self.label = label
+        self._fault_profile = resolve_fault_profile(fault_profile)
+        self._conn_count = 0
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -165,6 +124,17 @@ class ThreadedServer(_ServerShell):
     def respond(self, request: HttpRequest, peer: str) -> HttpResponse:
         """Answer one request from ``peer`` (the client's IP)."""
         raise NotImplementedError
+
+    def reject(self, error: Exception) -> HttpResponse | None:
+        """The reply to a malformed request; None closes without one."""
+        return None
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.stop()
 
     def start(self) -> None:
         self._accept_thread = threading.Thread(
@@ -203,10 +173,14 @@ class ThreadedServer(_ServerShell):
             self._threads.append(thread)
 
     def _serve_connection(self, conn: socket.socket, peer: tuple) -> None:
+        profile = self._fault_profile
         with self._lock:
             self._conns.add(conn)
-            injector = self._next_injector()
-        sock = FaultySocket(conn, injector) if injector is not None else conn
+            self._conn_count += 1
+            count = self._conn_count
+        sock = conn
+        if profile is not None and profile.server.any:
+            sock = FaultySocket(conn, profile.injector("server", self.label, count))
         buffer = b""
         try:
             with conn:
@@ -231,145 +205,6 @@ class ThreadedServer(_ServerShell):
         finally:
             with self._lock:
                 self._conns.discard(conn)
-
-
-class AsyncServer(_ServerShell):
-    """A TCP listener serving connections as coroutines on one loop.
-
-    The loop runs on a daemon thread behind a sync ``start()``/``stop()``
-    facade; the listener binds in :meth:`start`.  Subclasses implement
-    :meth:`respond` as a coroutine, so a request that waits (a render
-    pause, work handed to a thread pool) holds no thread.
-    """
-
-    def __init__(
-        self,
-        label: str,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        fault_profile: FaultProfile | str | None = None,
-    ) -> None:
-        super().__init__(label, fault_profile)
-        self._host = host
-        self._port = port
-        self._address: tuple[str, int] | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._tasks: set[asyncio.Task] = set()
-        self._startup_error: Exception | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._address is None:
-            raise TransportError(f"{self.label} server not started")
-        return self._address
-
-    async def respond(self, request: HttpRequest, peer: str) -> HttpResponse:
-        """Answer one request from ``peer`` (the client's IP)."""
-        raise NotImplementedError
-
-    def start(self) -> None:
-        self._ready.clear()
-        self._thread = threading.Thread(
-            target=self._run_loop, name=f"{self.label}-server", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise TransportError(f"{self.label} server failed to start")
-        if self._startup_error is not None:
-            raise TransportError(
-                f"{self.label} server failed to start: {self._startup_error}"
-            )
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop.set)
-        self._thread.join(timeout=10.0)
-        self._thread = None
-
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except Exception as exc:  # noqa: BLE001 - surfaced via start()
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_client, self._host, self._port
-        )
-        self._address = server.sockets[0].getsockname()
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            server.close()
-            # Cancel live connections before waiting on the server: from
-            # Python 3.12 wait_closed() also waits for every connection.
-            for task in list(self._tasks):
-                task.cancel()
-            if self._tasks:
-                await asyncio.gather(*self._tasks, return_exceptions=True)
-            await server.wait_closed()
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            pass  # stop() cancelled this connection
-        finally:
-            if task is not None:
-                self._tasks.discard(task)
-            writer.close()
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = str((writer.get_extra_info("peername") or ("?", 0))[0])
-        injector = self._next_injector()
-        buffer = b""
-        try:
-            while True:
-                try:
-                    framed = frame_http_message(buffer)
-                    while framed is None:
-                        chunk = await reader.read(_RECV_CHUNK)
-                        if not chunk:
-                            # EOF: partial bytes go to the parser to reject.
-                            framed = (buffer, b"")
-                            break
-                        buffer += chunk
-                        framed = frame_http_message(buffer)
-                    raw, buffer = framed
-                    if not raw:
-                        return
-                    request = HttpRequest.from_bytes(raw)
-                    response = await self.respond(request, peer)
-                except (TransportError, ValueError) as exc:
-                    reply = self.reject(exc)
-                    if reply is not None:
-                        writer.write(reply.to_bytes())
-                        await writer.drain()
-                    return
-                keep_alive = _keep_alive(request, response)
-                if not await faulty_write(writer, response.to_bytes(), injector):
-                    return  # response torn away; the connection is gone
-                if not keep_alive:
-                    return
-        except OSError:
-            return
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Deterministically-seeded fault injection for every transport.
 
 The paper's measurement campaign ran over flaky last-mile links; this
-module lets every socket endpoint in :mod:`repro` — the server shells and
+module lets every socket endpoint in :mod:`repro` — the server shell and
 the client pool in :mod:`repro.net.conn` — replay that flakiness on
 demand, *identically on every run*.
 
@@ -54,7 +54,6 @@ against a chaos-enabled environment).
 
 from __future__ import annotations
 
-import asyncio
 import os
 import random
 import socket as _socket
@@ -71,7 +70,6 @@ __all__ = [
     "FaultProfile",
     "FaultRates",
     "FaultySocket",
-    "faulty_write",
     "resolve_fault_profile",
 ]
 
@@ -265,18 +263,14 @@ class FaultAction:
     delay_s: float = 0.0
 
 
-_SEND = FaultAction()
-
-
 class FaultInjector:
     """One connection's deterministic stream of per-frame fault verdicts.
 
-    Pure decision logic — the endpoint applies the verdict (sync sleeps,
-    async awaits).  Sampling is one
-    uniform draw per frame against the cumulative rates, plus secondary
-    draws for truncation cut points and delay lengths, all from a
-    :class:`random.Random` seeded by the profile; the verdict sequence
-    for a connection is therefore identical on every run.
+    Pure decision logic — :class:`FaultySocket` applies the verdict.
+    Sampling is one uniform draw per frame against the cumulative rates,
+    plus secondary draws for truncation cut points and delay lengths,
+    all from a :class:`random.Random` seeded by the profile; the verdict
+    sequence for a connection is therefore identical on every run.
     """
 
     def __init__(
@@ -364,37 +358,3 @@ class FaultySocket:
 
     def __getattr__(self, name: str) -> object:
         return getattr(self._sock, name)
-
-
-async def faulty_write(
-    writer: asyncio.StreamWriter,
-    payload: bytes,
-    injector: FaultInjector | None,
-) -> bool:
-    """Write one message, applying one injector verdict to it.
-
-    The asyncio mirror of :class:`FaultySocket` (with no injector it is a
-    plain write): byte-losing verdicts tear the connection down so the
-    peer sees EOF instead of hanging, and ``delay`` awaits on the loop
-    instead of blocking a thread.  Returns False when the connection was
-    torn down.
-    """
-    action = injector.next_action(len(payload)) if injector else _SEND
-    if action.kind in ("drop", "reset"):
-        writer.close()
-        return False
-    if action.kind == "truncate":
-        writer.write(payload[: action.cut])
-        try:
-            await writer.drain()
-        except OSError:
-            pass
-        writer.close()
-        return False
-    if action.kind == "delay":
-        await asyncio.sleep(action.delay_s)
-    elif action.kind == "duplicate":
-        writer.write(payload)
-    writer.write(payload)
-    await writer.drain()
-    return True

@@ -72,7 +72,7 @@ def _canonical_header(name: str) -> str:
 # ----------------------------------------------------------------------
 # Sans-I/O Content-Length framing
 # ----------------------------------------------------------------------
-# One framing implementation serves every endpoint — the server shells and
+# One framing implementation serves every endpoint — the server shell and
 # the client pool in repro.net.conn — so keep-alive and pipelined
 # connections split messages identically everywhere.
 

@@ -145,13 +145,6 @@ class TcpTransport(Transport):
     def knows_host(self, host: str) -> bool:
         return host in self._routes
 
-    def add_route(self, host: str, address: tuple[str, int]) -> None:
-        self._routes[host] = address
-        with self._lock:
-            stale = self._pools.pop(host, None)
-        if stale is not None:
-            stale.close()
-
     def close(self) -> None:
         """Close every pooled idle connection."""
         with self._lock:

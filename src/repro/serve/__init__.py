@@ -14,7 +14,7 @@ architecture is three layers, innermost first:
   curation execution → payload whose digest is byte-identical to the
   serial curation path.
 * :mod:`repro.serve.server` / :mod:`repro.serve.cli` — the HTTP
-  endpoint (an app on the asyncio server shell of :mod:`repro.net.conn`)
+  endpoint (an app on the threaded server shell of :mod:`repro.net.conn`)
   and the ``python -m repro.dataset serve`` verb, with fault-profile
   injection so the server runs under the same chaos as every other
   endpoint.

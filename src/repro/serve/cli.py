@@ -9,10 +9,11 @@ until interrupted::
     python -m repro.dataset serve --port 7300 --cities wichita \
         --cache-dir /tmp/serve-cache --rate 20 --slo-ms 500
 
-Environment overrides (flags win): ``REPRO_SERVE_PORT``,
-``REPRO_SERVE_RATE``, ``REPRO_SERVE_SLO_MS``.  The startup banner
-contains ``" listening on "`` so the subprocess test harness's banner
-waiter works unchanged on serve processes.
+The startup banner contains ``" listening on "`` and is the first line on
+stdout; progress lines go to stderr.  Launchers wait for the banner with
+``select`` on the pipe and a buffered ``readline``: a line written just
+before the banner can pull it into the reader's buffer, where ``select``
+no longer sees it.
 """
 
 from __future__ import annotations
@@ -35,15 +36,6 @@ from .service import ServeService
 
 __all__ = ["serve_main"]
 
-SERVE_PORT_ENV = "REPRO_SERVE_PORT"
-SERVE_RATE_ENV = "REPRO_SERVE_RATE"
-SERVE_SLO_MS_ENV = "REPRO_SERVE_SLO_MS"
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else fallback
-
 
 def serve_main(argv: list[str]) -> int:
     """Entry point for the ``serve`` subcommand."""
@@ -58,11 +50,9 @@ def serve_main(argv: list[str]) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1",
                         help="interface to bind (default: loopback)")
-    parser.add_argument("--port", type=int,
-                        default=int(_env_float(SERVE_PORT_ENV, 0)),
-                        help="port to bind (default: REPRO_SERVE_PORT or "
-                             "0 = let the OS pick; the bound address is "
-                             "printed on stdout)")
+    parser.add_argument("--port", type=int, default=0,
+                        help="port to bind (default 0 = let the OS pick; "
+                             "the bound address is printed on stdout)")
     # --- world / curation knobs (mirror the batch CLI) -----------------
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--scale", type=float, default=0.05,
@@ -91,19 +81,17 @@ def serve_main(argv: list[str]) -> int:
     parser.add_argument("--queue-depth", type=int, default=8,
                         help="admitted-but-waiting queries tolerated "
                              "beyond the width before 503 (default 8)")
-    parser.add_argument("--rate", type=float,
-                        default=_env_float(SERVE_RATE_ENV, 50.0),
+    parser.add_argument("--rate", type=float, default=50.0,
                         help="per-client token rate, requests/second "
-                             "(default: REPRO_SERVE_RATE or 50)")
+                             "(default 50)")
     parser.add_argument("--burst", type=float, default=None,
                         help="per-client token burst (default: rate/2)")
     parser.add_argument("--isp-rate", type=float, default=200.0,
                         help="per-ISP token rate, requests/second")
-    parser.add_argument("--slo-ms", type=float,
-                        default=_env_float(SERVE_SLO_MS_ENV, 0.0),
+    parser.add_argument("--slo-ms", type=float, default=0.0,
                         help="default per-request deadline in milliseconds "
-                             "(default: REPRO_SERVE_SLO_MS; 0 = none). "
-                             "Queries can override with ?deadline_ms=")
+                             "(default 0 = none).  Queries can override "
+                             "with ?deadline_ms=")
     parser.add_argument("--theta", type=float, default=0.8,
                         help="PCN virtual-queue drain fraction of real "
                              "capacity (default 0.8; the 1-theta gap is "
@@ -144,7 +132,7 @@ def serve_main(argv: list[str]) -> int:
         )
     )
     print(f"world built in {time.time() - started:.0f}s "
-          f"({len(world.cities)} cities)", flush=True)
+          f"({len(world.cities)} cities)", file=sys.stderr, flush=True)
 
     cache = build_result_cache(
         cache_dir=args.cache_dir, max_bytes=args.cache_max_bytes
@@ -202,7 +190,7 @@ def serve_main(argv: list[str]) -> int:
                 if result.status == 200:
                     prewarmed += 1
         print(f"prewarmed {prewarmed} shards in "
-              f"{time.time() - warm_started:.0f}s", flush=True)
+              f"{time.time() - warm_started:.0f}s", file=sys.stderr, flush=True)
 
     server = DatasetServeServer(
         service,

@@ -1,21 +1,20 @@
 """The HTTP endpoint of the serving tier.
 
-:class:`DatasetServeServer` is an app on the asyncio server shell
-(:class:`~repro.net.conn.AsyncServer`): one event loop hosted on a
-daemon thread, the shared keep-alive framing loop, a
-``start()``/``stop()``/context-manager sync facade, and the same
-server-side fault seam, so the serving endpoint runs under exactly the
-chaos profiles every other endpoint does.
+:class:`DatasetServeServer` is an app on the threaded server shell
+(:class:`~repro.net.conn.ThreadedServer`), like every other endpoint: a
+thread per connection, the shared keep-alive framing loop, a
+``start()``/``stop()``/context-manager facade, and the same server-side
+fault seam, so the serving endpoint runs under exactly the chaos
+profiles every other endpoint does.
 
-The admission split is the load-shedding mechanism: the cheap sans-I/O
-admission verdict runs *on the event-loop thread*, so a refused request
-is answered in microseconds without ever touching the worker pool — the
-tier's refusal capacity stays high precisely when its service capacity is
-exhausted.  Only admitted queries are handed to a bounded thread pool
-(sized ``width + queue_depth``, matching the admission controller's
-in-flight bound) via ``run_in_executor``.  A query's body comes back from
-the pool thread as finished bytes and is written unchanged, so the
-event-loop thread never encodes a payload.
+Each request runs on its connection's own thread.  The cheap sans-I/O
+admission verdict comes first, so a refused request is answered in
+microseconds without waiting for a handler slot — the tier's refusal
+capacity stays high precisely when its service capacity is exhausted.
+An admitted query then calls :meth:`ServeService.handle` on the same
+thread; admission caps how many such calls run at once
+(``width + queue_depth``).  A query's body comes back as finished
+bytes and is written unchanged.
 
 Routes::
 
@@ -31,17 +30,15 @@ overload), ``X-Repro-Source`` (cache / stale / executed) on 200s,
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import parse_qs, urlsplit
 
-from ..net.conn import AsyncServer
+from ..net.conn import ThreadedServer
 from ..net.faults import FaultProfile
 from ..net.http import HttpRequest, HttpResponse
 from .admission import Deadline
-from .service import ServeResult, ServeService
+from .service import ServeService
 
 __all__ = ["DatasetServeServer"]
 
@@ -55,14 +52,14 @@ def _json_response(status: int, body: dict | bytes) -> HttpResponse:
     return response
 
 
-class DatasetServeServer(AsyncServer):
+class DatasetServeServer(ThreadedServer):
     """The ``python -m repro.dataset serve`` HTTP endpoint.
 
     Args:
         service: The :class:`~repro.serve.service.ServeService` doing the
             actual work.
         host / port: Bind address (port 0 picks a free port; read it back
-            from :attr:`address` after :meth:`start`).
+            from :attr:`address`, known once constructed).
         default_deadline_ms: Deadline applied to queries that do not pass
             ``deadline_ms`` themselves (None = no default deadline).
         fault_profile: Explicit fault profile / spec string; None falls
@@ -80,22 +77,9 @@ class DatasetServeServer(AsyncServer):
         super().__init__("serve", host, port, fault_profile)
         self.service = service
         self.default_deadline_ms = default_deadline_ms
-        # The pool is the admitted-work lane; its size matches the
-        # admission controller's in-flight bound so an admitted request
-        # always has a thread to queue on (admission, not the pool, is
-        # what bounds the line).
-        admission = service.admission
-        if admission is not None:
-            pool_size = admission.config.width + admission.config.queue_depth
-        else:
-            pool_size = max(4, int(getattr(service.executor, "width", 1)) * 2)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, pool_size), thread_name_prefix="serve-query"
-        )
 
     def stop(self) -> None:
         super().stop()
-        self._pool.shutdown(wait=False, cancel_futures=True)
         self.service.close()
 
     def reject(self, error: Exception) -> HttpResponse:
@@ -106,7 +90,7 @@ class DatasetServeServer(AsyncServer):
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def respond(self, request: HttpRequest, peer: str) -> HttpResponse:
+    def respond(self, request: HttpRequest, peer: str) -> HttpResponse:
         client = request.header("X-Forwarded-For") or peer
         parts = urlsplit(request.path)
         route = parts.path
@@ -133,10 +117,10 @@ class DatasetServeServer(AsyncServer):
             )
             return response
         if route == "/query":
-            return await self._query(params, client, now)
+            return self._query(params, client, now)
         return _json_response(404, {"error": f"no route {route!r}"})
 
-    async def _query(
+    def _query(
         self, params: dict[str, str], client: str, now: float
     ) -> HttpResponse:
         city = params.get("city", "")
@@ -179,12 +163,8 @@ class DatasetServeServer(AsyncServer):
         if budget_ms is not None and self.service.admission is not None:
             deadline = Deadline.after(now, budget_ms / 1000.0)
 
-        loop = asyncio.get_running_loop()
-        result: ServeResult = await loop.run_in_executor(
-            self._pool,
-            lambda: self.service.handle(
-                city, isp, decision, deadline=deadline, force=force
-            ),
+        result = self.service.handle(
+            city, isp, decision, deadline=deadline, force=force
         )
         response = _json_response(result.status, result.body)
         response.set_header("X-Repro-Congestion", result.state)

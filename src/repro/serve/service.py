@@ -1,20 +1,19 @@
 """The query service: admission → two-tier cache → deadline-aware curation.
 
 :class:`ServeService` is the serving tier's business logic, shared by the
-asyncio HTTP shell and by in-process tests.  One instance owns a built
+HTTP endpoint and by in-process tests.  One instance owns a built
 world, a curation configuration, the two-tier
 :class:`~repro.exec.cache.QueryResultCache`, and an executor backend;
 each query resolves one (city, ISP) shard through the same
 content-addressed path the batch curation pipeline uses, so a served
 payload's digest is byte-identical to the serial curation run's.
 
-The split with the HTTP shell matters for the bounded queue: the cheap
-sans-I/O :meth:`ServeService.admit` runs on the event-loop thread *before*
-work enters the thread pool, so the in-flight bound is enforced at the
-door — a refused request never occupies a pool slot.  The heavy
-:meth:`ServeService.handle` then runs on a pool thread, pairs the
-admission accounting in a ``finally``, and returns the finished body
-bytes.  A shard's digest and row JSON are encoded once per content and
+The split matters for the bounded queue: the cheap sans-I/O
+:meth:`ServeService.admit` runs first on the request's connection thread,
+so the in-flight bound is enforced at the door — a refused request never
+waits for a handler slot.  The heavy :meth:`ServeService.handle` then
+runs on the same thread, pairs the admission accounting in a
+``finally``, and returns the finished body bytes.  A shard's digest and row JSON are encoded once per content and
 kept per (city, ISP), so a warm hit compares rows and splices the stored
 JSON into a small envelope instead of re-serializing the shard.
 
@@ -195,7 +194,7 @@ class ServeService:
         self.deadline_exceeded = 0
 
     # ------------------------------------------------------------------
-    # Admission (cheap; the shell calls this on the event-loop thread)
+    # Admission (cheap; runs before any handler work)
     # ------------------------------------------------------------------
     def admit(self, client: str, isp: str, klass: str, now: float) -> Decision:
         """Admission verdict — permissive when running without admission."""
@@ -204,7 +203,7 @@ class ServeService:
         return self.admission.decide(client, isp, klass, now)
 
     # ------------------------------------------------------------------
-    # The query path (heavy; runs on a pool thread)
+    # The query path (heavy; admission caps concurrent calls)
     # ------------------------------------------------------------------
     def handle(
         self,

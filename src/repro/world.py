@@ -28,7 +28,6 @@ from .addresses.generator import (
     generate_city_addresses,
 )
 from .addresses.model import Address
-from .addresses.noise import NoiseConfig
 from .bat.app import BatApplication
 from .bat.profiles import profile_for
 from .errors import ConfigurationError, UnknownCityError

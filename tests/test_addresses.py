@@ -6,7 +6,6 @@ import pytest
 from repro.addresses import (
     Address,
     AddressGeneratorConfig,
-    AddressIndex,
     NoiseClass,
     NoiseConfig,
     NoiseModel,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.dom import DomNode, parse_html
+from repro.core.dom import parse_html
 from repro.errors import BqtError
 
 SAMPLE = """

@@ -33,7 +33,6 @@ from repro.exec import (
 )
 from repro.exec.membership import (
     FleetCoordinator,
-    ensure_coordinator,
     fleet_snapshot,
     shutdown_coordinators,
 )
@@ -160,6 +159,35 @@ class TestElasticSteadyState:
             reference_cox, reference_att, reference_cox, reference_att
         ]
         assert _dispatcher_threads() == []
+
+    def test_last_result_ends_the_run_without_a_directory_wait(
+        self, coordinator, monkeypatch
+    ):
+        """The reconcile loop wakes on results and re-reads the fleet
+        every pass; it never parks on the directory, which would hold
+        the last result back for a whole membership-wait timeout."""
+        reference, _ = run_shard_spec(_spec("cox"))
+        proc = start_local_worker(width=1, extra_args=_join_args(coordinator))
+        try:
+            _await_worker_banner(proc, 60.0)
+            _wait_for_fleet(coordinator, 1)
+            directory = coordinator.directory
+            calls = []
+            real_wait = directory.wait_for_change
+
+            def counting_wait(version, timeout):
+                calls.append(version)
+                return real_wait(version, timeout)
+
+            monkeypatch.setattr(directory, "wait_for_change", counting_wait)
+            executor = DistributedExecutor(
+                elastic=True, coordinator=coordinator
+            )
+            outcomes = executor.map_specs([_spec("cox")])
+        finally:
+            stop_local_worker(proc)
+        assert calls == []
+        assert [obs for obs, _wall in outcomes] == [reference]
 
     def test_elastic_mode_rejects_static_worker_list(self, coordinator):
         with pytest.raises(ConfigurationError, match="elastic"):

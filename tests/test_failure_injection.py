@@ -6,8 +6,6 @@ classified*, never silently mis-parsed.  These tests serve garbage,
 half-broken, and adversarial pages and assert BQT degrades cleanly.
 """
 
-import pytest
-
 from repro.core import BroadbandQueryTool, QueryStatus, TemplateKind, classify_page
 from repro.net import HttpResponse, InProcessTransport, LatencyModel
 from repro.net.transport import RENDER_HEADER

@@ -5,12 +5,11 @@ chaos-vs-clean golden equivalence for the BQT workflows."""
 from __future__ import annotations
 
 import socket
-import threading
 import time
 
 import pytest
 
-from repro.errors import ConfigurationError, TransportError
+from repro.errors import ConfigurationError
 from repro.net import (
     FaultInjector,
     FaultProfile,
@@ -26,9 +25,7 @@ from repro.net import (
     frame_http_message,
     resolve_fault_profile,
 )
-from repro.net.conn import AsyncServer
 from repro.net.faults import FAULT_PROFILE_ENV
-from repro.net.tcp import BatHost
 from repro.net.transport import RENDER_HEADER
 
 
@@ -237,7 +234,7 @@ class TestFaultySocket:
 
 # ----------------------------------------------------------------------
 # Frame fuzz: split / pipelined / duplicated / truncated messages against
-# the shared framer, both server shells and the RPC server
+# the shared framer, the threaded server shell and the RPC server
 # ----------------------------------------------------------------------
 REQUEST = (
     b"POST /check HTTP/1.1\r\nHost: ping.example\r\n"
@@ -257,26 +254,6 @@ class _PingApp:
         response = HttpResponse.html(body)
         response.set_header(RENDER_HEADER, "5.0")
         return response
-
-
-class _AsyncPingServer(AsyncServer):
-    """The ping app on the asyncio shell the serving tier runs on."""
-
-    hostname = _PingApp.hostname
-    reject = staticmethod(BatHost.reject)
-
-    def __init__(self) -> None:
-        super().__init__(self.hostname, fault_profile="off")
-        self._bat = BatHost(_PingApp(), 0.0)
-
-    async def respond(self, request, peer):
-        return self._bat.handle(request, peer)[0]
-
-
-@pytest.fixture(scope="module")
-def async_server():
-    with _AsyncPingServer() as srv:
-        yield srv
 
 
 def _drain(sock: socket.socket) -> bytes:
@@ -368,62 +345,6 @@ class TestSyncServerFuzz:
                 raw = _drain(sock)
             if raw:
                 assert HttpResponse.from_bytes(raw).status == 400, cut
-
-
-class TestAsyncServerFuzz:
-    def test_byte_dribbled_request_still_served(self, async_server):
-        with socket.create_connection(async_server.address, timeout=5.0) as sock:
-            for i in range(0, len(REQUEST), 3):
-                sock.sendall(REQUEST[i : i + 3])
-            raw = _drain(sock)
-        response = HttpResponse.from_bytes(raw)
-        assert response.status == 200
-        assert "pong 987" in response.text()
-
-    def test_truncated_request_never_gets_a_200(self, async_server):
-        for cut in (4, len(REQUEST) // 2, len(REQUEST) - 1):
-            with socket.create_connection(
-                async_server.address, timeout=5.0
-            ) as sock:
-                sock.sendall(REQUEST[:cut])
-                sock.shutdown(socket.SHUT_WR)
-                raw = _drain(sock)
-            if raw:
-                assert HttpResponse.from_bytes(raw).status == 400, cut
-
-
-class TestAsyncServerConnection:
-    """The asyncio shell echoes the client's ``Connection`` choice."""
-
-    def test_sync_client_against_async_server(self, async_server):
-        """One-shot Connection: close clients work against the shell."""
-        transport = TcpTransport({async_server.hostname: async_server.address})
-        for i in range(3):
-            response = transport.send(
-                HttpRequest.form_post("/check", {"n": str(i)}),
-                async_server.hostname,
-                "73.5.5.5",
-                RealClock(),
-            )
-            assert f"pong {i}" in response.text()
-
-    def test_sync_keepalive_client_against_async_server(self, async_server):
-        transport = TcpTransport(
-            {async_server.hostname: async_server.address}, keep_alive=True,
-            fault_profile="off",
-        )
-        try:
-            for i in range(5):
-                response = transport.send(
-                    HttpRequest.form_post("/check", {"n": str(i)}),
-                    async_server.hostname,
-                    "73.5.5.5",
-                    RealClock(),
-                )
-                assert f"pong {i}" in response.text()
-            assert len(transport._pools[async_server.hostname]._idle) == 1
-        finally:
-            transport.close()
 
 
 class TestRpcServerFuzz:

@@ -239,9 +239,11 @@ class TestFields:
         field = correlated_uniform_field(10, 10, rng)
         assert field.min() >= 0.0 and field.max() <= 1.0
 
-    def test_world_build_does_not_import_scipy_stats(self):
+    @pytest.mark.parametrize("module", ["scipy.stats", "asyncio"])
+    def test_world_build_does_not_import_scipy_stats(self, module):
         """A fresh interpreter builds a world without loading scipy.stats,
-        whose import alone costs more than a small world build."""
+        whose import alone costs more than a small world build, or
+        asyncio, which no module of the package needs."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         existing = os.environ.get("PYTHONPATH")
         env = dict(
@@ -252,7 +254,7 @@ class TestFields:
             "import sys\n"
             "from repro.world import WorldConfig, build_world\n"
             "build_world(WorldConfig(scale=0.02, cities=('wichita',)))\n"
-            "print('scipy.stats' in sys.modules)\n"
+            f"print({module!r} in sys.modules)\n"
         )
         completed = subprocess.run(
             [sys.executable, "-c", script],

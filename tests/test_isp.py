@@ -15,7 +15,6 @@ from repro.isp import (
     CityOffers,
     DeploymentConfig,
     OfferConfig,
-    PLAN_CATALOGS,
     build_city_deployment,
     build_city_market,
     carriage_value,

@@ -9,7 +9,7 @@ from repro.core import ContainerFleet
 from repro.dataset.sampling import SamplingConfig, sample_city
 from repro.errors import ConfigurationError, UnknownCityError
 from repro.isp.market import MODE_CABLE_FIBER_DUOPOLY
-from repro.world import WorldConfig, build_world
+from repro.world import WorldConfig
 
 
 class TestWorldBuilder:

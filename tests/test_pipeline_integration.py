@@ -19,7 +19,6 @@ from repro.geo import queen_weights
 from repro.isp.market import (
     MODE_CABLE_DSL_DUOPOLY,
     MODE_CABLE_FIBER_DUOPOLY,
-    MODE_CABLE_MONOPOLY,
 )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import subprocess
 import sys
 import threading
@@ -424,6 +425,38 @@ class TestCacheLsCli:
         )
         assert result.returncode != 0
         assert "no store at" in result.stderr
+
+
+# ----------------------------------------------------------------------
+# Launch banners
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["worker", "--port", "0"],
+        ["serve", "--port", "0", "--scale", "0.02", "--cities", "wichita",
+         "--min-samples", "5", "--prewarm", "--fault-profile", "off"],
+    ],
+    ids=["worker", "serve"],
+)
+def test_banner_is_the_first_stdout_line(argv):
+    """``_await_worker_banner`` polls the child's stdout with ``select``
+    and reads it with a buffered ``readline``: a line written just before
+    the banner can pull the banner into that buffer, where ``select`` no
+    longer sees it, and the launch times out."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.dataset", *argv],
+        env=dict(os.environ, PYTHONPATH=_pythonpath()),
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 120.0)
+        assert ready, "nothing on stdout within 120 s"
+        assert " listening on " in proc.stdout.readline()
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10.0)
+        proc.stdout.close()
 
 
 class TestBusyWorkerBackoff:
