@@ -66,8 +66,7 @@ def _curate(world):
 
 def _cold_curate(world):
     """One pass that builds the city's address index from scratch."""
-    with curation._ADDRESS_INDEX_LOCK:
-        curation._ADDRESS_INDEX_MEMO.clear()
+    curation._ADDRESS_INDEXES.clear()
     return _curate(world)
 
 

@@ -37,8 +37,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from ..exec.base import default_backend
-from ..exec.store import build_result_cache, default_cache_dir
+from ..exec.base import build_executor
+from ..exec.store import build_result_cache
 from ..world import WorldConfig, build_world
 from .cli import (
     add_backend_arguments,
@@ -46,7 +46,7 @@ from .cli import (
     print_cpu_profile,
     print_run_summary,
     render_store_table,
-    resolve_backend_choice,
+    settings_from_args,
 )
 from .curation import CurationConfig, CurationPipeline
 from .io import write_dataset_csv
@@ -107,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
                              "hot-path memo cache counters")
     add_scheduling_arguments(parser)
     args = parser.parse_args(argv)
-    backend = resolve_backend_choice(args)
+    settings = settings_from_args(args)
 
     started = time.time()
     world = build_world(
@@ -121,9 +121,7 @@ def main(argv: list[str] | None = None) -> int:
           f"({len(world.cities)} cities)", flush=True)
 
     cache = build_result_cache(
-        cache_dir=args.cache_dir,
-        max_bytes=args.cache_max_bytes,
-        enabled=not args.no_cache,
+        settings.cache_dir, settings.cache_max_bytes, enabled=not args.no_cache
     )
     pipeline = CurationPipeline(
         world,
@@ -133,10 +131,10 @@ def main(argv: list[str] | None = None) -> int:
             ),
             n_workers=args.workers,
         ),
-        executor=backend if backend is not None else default_backend(),
+        executor=build_executor(settings),
         cache=cache,
-        schedule=args.schedule,
-        chunk_tasks=args.chunk_tasks,
+        schedule=settings.schedule,
+        chunk_tasks=settings.chunk_tasks,
     )
     started = time.time()
     profiler = None
@@ -176,7 +174,7 @@ def warm_main(argv: list[str]) -> int:
     """
     # Imported here: repro.experiments pulls the analysis stack, which the
     # plain curation CLI does not need.
-    from ..experiments.context import default_scale, paper_curation_config
+    from ..experiments.context import paper_curation_config
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.dataset warm",
@@ -210,16 +208,14 @@ def warm_main(argv: list[str]) -> int:
     add_backend_arguments(parser)
     add_scheduling_arguments(parser)
     args = parser.parse_args(argv)
-    backend = resolve_backend_choice(args)
+    settings = settings_from_args(args)
 
-    cache = build_result_cache(
-        cache_dir=args.cache_dir, max_bytes=args.cache_max_bytes
-    )
-    if cache is None or cache.store is None:
+    if settings.cache_dir is None:
         parser.error("warm needs an on-disk cache: pass --cache-dir or "
                      "set REPRO_CACHE_DIR")
+    cache = build_result_cache(settings.cache_dir, settings.cache_max_bytes)
 
-    scale = args.scale if args.scale is not None else default_scale()
+    scale = args.scale if args.scale is not None else settings.bench_scale
     started = time.time()
     world = build_world(
         WorldConfig(
@@ -233,7 +229,11 @@ def warm_main(argv: list[str]) -> int:
 
     # One shared constructor with get_context, so the warmed cache keys
     # are exactly the ones the experiments CLI will look up.
-    config = paper_curation_config(args.min_samples)
+    config = paper_curation_config(
+        args.min_samples
+        if args.min_samples is not None
+        else settings.bench_min_samples
+    )
     if args.workers != config.n_workers:
         print(f"warning: --workers {args.workers} changes the shard cache "
               f"keys; `python -m repro.experiments` curates with "
@@ -243,10 +243,10 @@ def warm_main(argv: list[str]) -> int:
     pipeline = CurationPipeline(
         world,
         config,
-        executor=backend if backend is not None else default_backend(),
+        executor=build_executor(settings),
         cache=cache,
-        schedule=args.schedule,
-        chunk_tasks=args.chunk_tasks,
+        schedule=settings.schedule,
+        chunk_tasks=settings.chunk_tasks,
     )
     started = time.time()
     dataset = pipeline.curate()
@@ -285,7 +285,7 @@ def cache_main(argv: list[str]) -> int:
                              "REPRO_CACHE_DIR)")
     args = parser.parse_args(argv)
 
-    root = args.cache_dir if args.cache_dir is not None else default_cache_dir()
+    root = settings_from_args(args).cache_dir
     if root is None:
         parser.error("cache ls needs a store root: pass --cache-dir or "
                      "set REPRO_CACHE_DIR")

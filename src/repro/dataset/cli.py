@@ -8,17 +8,16 @@ __main__``, tests) see one module instance instead of two.
 from __future__ import annotations
 
 import argparse
-import os
 
 from ..errors import ConfigurationError
-from ..exec.base import EXECUTOR_BACKENDS
-from ..exec.membership import (
-    COORDINATOR_ENV,
-    ELASTIC_ENV,
+from ..settings import (
+    EXECUTOR_BACKENDS,
+    SCHEDULE_MODES,
+    RunSettings,
+    parse_chunk_tasks,
     parse_coordinator_address,
+    parse_worker_addresses,
 )
-from ..exec.remote import REMOTE_WORKERS_ENV, parse_worker_addresses
-from ..exec.schedule import SCHEDULE_MODES, parse_chunk_tasks
 from .curation import CurationPipeline, CurationRunReport
 
 __all__ = [
@@ -27,9 +26,9 @@ __all__ = [
     "render_cache_stats",
     "render_shard_table",
     "render_store_table",
-    "resolve_backend_choice",
     "print_cpu_profile",
     "print_run_summary",
+    "settings_from_args",
 ]
 
 
@@ -59,45 +58,45 @@ def add_backend_arguments(parser: argparse.ArgumentParser) -> None:
                              "127.0.0.1:7070).  Implies --elastic")
 
 
-def resolve_backend_choice(args: argparse.Namespace) -> str | None:
-    """Fold ``--remote-workers``/``--elastic``/``--coordinator`` into the
-    backend choice.
+def settings_from_args(args: argparse.Namespace) -> RunSettings:
+    """Resolve one :class:`~repro.settings.RunSettings` at a CLI edge.
 
-    Validates the addresses, publishes them through the environment
-    (``REPRO_REMOTE_WORKERS`` / ``REPRO_ELASTIC`` / ``REPRO_COORDINATOR``
-    — the one place ``resolve_executor("remote")`` reads fleet
-    configuration, so CLI and environment can never drift), and implies
-    ``--backend remote`` when only fleet knobs were given.  A static
-    fleet and an elastic one are mutually exclusive by construction.
+    Every flag the parser defines overrides its ``REPRO_*`` variable; a
+    variable is read only where its flag was not given.  ``--remote-
+    workers`` implies ``--backend remote`` with a static fleet, and
+    ``--elastic`` or ``--coordinator`` imply ``--backend remote`` with an
+    elastic one; the two kinds of fleet are mutually exclusive.  A
+    malformed flag or variable exits with its message.  Writes nothing to
+    ``os.environ``.
     """
-    elastic = bool(getattr(args, "elastic", False)) or (
-        getattr(args, "coordinator", None) is not None
-    )
-    if elastic and args.remote_workers:
+    workers = getattr(args, "remote_workers", None) or None
+    coordinator = getattr(args, "coordinator", None)
+    elastic = bool(getattr(args, "elastic", False)) or coordinator is not None
+    if elastic and workers:
         raise SystemExit(
             "--elastic consumes the membership directory; do not also "
             "pass --remote-workers"
         )
-    if args.remote_workers:
-        try:
-            parse_worker_addresses(args.remote_workers)
-        except ConfigurationError as exc:
-            raise SystemExit(f"--remote-workers: {exc}") from None
-        os.environ[REMOTE_WORKERS_ENV] = args.remote_workers
-        if args.backend is None:
-            args.backend = "remote"
-    if elastic:
-        coordinator = getattr(args, "coordinator", None)
-        if coordinator is not None:
-            try:
+    backend = getattr(args, "backend", None)
+    if backend is None and (workers or elastic):
+        backend = "remote"
+    try:
+        return RunSettings.from_env(
+            backend=backend,
+            remote_workers=parse_worker_addresses(workers) if workers else None,
+            elastic=True if elastic else (False if workers else None),
+            coordinator=(
                 parse_coordinator_address(coordinator)
-            except ConfigurationError as exc:
-                raise SystemExit(f"--coordinator: {exc}") from None
-            os.environ[COORDINATOR_ENV] = coordinator
-        os.environ[ELASTIC_ENV] = "1"
-        if args.backend is None:
-            args.backend = "remote"
-    return args.backend
+                if coordinator is not None
+                else None
+            ),
+            cache_dir=getattr(args, "cache_dir", None),
+            cache_max_bytes=getattr(args, "cache_max_bytes", None),
+            schedule=getattr(args, "schedule", None),
+            chunk_tasks=getattr(args, "chunk_tasks", None),
+        )
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _chunk_tasks_arg(raw: str) -> "int | str":

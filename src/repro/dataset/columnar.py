@@ -54,7 +54,6 @@ RNG-equivalence argument (why the synthesis is bit-exact):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256
@@ -78,30 +77,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .curation import CurationConfig
 
 __all__ = [
-    "COLUMNAR_ENV",
-    "columnar_enabled",
     "hash_address_ids",
     "run_shard_columnar",
     "columnar_cache_stats",
 ]
 
 
-#: Environment gate for the fast path.  On by default; set to ``0`` /
-#: ``off`` / ``false`` / ``no`` to force every shard through the scalar
-#: replay (the parity suite and CI run both settings).
-COLUMNAR_ENV = "REPRO_COLUMNAR"
-_DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
-
 #: Mirrors the :class:`~repro.net.transport.InProcessTransport` default.
 #: A fleet wider than this degrades render times (load multiplier > 1),
 #: which the synthesis does not model — such shards run scalar.
 _SERVER_CAPACITY = 1000
-
-
-def columnar_enabled() -> bool:
-    """Whether the columnar fast path is enabled (``REPRO_COLUMNAR``)."""
-    raw = os.environ.get(COLUMNAR_ENV, "1").strip().lower()
-    return raw not in _DISABLED_VALUES
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 from ..addresses.database import AddressIndex
@@ -41,16 +40,16 @@ from ..exec.schedule import (
     ShardCostModel,
     calibrate_costs,
     chunk_spans,
-    default_chunk_tasks,
-    default_schedule,
     lpt_order,
     resolve_chunk_tasks,
 )
 from ..exec.spec import ShardSpec, release_city_worlds, seed_city_worlds
 from ..exec.store import ShardCostRecord, ShardMeta
+from ..memo import Memo
 from ..net.proxy import ResidentialProxyPool
 from ..net.transport import InProcessTransport
 from ..seeding import derive_seed
+from ..settings import ambient_columnar
 from ..world import (
     CityWorld,
     World,
@@ -303,31 +302,17 @@ def _shard_tasks(
 # shards chunking exists to speed up — so units share one index per
 # (world config, city).  Bounded: curation touches a handful of cities at
 # a time, and an evicted index is just rebuilt.
-_ADDRESS_INDEX_MEMO: "OrderedDict[tuple[WorldConfig, str], AddressIndex]" = (
-    OrderedDict()
-)
-_ADDRESS_INDEX_MEMO_MAX = 8
-_ADDRESS_INDEX_LOCK = threading.Lock()
-# One build lock per key being built: concurrent shards of a cold city
-# wait for the first thread's index instead of each building their own.
-_ADDRESS_INDEX_BUILDS: dict[tuple[WorldConfig, str], threading.Lock] = {}
+_ADDRESS_INDEXES: "Memo[tuple[WorldConfig, str], AddressIndex]" = Memo(maxsize=8)
 # Cumulative wall time spent building indexes in THIS process, so the
 # run report can attribute index cost separately from query replay.
 _INDEX_BUILD_SECONDS = 0.0
+_INDEX_BUILD_LOCK = threading.Lock()
 
 
 def index_build_seconds() -> float:
     """Cumulative address-index build wall time in this process."""
-    with _ADDRESS_INDEX_LOCK:
+    with _INDEX_BUILD_LOCK:
         return _INDEX_BUILD_SECONDS
-
-
-def _memoized_index(key: tuple[WorldConfig, str]) -> AddressIndex | None:
-    # Caller holds _ADDRESS_INDEX_LOCK.
-    index = _ADDRESS_INDEX_MEMO.get(key)
-    if index is not None:
-        _ADDRESS_INDEX_MEMO.move_to_end(key)
-    return index
 
 
 def _city_address_index(
@@ -342,28 +327,16 @@ def _city_address_index(
     built wait for that build, so each index is built (and its build
     time counted) once.
     """
-    global _INDEX_BUILD_SECONDS
-    key = (world_config, city_world.info.name)
-    with _ADDRESS_INDEX_LOCK:
-        index = _memoized_index(key)
-        if index is not None:
-            return index
-        build_lock = _ADDRESS_INDEX_BUILDS.setdefault(key, threading.Lock())
-    with build_lock:
-        with _ADDRESS_INDEX_LOCK:
-            index = _memoized_index(key)
-            if index is not None:
-                return index
+
+    def build() -> AddressIndex:
+        global _INDEX_BUILD_SECONDS
         started = time.perf_counter()
         index = AddressIndex(tuple(city_world.book.canonical))
-        built = time.perf_counter() - started
-        with _ADDRESS_INDEX_LOCK:
-            _INDEX_BUILD_SECONDS += built
-            _ADDRESS_INDEX_MEMO[key] = index
-            while len(_ADDRESS_INDEX_MEMO) > _ADDRESS_INDEX_MEMO_MAX:
-                _ADDRESS_INDEX_MEMO.popitem(last=False)
-            _ADDRESS_INDEX_BUILDS.pop(key, None)
-    return index
+        with _INDEX_BUILD_LOCK:
+            _INDEX_BUILD_SECONDS += time.perf_counter() - started
+        return index
+
+    return _ADDRESS_INDEXES.get((world_config, city_world.info.name), build)
 
 
 def _shard_observations(
@@ -393,9 +366,9 @@ def _shard_observations(
     if not tasks:
         return ()
 
-    from .columnar import columnar_enabled, run_shard_columnar
+    from .columnar import run_shard_columnar
 
-    if columnar_enabled():
+    if ambient_columnar():
         observations = run_shard_columnar(
             world_config, city_world, isp, config, tasks
         )
@@ -538,22 +511,20 @@ class CurationPipeline:
         config: CurationConfig | None = None,
         executor: Executor | str | None = None,
         cache: QueryResultCache | None = None,
-        schedule: str | None = None,
+        schedule: str = "lpt",
         chunk_tasks: int | str | None = None,
     ) -> None:
         self._world = world
         self.config = config or CurationConfig()
         self.executor = resolve_executor(executor)
         self.cache = cache
-        self.schedule = schedule if schedule is not None else default_schedule()
+        self.schedule = schedule
         if self.schedule not in SCHEDULE_MODES:
             raise DatasetError(
                 f"unknown schedule mode {self.schedule!r} "
                 f"(available: {', '.join(SCHEDULE_MODES)})"
             )
-        self.chunk_tasks = (
-            chunk_tasks if chunk_tasks is not None else default_chunk_tasks()
-        )
+        self.chunk_tasks = chunk_tasks
         self.last_run: CurationRunReport | None = None
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ tail of a run.
 from .base import (
     EXECUTOR_BACKENDS,
     Executor,
-    default_backend,
+    build_executor,
     default_max_workers,
     resolve_executor,
 )
@@ -41,8 +41,6 @@ from .membership import (
     FleetCoordinator,
     FleetDirectory,
     WorkerRecord,
-    default_coordinator_address,
-    default_elastic,
     ensure_coordinator,
     parse_coordinator_address,
     shutdown_coordinators,
@@ -52,7 +50,6 @@ from .processes import ProcessPoolBackend
 from .remote import (
     DistributedExecutor,
     WorkerInfo,
-    default_remote_workers,
     local_worker_pool,
     parse_worker_addresses,
     start_local_worker,
@@ -64,8 +61,6 @@ from .schedule import (
     ShardCostModel,
     calibrate_costs,
     chunk_spans,
-    default_chunk_tasks,
-    default_schedule,
     lpt_order,
     resolve_chunk_tasks,
 )
@@ -84,8 +79,6 @@ from .store import (
     ShardMeta,
     StoreEntry,
     build_result_cache,
-    default_cache_dir,
-    default_cache_max_bytes,
     observation_from_dict,
     observation_to_dict,
     shard_digest,
@@ -95,7 +88,7 @@ from .threads import ThreadPoolBackend
 __all__ = [
     "Executor",
     "EXECUTOR_BACKENDS",
-    "default_backend",
+    "build_executor",
     "default_max_workers",
     "resolve_executor",
     "SerialExecutor",
@@ -103,7 +96,6 @@ __all__ = [
     "ProcessPoolBackend",
     "DistributedExecutor",
     "WorkerInfo",
-    "default_remote_workers",
     "local_worker_pool",
     "parse_worker_addresses",
     "start_local_worker",
@@ -112,8 +104,6 @@ __all__ = [
     "FleetCoordinator",
     "FleetDirectory",
     "WorkerRecord",
-    "default_coordinator_address",
-    "default_elastic",
     "ensure_coordinator",
     "parse_coordinator_address",
     "shutdown_coordinators",
@@ -133,8 +123,6 @@ __all__ = [
     "ShardCostRecord",
     "StoreEntry",
     "build_result_cache",
-    "default_cache_dir",
-    "default_cache_max_bytes",
     "observation_from_dict",
     "observation_to_dict",
     "shard_digest",
@@ -143,8 +131,6 @@ __all__ = [
     "ShardCostModel",
     "calibrate_costs",
     "chunk_spans",
-    "default_chunk_tasks",
-    "default_schedule",
     "lpt_order",
     "resolve_chunk_tasks",
 ]

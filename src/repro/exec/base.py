@@ -17,7 +17,7 @@ implement it:
   picklable;
 * :class:`~repro.exec.remote.DistributedExecutor` — shard specs shipped
   over RPC to ``python -m repro.dataset worker`` processes on any
-  machine (``REPRO_REMOTE_WORKERS`` / ``--remote-workers``).  Only
+  machine (``--remote-workers`` or an elastic fleet).  Only
   :meth:`Executor.map_specs` distributes; generic :meth:`Executor.map`
   work runs locally.
 
@@ -34,30 +34,23 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from ..errors import ConfigurationError
+from ..settings import EXECUTOR_BACKENDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dataset.records import AddressObservation
+    from ..settings import RunSettings
     from .spec import ShardSpec
 
 __all__ = [
     "Executor",
     "EXECUTOR_BACKENDS",
+    "build_executor",
     "resolve_executor",
-    "default_backend",
     "default_max_workers",
 ]
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
-
-
-def default_backend() -> str:
-    """Backend name from the ``REPRO_EXEC_BACKEND`` environment variable.
-
-    Serial when unset.  Both CLIs fall back to this when ``--backend`` is
-    not given, as does the experiment context.
-    """
-    return os.environ.get("REPRO_EXEC_BACKEND", "serial")
 
 
 def default_max_workers() -> int:
@@ -137,15 +130,6 @@ def _backend_factories() -> dict[str, Callable[..., Executor]]:
     }
 
 
-#: Names accepted by :func:`resolve_executor` (and the ``--backend`` CLI
-#: flags / ``REPRO_EXEC_BACKEND`` environment variable).  The ``remote``
-#: backend additionally needs worker addresses (``REPRO_REMOTE_WORKERS``
-#: or the ``--remote-workers`` CLI flag).
-EXECUTOR_BACKENDS: tuple[str, ...] = (
-    "serial", "thread", "process", "remote",
-)
-
-
 def resolve_executor(
     spec: "Executor | str | None",
     max_workers: int | None = None,
@@ -170,3 +154,25 @@ def resolve_executor(
     if spec == "serial":
         return factory()
     return factory(max_workers=max_workers)
+
+
+def build_executor(
+    settings: "RunSettings", max_workers: int | None = None
+) -> Executor:
+    """The executor a resolved :class:`~repro.settings.RunSettings` names.
+
+    Where the remote backend's fleet knobs become an object: a static
+    fleet from ``settings.remote_workers``, or with ``settings.elastic``
+    the process-wide membership coordinator bound to
+    ``settings.coordinator``.
+    """
+    if settings.backend != "remote":
+        return resolve_executor(settings.backend, max_workers)
+    from .membership import ensure_coordinator
+    from .remote import DistributedExecutor
+
+    if settings.elastic:
+        return DistributedExecutor(
+            elastic=True, coordinator=ensure_coordinator(settings.coordinator)
+        )
+    return DistributedExecutor(workers=settings.remote_workers)

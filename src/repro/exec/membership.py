@@ -45,21 +45,18 @@ from ..core.retry import BackoffPolicy
 from ..errors import ConfigurationError, TransportError
 from ..net.clock import Clock, RealClock
 from ..net.rpc import RpcClient, RpcRemoteError, RpcServer
+from ..settings import DEFAULT_COORDINATOR, parse_coordinator_address
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.faults import FaultProfile
 
 __all__ = [
-    "COORDINATOR_ENV",
     "DEFAULT_COORDINATOR",
-    "ELASTIC_ENV",
     "CoordinatorLink",
     "FleetCoordinator",
     "FleetDirectory",
     "WorkerRecord",
     "WORKER_STATES",
-    "default_coordinator_address",
-    "default_elastic",
     "ensure_coordinator",
     "fleet_snapshot",
     "parse_coordinator_address",
@@ -67,51 +64,10 @@ __all__ = [
     "worker_identity",
 ]
 
-#: Environment variable switching ``--backend remote`` into elastic mode
-#: (consume the membership directory instead of a static worker list).
-ELASTIC_ENV = "REPRO_ELASTIC"
-
-#: Environment variable naming the coordinator bind address workers join
-#: (``--coordinator`` on the CLIs, ``--join`` on the worker).
-COORDINATOR_ENV = "REPRO_COORDINATOR"
-
-#: Default coordinator address when elastic mode is on and nothing names
-#: one.  A fixed port — not 0 — because workers must be able to find it.
-DEFAULT_COORDINATOR = "127.0.0.1:7070"
-
 #: Worker states.  ``live`` and ``suspect`` are dispatchable; ``dead``
 #: (missed beats past the timeout) and ``left`` (graceful deregister)
 #: are terminal until the worker registers again.
 WORKER_STATES = ("live", "suspect", "dead", "left")
-
-
-def default_elastic() -> bool:
-    """Elastic-mode default from ``REPRO_ELASTIC``."""
-    return os.environ.get(ELASTIC_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
-def parse_coordinator_address(raw: str) -> tuple[str, int]:
-    """Parse one ``host:port`` coordinator address."""
-    host, _, port = raw.strip().rpartition(":")
-    if not host:
-        raise ConfigurationError(
-            f"coordinator address {raw!r} is not host:port"
-        )
-    try:
-        return (host, int(port))
-    except ValueError:
-        raise ConfigurationError(
-            f"coordinator address {raw!r} has a non-integer port"
-        ) from None
-
-
-def default_coordinator_address() -> tuple[str, int]:
-    """Coordinator address from ``REPRO_COORDINATOR`` (or the default)."""
-    return parse_coordinator_address(
-        os.environ.get(COORDINATOR_ENV, "").strip() or DEFAULT_COORDINATOR
-    )
 
 
 @dataclass
@@ -544,15 +500,13 @@ class FleetCoordinator:
 
 
 # ----------------------------------------------------------------------
-# Process-wide coordinator (the --elastic / REPRO_ELASTIC path)
+# Process-wide coordinator (the elastic remote backend's)
 # ----------------------------------------------------------------------
 _coordinators: dict[tuple[str, int], FleetCoordinator] = {}
 _coordinators_lock = threading.Lock()
 
 
-def ensure_coordinator(
-    address: tuple[str, int] | None = None,
-) -> FleetCoordinator:
+def ensure_coordinator(address: tuple[str, int]) -> FleetCoordinator:
     """The process-wide coordinator bound to ``address`` (started once).
 
     Every elastic :class:`~repro.exec.remote.DistributedExecutor` in a
@@ -561,8 +515,6 @@ def ensure_coordinator(
     The coordinator lives for the process; :func:`shutdown_coordinators`
     exists for test hygiene.
     """
-    if address is None:
-        address = default_coordinator_address()
     key = (address[0], int(address[1]))
     with _coordinators_lock:
         coordinator = _coordinators.get(key)
@@ -573,8 +525,8 @@ def ensure_coordinator(
                 raise ConfigurationError(
                     f"cannot bind the elastic coordinator on "
                     f"{key[0]}:{key[1]}: {exc} (is another coordinator "
-                    "already running there? set REPRO_COORDINATOR to a "
-                    "free host:port)"
+                    "already running there? pass --coordinator or set "
+                    "REPRO_COORDINATOR to a free host:port)"
                 ) from exc
             coordinator.start()
             _coordinators[key] = coordinator

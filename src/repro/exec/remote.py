@@ -26,7 +26,7 @@ coordinator half of shipping those specs off-machine:
   specs are idempotent pure functions, so re-running one elsewhere is
   always safe.  Only when *every* worker is gone with work still pending
   does the run fail;
-* in **elastic mode** (``--elastic`` / ``REPRO_ELASTIC``) the fleet is
+* in **elastic mode** (``elastic=True`` with a coordinator) the fleet is
   not a static list at all: the coordinator runs a membership directory
   (:mod:`repro.exec.membership`) that workers join with ``python -m
   repro.dataset worker --join host:port``, and ``map_specs`` watches it
@@ -39,15 +39,16 @@ coordinator half of shipping those specs off-machine:
 
 Generic :meth:`Executor.map` work — closures over live objects — cannot
 cross a machine boundary and is deliberately **not** shipped: it degrades
-to a local in-order loop, so a process-wide ``REPRO_EXEC_BACKEND=remote``
-still runs every non-spec consumer correctly (and the curation pipeline,
-the only spec producer, is the only thing that actually distributes).
+to a local in-order loop, so a run-wide remote backend still runs every
+non-spec consumer correctly (and the curation pipeline, the only spec
+producer, is the only thing that actually distributes).
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import select
 import subprocess
 import sys
 import threading
@@ -60,13 +61,9 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 from ..errors import ConfigurationError, TransportError
 from ..net.faults import FaultProfile
 from ..net.rpc import RpcBusyError, RpcClient, RpcRemoteError
+from ..settings import parse_worker_addresses
 from .base import Executor
-from .membership import (
-    FleetCoordinator,
-    WorkerRecord,
-    default_elastic,
-    ensure_coordinator,
-)
+from .membership import FleetCoordinator, WorkerRecord
 from .spec import spec_to_wire
 from .store import observation_from_dict
 
@@ -77,7 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DistributedExecutor",
     "WorkerInfo",
-    "default_remote_workers",
     "local_worker_pool",
     "parse_worker_addresses",
     "start_local_worker",
@@ -86,41 +82,6 @@ __all__ = [
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
-
-#: Environment variable naming the worker fleet as a comma-separated list
-#: of ``host:port`` addresses (the ``--remote-workers`` CLI flag
-#: overrides it).
-REMOTE_WORKERS_ENV = "REPRO_REMOTE_WORKERS"
-
-
-def parse_worker_addresses(raw: str) -> tuple[tuple[str, int], ...]:
-    """Parse ``host:port,host:port,...`` into address tuples.
-
-    >>> parse_worker_addresses("127.0.0.1:7071, 127.0.0.1:7072")
-    (('127.0.0.1', 7071), ('127.0.0.1', 7072))
-    """
-    addresses: list[tuple[str, int]] = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        host, _, port = piece.rpartition(":")
-        if not host:
-            raise ConfigurationError(
-                f"worker address {piece!r} is not host:port"
-            )
-        try:
-            addresses.append((host, int(port)))
-        except ValueError:
-            raise ConfigurationError(
-                f"worker address {piece!r} has a non-integer port"
-            ) from None
-    return tuple(addresses)
-
-
-def default_remote_workers() -> tuple[tuple[str, int], ...]:
-    """Worker addresses from ``REPRO_REMOTE_WORKERS`` (empty when unset)."""
-    return parse_worker_addresses(os.environ.get(REMOTE_WORKERS_ENV, ""))
 
 
 @dataclass
@@ -141,10 +102,9 @@ class DistributedExecutor(Executor):
     """Executes shard specs on a fleet of remote worker processes.
 
     Args:
-        workers: Worker addresses — a ``host:port,...`` string, a
-            sequence of such strings, or ``(host, port)`` tuples.  None
-            reads ``REPRO_REMOTE_WORKERS`` (how ``--backend remote``
-            resolves); an empty fleet is a configuration error.
+        workers: Worker addresses — a ``host:port,...`` string or
+            ``(host, port)`` tuples.  An empty fleet is a configuration
+            error (static mode).
         call_timeout: Per-RPC socket timeout, seconds.  One RPC executes
             one spec, so this bounds a single dispatch unit's wall time.
         max_workers: Accepted for registry symmetry; ignored (per-worker
@@ -155,13 +115,9 @@ class DistributedExecutor(Executor):
         elastic: Consume a live membership directory
             (:mod:`repro.exec.membership`) instead of a static list:
             workers join/leave mid-run and ``map_specs`` follows.
-            ``None`` resolves to True when a ``coordinator`` is passed,
-            else to ``REPRO_ELASTIC`` (only when no static ``workers``
-            were given — an explicit fleet always means static mode).
-        coordinator: A started :class:`~repro.exec.membership.
-            FleetCoordinator` to consume (elastic mode).  None starts
-            (or reuses) the process-wide coordinator bound to
-            ``REPRO_COORDINATOR``.
+        coordinator: The started :class:`~repro.exec.membership.
+            FleetCoordinator` an elastic executor consumes (for example
+            :func:`~repro.exec.membership.ensure_coordinator`'s).
         join_timeout: Elastic mode only: how long ``map_specs`` tolerates
             an *empty* fleet — at the start of a run (workers may still
             be joining) or after losing every worker (a replacement may
@@ -172,63 +128,47 @@ class DistributedExecutor(Executor):
 
     def __init__(
         self,
-        workers: "Sequence[tuple[str, int] | str] | str | None" = None,
+        workers: "Sequence[tuple[str, int]] | str | None" = None,
         call_timeout: float = 600.0,
         max_workers: int | None = None,
         fault_profile: "FaultProfile | str | None" = None,
-        elastic: bool | None = None,
+        elastic: bool = False,
         coordinator: "FleetCoordinator | None" = None,
         join_timeout: float = 30.0,
     ) -> None:
         del max_workers  # width comes from the workers themselves
         self.fault_profile = fault_profile
         self.join_timeout = join_timeout
-        if elastic is None:
-            elastic = coordinator is not None or (
-                workers is None and default_elastic()
-            )
+        self.call_timeout = call_timeout
         self.elastic = elastic
         self._coordinator = coordinator
+        self._probed = False
+        self._probe_lock = threading.Lock()
         if elastic:
             if workers is not None:
                 raise ConfigurationError(
                     "elastic mode consumes the membership directory; do "
                     "not also pass a static worker list"
                 )
-            if self._coordinator is None:
-                self._coordinator = ensure_coordinator()
-            self.call_timeout = call_timeout
-            self._workers: list[WorkerInfo] = []
-            self._probed = False
-            self._probe_lock = threading.Lock()
-            return
-        if workers is None:
-            addresses = default_remote_workers()
-            if not addresses:
+            if coordinator is None:
                 raise ConfigurationError(
-                    "the remote backend needs worker addresses: set "
-                    f"{REMOTE_WORKERS_ENV} or pass --remote-workers "
-                    "host:port,... (start workers with "
-                    "`python -m repro.dataset worker`), or run elastic "
-                    "(--elastic / REPRO_ELASTIC=1) and have workers "
-                    "--join the coordinator"
+                    "elastic mode needs a coordinator (see "
+                    "repro.exec.membership.ensure_coordinator)"
                 )
-        elif isinstance(workers, str):
-            addresses = parse_worker_addresses(workers)
-        else:
-            flat: list[tuple[str, int]] = []
-            for worker in workers:
-                if isinstance(worker, str):
-                    flat.extend(parse_worker_addresses(worker))
-                else:
-                    flat.append((worker[0], int(worker[1])))
-            addresses = tuple(flat)
+            self._workers: list[WorkerInfo] = []
+            return
+        if isinstance(workers, str):
+            workers = parse_worker_addresses(workers)
+        addresses = [(host, int(port)) for host, port in workers or ()]
         if not addresses:
-            raise ConfigurationError("the remote backend needs >= 1 worker")
-        self.call_timeout = call_timeout
+            raise ConfigurationError(
+                "the remote backend needs >= 1 worker address: set "
+                "REPRO_REMOTE_WORKERS or pass --remote-workers "
+                "host:port,... (start workers with `python -m "
+                "repro.dataset worker`), or run elastic (--elastic / "
+                "REPRO_ELASTIC=1) and have workers --join the coordinator"
+            )
         self._workers = [WorkerInfo(address) for address in addresses]
-        self._probed = False
-        self._probe_lock = threading.Lock()
 
     @property
     def coordinator(self) -> "FleetCoordinator | None":
@@ -783,28 +723,29 @@ def _await_worker_banner(
     """Parse ``... listening on host:port`` from a worker's stdout.
 
     Bounded by ``timeout`` even against a worker that hangs without
-    printing anything: the pipe is polled with ``select`` so a blocked
-    ``readline`` can never outlive the deadline.
+    printing anything: the pipe's descriptor is polled with ``select``
+    and read with ``os.read``, and lines are split here.  A buffered
+    ``readline`` would be wrong: a line written just before the banner
+    can pull the banner into the reader's buffer, where ``select`` no
+    longer sees it.
     """
-    import select as _select
-    import time as _time
-
-    deadline = _time.monotonic() + timeout
+    deadline = time.monotonic() + timeout
     assert proc.stdout is not None
-    while _time.monotonic() < deadline:
+    fd = proc.stdout.fileno()
+    marker = b" listening on "
+    pending = b""
+    while time.monotonic() < deadline:
         if proc.poll() is not None:
             raise TransportError(
                 f"worker exited with {proc.returncode} before listening"
             )
-        ready, _, _ = _select.select([proc.stdout], [], [], 0.2)
+        ready, _, _ = select.select([fd], [], [], 0.2)
         if not ready:
             continue
-        line = proc.stdout.readline()
-        if not line:
-            continue
-        marker = " listening on "
-        if marker in line:
-            address = line.rsplit(marker, 1)[1].strip().split()[0]
-            host, _, port = address.rpartition(":")
-            return (host, int(port))
+        *lines, pending = (pending + os.read(fd, 65536)).split(b"\n")
+        for line in lines:
+            if marker in line:
+                address = line.rsplit(marker, 1)[1].split()[0].decode()
+                host, _, port = address.rpartition(":")
+                return (host, int(port))
     raise TransportError("worker did not announce a listening address in time")

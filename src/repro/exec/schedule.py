@@ -32,11 +32,11 @@ and the merged dataset never depends on that order at all.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ..errors import ConfigurationError
+from ..settings import SCHEDULE_MODES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .spec import ShardSpec
@@ -48,60 +48,14 @@ __all__ = [
     "ShardCostModel",
     "calibrate_costs",
     "chunk_spans",
-    "default_chunk_tasks",
-    "default_schedule",
     "lpt_order",
-    "parse_chunk_tasks",
     "resolve_chunk_tasks",
 ]
-
-#: Dispatch-order modes: ``"lpt"`` (longest processing time first, the
-#: default) and ``"fifo"`` (enumeration order — PR 3 behavior).
-SCHEDULE_MODES: tuple[str, ...] = ("lpt", "fifo")
-
-#: Environment variable selecting the dispatch-order mode.
-SCHEDULE_ENV = "REPRO_SCHEDULE"
-
-#: Environment variable for the sub-shard chunk cap (an integer task
-#: count, or ``auto`` to size chunks from the executor width).
-CHUNK_TASKS_ENV = "REPRO_CHUNK_TASKS"
 
 #: ``auto`` chunking never makes a chunk smaller than this: below ~a dozen
 #: tasks the per-chunk setup (fresh transport, BAT application, address
 #: index) outweighs the packing benefit.
 MIN_AUTO_CHUNK_TASKS = 12
-
-
-def default_schedule() -> str:
-    """Dispatch mode from ``REPRO_SCHEDULE`` (``lpt`` when unset)."""
-    return os.environ.get(SCHEDULE_ENV, "").strip() or "lpt"
-
-
-def parse_chunk_tasks(raw: str) -> "int | str":
-    """Parse a chunk-cap spec: an integer task count or ``auto``.
-
-    The one parser behind both ``REPRO_CHUNK_TASKS`` and the CLIs'
-    ``--chunk-tasks`` flag, so the two knobs can never drift apart.
-    """
-    if raw.lower() == "auto":
-        return "auto"
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"chunk-tasks must be an integer or 'auto', not {raw!r}"
-        ) from None
-
-
-def default_chunk_tasks() -> "int | str | None":
-    """Chunk cap from ``REPRO_CHUNK_TASKS`` (None when unset).
-
-    Accepts an integer task count or the string ``auto``.
-    """
-    raw = os.environ.get(CHUNK_TASKS_ENV, "").strip()
-    if not raw:
-        return None
-    return parse_chunk_tasks(raw)
 
 
 @dataclass(frozen=True)

@@ -35,13 +35,12 @@ hashes like) the original — which is what keys the worker-side memos.
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ..errors import ConfigurationError
+from ..memo import Memo
 
 if TYPE_CHECKING:  # runtime-lazy: repro.dataset imports repro.exec back
     from ..addresses.noise import NoisyAddress
@@ -220,14 +219,10 @@ def spec_from_wire(wire: Mapping) -> ShardSpec:
 # City ground truth is a pure (and expensive) function of (world config,
 # city).  The coordinator pre-seeds this memo with its already-built
 # cities before dispatching to a local backend (fork-started process
-# workers inherit the seeded dict; threads share it outright), and a
-# remote worker fills it on first touch.  Guarded by a lock because a
-# worker serves concurrent RPC connections from one process.
-_CITY_WORLD_MEMO: "dict[tuple[WorldConfig, str], CityWorld]" = {}
-_CITY_WORLD_LOCK = threading.Lock()
-# Per-key build guards so two concurrent requests for the same city build
-# it once, not twice.
-_CITY_WORLD_BUILDING: "dict[tuple[WorldConfig, str], threading.Event]" = {}
+# workers inherit the seeded table; threads share it outright), and a
+# remote worker fills it on first touch, once per city however many RPC
+# connections miss on it together.
+_CITY_WORLDS: "Memo[tuple[WorldConfig, str], CityWorld]" = Memo()
 
 # The canonical task sample of one whole (city, ISP) shard, keyed by
 # everything the sample is a function of: world config, coordinates, and
@@ -235,9 +230,7 @@ _CITY_WORLD_BUILDING: "dict[tuple[WorldConfig, str], threading.Event]" = {}
 # differently).  Chunked specs of the same shard slice this instead of
 # re-sampling the city per chunk.  Bounded: a worker cycles through a
 # handful of shards at a time.
-_TASKS_MEMO: "OrderedDict[tuple, tuple[NoisyAddress, ...]]" = OrderedDict()
-_TASKS_MEMO_MAX = 32
-_TASKS_LOCK = threading.Lock()
+_SHARD_TASKS: "Memo[tuple, tuple[NoisyAddress, ...]]" = Memo(maxsize=32)
 
 
 def seed_city_worlds(
@@ -248,73 +241,41 @@ def seed_city_worlds(
     Returns the keys that were actually inserted (not already present),
     so the caller can release exactly those afterwards.
     """
-    seeded: "list[tuple[WorldConfig, str]]" = []
-    with _CITY_WORLD_LOCK:
-        for key, city_world in worlds.items():
-            if key not in _CITY_WORLD_MEMO:
-                _CITY_WORLD_MEMO[key] = city_world
-                seeded.append(key)
-    return seeded
+    return [
+        key
+        for key, city_world in worlds.items()
+        if _CITY_WORLDS.put_if_absent(key, city_world)
+    ]
 
 
 def release_city_worlds(keys: "Iterable[tuple[WorldConfig, str]]") -> None:
     """Drop previously seeded cities from the memo."""
-    with _CITY_WORLD_LOCK:
-        for key in keys:
-            _CITY_WORLD_MEMO.pop(key, None)
+    for key in keys:
+        _CITY_WORLDS.pop(key)
 
 
 def _city_world_for(world_config: "WorldConfig", city: str) -> "CityWorld":
     from ..world import build_city_world
 
-    key = (world_config, city)
-    while True:
-        with _CITY_WORLD_LOCK:
-            built = _CITY_WORLD_MEMO.get(key)
-            if built is not None:
-                return built
-            pending = _CITY_WORLD_BUILDING.get(key)
-            if pending is None:
-                pending = threading.Event()
-                _CITY_WORLD_BUILDING[key] = pending
-                building = True
-            else:
-                building = False
-        if not building:
-            # Another thread is building this city; wait and re-check.
-            pending.wait()
-            continue
-        try:
-            built = build_city_world(world_config, city)
-            with _CITY_WORLD_LOCK:
-                _CITY_WORLD_MEMO[key] = built
-            return built
-        finally:
-            with _CITY_WORLD_LOCK:
-                _CITY_WORLD_BUILDING.pop(key, None)
-            pending.set()
+    return _CITY_WORLDS.get(
+        (world_config, city), lambda: build_city_world(world_config, city)
+    )
 
 
 def full_shard_tasks(spec: ShardSpec) -> "tuple[NoisyAddress, ...]":
     """The whole shard's canonical task sample (ignores the chunk span)."""
     from ..dataset.curation import _shard_tasks
 
+    def build() -> "tuple[NoisyAddress, ...]":
+        city_world = _city_world_for(spec.world, spec.city)
+        return tuple(
+            _shard_tasks(
+                city_world, spec.isp, spec.config.sampling, spec.world.seed
+            )
+        )
+
     key = (spec.world, spec.city, spec.isp, spec.config.sampling)
-    with _TASKS_LOCK:
-        tasks = _TASKS_MEMO.get(key)
-        if tasks is not None:
-            _TASKS_MEMO.move_to_end(key)
-            return tasks
-    city_world = _city_world_for(spec.world, spec.city)
-    tasks = tuple(
-        _shard_tasks(city_world, spec.isp, spec.config.sampling, spec.world.seed)
-    )
-    with _TASKS_LOCK:
-        _TASKS_MEMO[key] = tasks
-        _TASKS_MEMO.move_to_end(key)
-        while len(_TASKS_MEMO) > _TASKS_MEMO_MAX:
-            _TASKS_MEMO.popitem(last=False)
-    return tasks
+    return _SHARD_TASKS.get(key, build)
 
 
 def spec_tasks(spec: ShardSpec) -> "tuple[NoisyAddress, ...]":

@@ -81,8 +81,6 @@ __all__ = [
     "StoreEntry",
     "DiskShardStore",
     "shard_digest",
-    "default_cache_dir",
-    "default_cache_max_bytes",
     "build_result_cache",
     "observation_to_dict",
     "observation_from_dict",
@@ -92,13 +90,6 @@ __all__ = [
 #: readers treat every other version as a miss.
 STORE_VERSION = 1
 
-#: Environment variable naming the on-disk cache root (CLI ``--cache-dir``
-#: overrides it; unset means memory-only caching).
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable capping the store size in bytes (optional).
-CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
-
 
 def shard_digest(keys: Sequence[str]) -> str:
     """Content address of one shard: digest of its ordered address keys."""
@@ -107,18 +98,6 @@ def shard_digest(keys: Sequence[str]) -> str:
         hasher.update(key.encode("ascii"))
         hasher.update(b"\n")
     return hasher.hexdigest()
-
-
-def default_cache_dir() -> Path | None:
-    """Store root from ``REPRO_CACHE_DIR`` (None when unset/empty)."""
-    raw = os.environ.get(CACHE_DIR_ENV, "").strip()
-    return Path(raw) if raw else None
-
-
-def default_cache_max_bytes() -> int | None:
-    """Byte cap from ``REPRO_CACHE_MAX_BYTES`` (None when unset/empty)."""
-    raw = os.environ.get(CACHE_MAX_BYTES_ENV, "").strip()
-    return int(raw) if raw else None
 
 
 @dataclass(frozen=True)
@@ -702,18 +681,14 @@ def build_result_cache(
 ):
     """Assemble a :class:`~repro.exec.cache.QueryResultCache` from knobs.
 
-    Resolution order mirrors the CLIs: an explicit ``cache_dir`` wins,
-    then ``REPRO_CACHE_DIR``; with neither, the cache is memory-only.
-    ``enabled=False`` (the ``--no-cache`` flag) returns None — no caching
-    at any tier.
+    With a ``cache_dir`` the cache gains an on-disk tier there, capped
+    at ``max_bytes``; without one it is memory-only.  ``enabled=False``
+    (the ``--no-cache`` flag) returns None — no caching at any tier.
     """
     from .cache import QueryResultCache
 
     if not enabled:
         return None
-    root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    if root is None:
+    if cache_dir is None:
         return QueryResultCache()
-    if max_bytes is None:
-        max_bytes = default_cache_max_bytes()
-    return QueryResultCache(store=DiskShardStore(root, max_bytes=max_bytes))
+    return QueryResultCache(store=DiskShardStore(cache_dir, max_bytes=max_bytes))

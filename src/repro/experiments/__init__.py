@@ -18,8 +18,6 @@ from .context import (
     ExperimentContext,
     clear_context_cache,
     context_cache_size,
-    default_backend,
-    default_scale,
     get_context,
     shared_result_cache,
 )
@@ -50,8 +48,6 @@ __all__ = [
     "ExperimentContext",
     "clear_context_cache",
     "context_cache_size",
-    "default_backend",
-    "default_scale",
     "get_context",
     "shared_result_cache",
 ]

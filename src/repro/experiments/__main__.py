@@ -17,7 +17,7 @@ from pathlib import Path
 from ..dataset.cli import (
     add_backend_arguments,
     add_scheduling_arguments,
-    resolve_backend_choice,
+    settings_from_args,
 )
 from . import ALL_EXPERIMENTS, get_context
 
@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
                         default=Path("benchmarks/output"))
     add_scheduling_arguments(parser)
     args = parser.parse_args(argv)
-    backend = resolve_backend_choice(args)
+    settings = settings_from_args(args)
 
     names = args.only if args.only else sorted(ALL_EXPERIMENTS)
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
@@ -64,11 +64,8 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         min_samples=args.min_samples,
         cities=tuple(args.cities) if args.cities else None,
-        backend=backend,
-        cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
+        settings=settings,
         use_cache=not args.no_cache,
-        schedule=args.schedule,
-        chunk_tasks=args.chunk_tasks,
     )
     print(f"context ready in {time.time() - started:.0f}s: "
           f"{len(context.dataset)} observations\n")

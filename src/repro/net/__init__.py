@@ -3,7 +3,6 @@
 from .clock import Clock, RealClock, VirtualClock
 from .cookies import CookieJar, parse_set_cookie
 from .faults import (
-    FAULT_PROFILE_ENV,
     FaultAction,
     FaultInjector,
     FaultProfile,
@@ -25,7 +24,6 @@ from .tcp import TcpBatServer, TcpTransport
 from .transport import RENDER_HEADER, BatServerApp, InProcessTransport, Transport
 
 __all__ = [
-    "FAULT_PROFILE_ENV",
     "FaultAction",
     "FaultInjector",
     "FaultProfile",

@@ -9,7 +9,8 @@ A :class:`FaultProfile` is pure configuration: a seed plus per-direction
 fault rates (``client`` = everything a client endpoint sends, ``server``
 = everything a server endpoint sends).  Endpoints resolve their profile
 from the ``fault_profile=`` constructor knob, falling back to the
-``REPRO_FAULT_PROFILE`` environment variable; when neither is set the
+``REPRO_FAULT_PROFILE`` environment variable (read through
+:func:`repro.settings.ambient_fault_profile`); when neither is set the
 profile is ``None`` and the production code paths are untouched — no
 wrapper objects, no per-frame draws, zero overhead.
 
@@ -54,7 +55,6 @@ against a chaos-enabled environment).
 
 from __future__ import annotations
 
-import os
 import random
 import socket as _socket
 import time as _time
@@ -62,9 +62,9 @@ from dataclasses import dataclass, field, fields, replace
 
 from ..errors import ConfigurationError
 from ..seeding import derive_seed
+from ..settings import ambient_fault_profile
 
 __all__ = [
-    "FAULT_PROFILE_ENV",
     "FaultAction",
     "FaultInjector",
     "FaultProfile",
@@ -72,10 +72,6 @@ __all__ = [
     "FaultySocket",
     "resolve_fault_profile",
 ]
-
-#: Environment variable holding the process-wide fault profile spec.
-FAULT_PROFILE_ENV = "REPRO_FAULT_PROFILE"
-
 
 @dataclass(frozen=True)
 class FaultRates:
@@ -204,11 +200,6 @@ class FaultProfile:
             delay_seconds=delay_seconds,
         )
 
-    @classmethod
-    def from_env(cls) -> "FaultProfile | None":
-        """The process-wide profile from ``REPRO_FAULT_PROFILE``."""
-        return cls.from_spec(os.environ.get(FAULT_PROFILE_ENV, ""))
-
     def scaled(self, factor: float) -> "FaultProfile":
         """A copy with every rate multiplied by ``factor`` (clamped)."""
 
@@ -234,7 +225,7 @@ def resolve_fault_profile(
     non-zero rate resolve to None so endpoints skip wrapping entirely.
     """
     if knob is None:
-        profile = FaultProfile.from_env()
+        profile = ambient_fault_profile(FaultProfile.from_spec)
     elif isinstance(knob, str):
         profile = FaultProfile.from_spec(knob)
     elif isinstance(knob, FaultProfile):

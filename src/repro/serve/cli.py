@@ -10,10 +10,10 @@ until interrupted::
         --cache-dir /tmp/serve-cache --rate 20 --slo-ms 500
 
 The startup banner contains ``" listening on "`` and is the first line on
-stdout; progress lines go to stderr.  Launchers wait for the banner with
-``select`` on the pipe and a buffered ``readline``: a line written just
-before the banner can pull it into the reader's buffer, where ``select``
-no longer sees it.
+stdout; progress lines go to stderr.  Some launchers wait for the banner
+with ``select`` on the pipe and a buffered ``readline``, where a line
+written just before the banner can pull it into the reader's buffer and
+out of ``select``'s sight.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ import sys
 import time
 from pathlib import Path
 
-from ..dataset.cli import add_backend_arguments, resolve_backend_choice
+from ..dataset.cli import add_backend_arguments, settings_from_args
 from ..dataset.curation import CurationConfig
 from ..dataset.sampling import SamplingConfig
-from ..exec.base import default_backend, resolve_executor
+from ..exec.base import build_executor
 from ..exec.store import build_result_cache
 from ..world import WorldConfig, build_world
 from .admission import AdmissionConfig, AdmissionController, CircuitBreaker
@@ -121,7 +121,7 @@ def serve_main(argv: list[str]) -> int:
                              "serving endpoint's frames (overrides "
                              "REPRO_FAULT_PROFILE; 'off' disables)")
     args = parser.parse_args(argv)
-    backend = resolve_backend_choice(args)
+    settings = settings_from_args(args)
 
     started = time.time()
     world = build_world(
@@ -134,13 +134,8 @@ def serve_main(argv: list[str]) -> int:
     print(f"world built in {time.time() - started:.0f}s "
           f"({len(world.cities)} cities)", file=sys.stderr, flush=True)
 
-    cache = build_result_cache(
-        cache_dir=args.cache_dir, max_bytes=args.cache_max_bytes
-    )
-    executor = resolve_executor(
-        backend if backend is not None else default_backend(),
-        max_workers=args.max_workers,
-    )
+    cache = build_result_cache(settings.cache_dir, settings.cache_max_bytes)
+    executor = build_executor(settings, max_workers=args.max_workers)
     config = CurationConfig(
         sampling=SamplingConfig(
             fraction=args.fraction, min_samples=args.min_samples

@@ -3,10 +3,11 @@
 The fixtures are session-scoped because world construction and curation
 dominate test time; individual tests must treat them as read-only.
 
-Both curated-dataset fixtures run their pipelines through
-``build_result_cache()``: memory-only normally, and with an on-disk tier
-when ``REPRO_CACHE_DIR`` is set — which is exactly what the CI warm-cache
-job does to make a second suite run skip every BQT replay.  Caching never
+Both curated-dataset fixtures are a settings edge: they resolve the cache
+knobs with :meth:`RunSettings.from_env`, so their pipelines run memory-only
+normally and with an on-disk tier when ``REPRO_CACHE_DIR`` is set — which
+is exactly what the CI warm-cache job does to make a second suite run skip
+every BQT replay.  Caching never
 changes the datasets (byte-identical reuse is the cache's contract,
 enforced by tests/test_cache_persistence.py), so tests see the same
 fixtures either way.
@@ -19,6 +20,7 @@ import pytest
 from repro.dataset import CurationConfig, CurationPipeline, SamplingConfig
 from repro.exec import build_result_cache
 from repro.experiments import clear_context_cache
+from repro.settings import RunSettings
 from repro.world import WorldConfig, build_world
 
 TEST_SEED = 42
@@ -38,6 +40,11 @@ def nola(tiny_world):
     return tiny_world.city("new-orleans")
 
 
+def _env_result_cache():
+    settings = RunSettings.from_env()
+    return build_result_cache(settings.cache_dir, settings.cache_max_bytes)
+
+
 @pytest.fixture(scope="session")
 def tiny_dataset(tiny_world):
     """A curated dataset over the tiny world (min 8 samples per BG)."""
@@ -46,7 +53,7 @@ def tiny_dataset(tiny_world):
         CurationConfig(
             sampling=SamplingConfig(fraction=0.10, min_samples=8), n_workers=20
         ),
-        cache=build_result_cache(),
+        cache=_env_result_cache(),
     )
     return pipeline.curate()
 
@@ -66,7 +73,7 @@ def two_city_dataset(two_city_world):
         CurationConfig(
             sampling=SamplingConfig(fraction=0.10, min_samples=8), n_workers=20
         ),
-        cache=build_result_cache(),
+        cache=_env_result_cache(),
     )
     return pipeline.curate()
 

@@ -47,6 +47,7 @@ from repro.experiments import (
     get_context,
     shared_result_cache,
 )
+from repro.settings import RunSettings
 from repro.world import WorldConfig, build_world
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -425,7 +426,8 @@ class TestTwoTierCache:
         explicit = build_result_cache(cache_dir=tmp_path / "x")
         assert explicit.store is not None
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
-        via_env = build_result_cache()
+        assert build_result_cache().store is None  # the library reads no env
+        via_env = build_result_cache(RunSettings.from_env().cache_dir)
         assert via_env.store is not None
         assert via_env.store.root == tmp_path / "env"
 
@@ -692,7 +694,7 @@ class TestContextCacheHygiene:
         assert context_cache_size() == 0
         get_context(scale=0.05, seed=5, min_samples=5, cities=("wichita",))
         assert context_cache_size() == 1
-        shared = shared_result_cache()
+        shared = shared_result_cache(tmp_path / "ctx")
         assert shared.store is not None
         assert shared.store.root == tmp_path / "ctx"
         assert (tmp_path / "ctx" / "manifest.json").exists()
@@ -713,10 +715,10 @@ class TestContextCacheHygiene:
         self, tmp_path, monkeypatch, fresh_context_cache
     ):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        memory_only = shared_result_cache()
+        memory_only = shared_result_cache(RunSettings.from_env().cache_dir)
         assert memory_only.store is None
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
-        disk_backed = shared_result_cache()
+        disk_backed = shared_result_cache(RunSettings.from_env().cache_dir)
         assert disk_backed is not memory_only
         assert disk_backed.store is not None
 

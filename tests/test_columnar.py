@@ -52,12 +52,7 @@ from repro.core.templates import TemplateKind
 from repro.core.workflow import QueryStatus
 from repro.dataset import CurationConfig, CurationPipeline, SamplingConfig
 from repro.dataset import columnar, curation
-from repro.dataset.columnar import (
-    COLUMNAR_ENV,
-    columnar_enabled,
-    hash_address_ids,
-    run_shard_columnar,
-)
+from repro.dataset.columnar import hash_address_ids, run_shard_columnar
 from repro.dataset.curation import (
     _city_address_index,
     _scalar_shard_observations,
@@ -66,9 +61,13 @@ from repro.dataset.curation import (
     hash_address_id,
     index_build_seconds,
 )
+from repro.errors import ConfigurationError
 from repro.exec import DiskShardStore, QueryResultCache
 from repro.net.latency import LatencyModel
+from repro.settings import ambient_columnar
 from repro.world import WorldConfig, build_world
+
+COLUMNAR_ENV = "REPRO_COLUMNAR"
 
 BACKENDS = ["serial", "thread", "process"]
 
@@ -131,16 +130,22 @@ class TestGate:
     @pytest.mark.parametrize("value", ["0", "off", "OFF", "False", " no "])
     def test_disabled_values(self, monkeypatch, value):
         monkeypatch.setenv(COLUMNAR_ENV, value)
-        assert not columnar_enabled()
+        assert not ambient_columnar()
 
-    @pytest.mark.parametrize("value", ["1", "on", "yes", "", "anything"])
+    @pytest.mark.parametrize("value", ["1", "on", "yes", ""])
     def test_enabled_values(self, monkeypatch, value):
         monkeypatch.setenv(COLUMNAR_ENV, value)
-        assert columnar_enabled()
+        assert ambient_columnar()
+
+    @pytest.mark.parametrize("value", ["anything", "disabled"])
+    def test_malformed_values(self, monkeypatch, value):
+        monkeypatch.setenv(COLUMNAR_ENV, value)
+        with pytest.raises(ConfigurationError, match=COLUMNAR_ENV):
+            ambient_columnar()
 
     def test_default_is_enabled(self, monkeypatch):
         monkeypatch.delenv(COLUMNAR_ENV, raising=False)
-        assert columnar_enabled()
+        assert ambient_columnar()
 
     def test_unresolvable_task_gates_whole_shard(self, small_world, monkeypatch):
         """A task the classifier cannot resolve (an empty ZIP renders the

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.errors import ConfigurationError, TransportError
 from repro.exec import (
     DistributedExecutor,
     ShardSpec,
+    build_executor,
     run_shard_spec,
     start_local_worker,
     stop_local_worker,
@@ -37,6 +39,7 @@ from repro.exec.membership import (
     shutdown_coordinators,
 )
 from repro.exec.remote import _await_worker_banner
+from repro.settings import RunSettings
 from repro.world import WorldConfig, build_world
 
 SMALL_CONFIG = CurationConfig(
@@ -454,18 +457,24 @@ def test_elastic_curation_digest_matches_serial(coordinator):
     assert _dispatcher_threads() == []
 
 
+def _free_coordinator_address() -> tuple[str, int]:
+    coord = FleetCoordinator(port=0).start()
+    address = coord.address
+    coord.stop()  # free the port, keep the address
+    return address
+
+
 def test_ensure_coordinator_is_a_process_singleton(monkeypatch):
     """`--elastic` with no explicit coordinator shares one process-wide
     coordinator per bind address, so every executor in a run presents
     workers a single stable membership endpoint."""
-    coord = FleetCoordinator(port=0).start()
-    host, port = coord.address
-    coord.stop()  # free the port, keep the address
+    host, port = _free_coordinator_address()
     monkeypatch.setenv("REPRO_COORDINATOR", f"{host}:{port}")
     monkeypatch.setenv("REPRO_ELASTIC", "1")
+    settings = replace(RunSettings.from_env(), backend="remote")
     try:
-        first = DistributedExecutor()
-        second = DistributedExecutor()
+        first = build_executor(settings)
+        second = build_executor(settings)
         assert first.elastic and second.elastic
         assert first.coordinator is second.coordinator
         assert first.coordinator.address == (host, port)
@@ -485,30 +494,42 @@ def test_elastic_env_does_not_hijack_explicit_static_fleets(monkeypatch):
         DistributedExecutor(workers="")  # empty static fleet still fatal
 
 
-def test_cli_elastic_flag_publishes_env(monkeypatch):
+def test_cli_flags_reach_executor_and_leave_environ_unchanged(monkeypatch):
+    """The CLI's fleet flags travel in the resolved settings to the
+    executor; nothing is published through ``os.environ``."""
     import argparse
     import os
 
-    from repro.dataset.cli import add_backend_arguments, resolve_backend_choice
+    from repro.dataset.cli import add_backend_arguments, settings_from_args
 
-    # resolve_backend_choice writes os.environ directly (that is the
-    # behavior under test), so pin both vars via setenv first: delenv on
-    # an absent var records no undo, and the published values would leak
-    # into later tests.
-    monkeypatch.setenv("REPRO_ELASTIC", "stale")
-    monkeypatch.setenv("REPRO_COORDINATOR", "stale")
-    monkeypatch.delenv("REPRO_ELASTIC")
-    monkeypatch.delenv("REPRO_COORDINATOR")
+    for name in (
+        "REPRO_EXEC_BACKEND", "REPRO_REMOTE_WORKERS", "REPRO_ELASTIC",
+        "REPRO_COORDINATOR",
+    ):
+        monkeypatch.delenv(name, raising=False)
+    environ = dict(os.environ)
     parser = argparse.ArgumentParser()
     add_backend_arguments(parser)
-    args = parser.parse_args(["--elastic", "--coordinator", "127.0.0.1:7171"])
-    assert resolve_backend_choice(args) == "remote"
 
-    assert os.environ["REPRO_ELASTIC"] == "1"
-    assert os.environ["REPRO_COORDINATOR"] == "127.0.0.1:7171"
+    static = build_executor(
+        settings_from_args(parser.parse_args(["--remote-workers", "127.0.0.1:7071"]))
+    )
+    assert static.name == "remote" and not static.elastic
+    assert [worker.address for worker in static.workers] == [("127.0.0.1", 7071)]
+
+    host, port = _free_coordinator_address()
+    args = parser.parse_args(["--elastic", "--coordinator", f"{host}:{port}"])
+    try:
+        elastic = build_executor(settings_from_args(args))
+        assert elastic.elastic
+        assert elastic.coordinator.address == (host, port)
+    finally:
+        shutdown_coordinators()
+    assert dict(os.environ) == environ
+    assert _membership_threads() == []
 
     conflicted = parser.parse_args(
         ["--elastic", "--remote-workers", "127.0.0.1:7071"]
     )
     with pytest.raises(SystemExit, match="elastic"):
-        resolve_backend_choice(conflicted)
+        settings_from_args(conflicted)

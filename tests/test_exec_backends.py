@@ -5,6 +5,8 @@ for byte).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import ContainerFleet
@@ -24,10 +26,12 @@ from repro.exec import (
     ProcessPoolBackend,
     SerialExecutor,
     ThreadPoolBackend,
+    build_executor,
     default_max_workers,
     local_worker_pool,
     resolve_executor,
 )
+from repro.settings import RunSettings
 
 BACKENDS = ["serial", "thread", "process"]
 
@@ -74,8 +78,11 @@ class TestExecutorContract:
         assert not (tmp_path / "rel.csv").exists()
 
     def test_resolve_remote_reads_env_fleet(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ELASTIC", raising=False)
         monkeypatch.setenv("REPRO_REMOTE_WORKERS", "127.0.0.1:7071")
-        executor = resolve_executor("remote")
+        executor = build_executor(
+            replace(RunSettings.from_env(), backend="remote")
+        )
         assert executor.name == "remote"
         assert executor.workers[0].address == ("127.0.0.1", 7071)
 

@@ -90,3 +90,15 @@ class TestExperimentsRunSmall:
         assert set(incomes) == {"new-orleans", "wichita", "oklahoma-city"}
         for city_incomes in incomes.values():
             assert all(v > 0 for v in city_incomes.values())
+
+
+def test_context_follows_a_changed_sample_floor(monkeypatch, fresh_context_cache):
+    """The context memo is keyed by the resolved settings, not by the
+    call's arguments: a changed ``REPRO_BENCH_MIN_SAMPLES`` curates anew."""
+    monkeypatch.setenv("REPRO_BENCH_MIN_SAMPLES", "3")
+    at_three = get_context(scale=0.05, seed=5, cities=("wichita",))
+    assert at_three.curation.sampling.min_samples == 3
+    monkeypatch.setenv("REPRO_BENCH_MIN_SAMPLES", "6")
+    at_six = get_context(scale=0.05, seed=5, cities=("wichita",))
+    assert at_six.curation.sampling.min_samples == 6
+    assert at_six is not at_three

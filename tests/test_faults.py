@@ -25,7 +25,6 @@ from repro.net import (
     frame_http_message,
     resolve_fault_profile,
 )
-from repro.net.faults import FAULT_PROFILE_ENV
 from repro.net.transport import RENDER_HEADER
 
 
@@ -80,14 +79,14 @@ class TestProfileSpec:
             FaultProfile.from_spec(spec)
 
     def test_resolve_falls_back_to_env(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PROFILE_ENV, "seed=9,client.drop=0.25")
+        monkeypatch.setenv("REPRO_FAULT_PROFILE", "seed=9,client.drop=0.25")
         profile = resolve_fault_profile(None)
         assert profile is not None
         assert profile.seed == 9
         assert profile.client.drop == 0.25
 
     def test_off_string_pins_injection_off_despite_env(self, monkeypatch):
-        monkeypatch.setenv(FAULT_PROFILE_ENV, "client.drop=0.5")
+        monkeypatch.setenv("REPRO_FAULT_PROFILE", "client.drop=0.5")
         assert resolve_fault_profile("off") is None
 
     def test_inactive_profile_resolves_to_none(self):

@@ -24,12 +24,11 @@ from repro.errors import ConfigurationError
 from repro.exec.membership import (
     DEFAULT_COORDINATOR,
     FleetDirectory,
-    default_coordinator_address,
-    default_elastic,
     parse_coordinator_address,
     worker_identity,
 )
 from repro.net.clock import VirtualClock
+from repro.settings import RunSettings
 
 ADDR = ("127.0.0.1", 7171)
 
@@ -74,14 +73,14 @@ class TestConfig:
     def test_env_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_ELASTIC", raising=False)
         monkeypatch.delenv("REPRO_COORDINATOR", raising=False)
-        assert default_elastic() is False
-        assert default_coordinator_address() == parse_coordinator_address(
+        assert RunSettings.from_env().elastic is False
+        assert RunSettings.from_env().coordinator == parse_coordinator_address(
             DEFAULT_COORDINATOR
         )
         monkeypatch.setenv("REPRO_ELASTIC", "1")
         monkeypatch.setenv("REPRO_COORDINATOR", "10.0.0.9:9999")
-        assert default_elastic() is True
-        assert default_coordinator_address() == ("10.0.0.9", 9999)
+        assert RunSettings.from_env().elastic is True
+        assert RunSettings.from_env().coordinator == ("10.0.0.9", 9999)
 
     def test_worker_identity_shape(self):
         assert worker_identity("h", 7071, pid=42) == "h:7071/42"

@@ -34,6 +34,7 @@ from repro.exec import (
     spec_from_wire,
     spec_to_wire,
 )
+from repro.exec.remote import _await_worker_banner
 from repro.exec.spec import SPEC_WIRE_VERSION
 from repro.net import RpcClient
 from repro.net.rpc import RpcRemoteError
@@ -453,6 +454,29 @@ def test_banner_is_the_first_stdout_line(argv):
         ready, _, _ = select.select([proc.stdout], [], [], 120.0)
         assert ready, "nothing on stdout within 120 s"
         assert " listening on " in proc.stdout.readline()
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10.0)
+        proc.stdout.close()
+
+
+def test_banner_after_a_line_in_the_same_read_is_found():
+    """A progress line and the banner arriving in one read: the wait
+    splits lines itself, so the banner is not stranded in a reader's
+    buffer where ``select`` cannot see it."""
+    script = (
+        "import sys, time\n"
+        "sys.stdout.write('progress\\n'\n"
+        "                 'repro worker pid 1 listening on 127.0.0.1:4321\\n')\n"
+        "sys.stdout.flush()\n"
+        "time.sleep(30)\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    try:
+        assert _await_worker_banner(proc, 3.0) == ("127.0.0.1", 4321)
     finally:
         proc.terminate()
         proc.wait(timeout=10.0)

@@ -113,6 +113,9 @@ def start_serve_process(extra_args=(), timeout: float = 90.0):
             f"{src_root}{os.pathsep}{existing}" if existing else str(src_root)
         ),
     )
+    # Every server starts cold and memory-only: the contract counts
+    # executions, which a shared disk tier from an earlier test would skip.
+    env.pop("REPRO_CACHE_DIR", None)
     command = [
         sys.executable, "-m", "repro.dataset", "serve",
         "--host", "127.0.0.1", "--port", "0",

@@ -35,10 +35,10 @@ from repro.exec import (
     build_result_cache,
     calibrate_costs,
     chunk_spans,
-    default_chunk_tasks,
     lpt_order,
     resolve_chunk_tasks,
 )
+from repro.settings import RunSettings
 from repro.world import WorldConfig, build_world
 
 BACKENDS = ["serial", "thread", "process"]
@@ -244,11 +244,11 @@ class TestResolveChunkTasks:
     def test_env_knob_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHUNK_TASKS", "8x")
         with pytest.raises(ConfigurationError):
-            default_chunk_tasks()
+            RunSettings.from_env()
         monkeypatch.setenv("REPRO_CHUNK_TASKS", "Auto")
-        assert default_chunk_tasks() == "auto"
+        assert RunSettings.from_env().chunk_tasks == "auto"
         monkeypatch.setenv("REPRO_CHUNK_TASKS", "24")
-        assert default_chunk_tasks() == 24
+        assert RunSettings.from_env().chunk_tasks == 24
 
 
 # ----------------------------------------------------------------------
