@@ -179,16 +179,17 @@ def test_hash_address_ids_no_scalar_regression(bench_world):
 
     assert batched() == scalar_loop()
 
-    def best_of(fn, repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
+    # Each round times both loops, in alternating order, so a host
+    # slowdown lasting a few rounds lands on both sides; each side keeps
+    # its minimum over the rounds.
+    best = {scalar_loop: float("inf"), batched: float("inf")}
+    for round_index in range(15):
+        order = (scalar_loop, batched)
+        for fn in order if round_index % 2 == 0 else order[::-1]:
             started = time.perf_counter()
             fn()
-            best = min(best, time.perf_counter() - started)
-        return best
-
-    scalar_s = best_of(scalar_loop)
-    batch_s = best_of(batched)
+            best[fn] = min(best[fn], time.perf_counter() - started)
+    scalar_s, batch_s = best[scalar_loop], best[batched]
     print(
         f"\nhash_address_ids: scalar {scalar_s * 1e6:.0f}us, "
         f"batch {batch_s * 1e6:.0f}us over {len(streets)} addresses"

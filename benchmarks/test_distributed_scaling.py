@@ -246,7 +246,7 @@ def _elastic_scenario(world, heal: bool) -> tuple[float, object]:
             and time.monotonic() < deadline
         ):
             directory.wait_for_change(directory.version, timeout=0.2)
-        executor = DistributedExecutor(elastic=True, coordinator=coordinator)
+        executor = DistributedExecutor(coordinator=coordinator)
         if heal:
             healer.start()
         wall, dataset, _run = _timed_run(

@@ -49,7 +49,6 @@ from .membership import (
 from .processes import ProcessPoolBackend
 from .remote import (
     DistributedExecutor,
-    WorkerInfo,
     local_worker_pool,
     parse_worker_addresses,
     start_local_worker,
@@ -95,7 +94,6 @@ __all__ = [
     "ThreadPoolBackend",
     "ProcessPoolBackend",
     "DistributedExecutor",
-    "WorkerInfo",
     "local_worker_pool",
     "parse_worker_addresses",
     "start_local_worker",

@@ -173,6 +173,6 @@ def build_executor(
 
     if settings.elastic:
         return DistributedExecutor(
-            elastic=True, coordinator=ensure_coordinator(settings.coordinator)
+            coordinator=ensure_coordinator(settings.coordinator)
         )
     return DistributedExecutor(workers=settings.remote_workers)

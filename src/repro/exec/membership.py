@@ -1,10 +1,8 @@
-"""Elastic fleet membership: registration, heartbeats, failure detection.
+"""Fleet membership: registration, heartbeats, failure detection.
 
-PR 5 made curation distributed but the fleet was *static*: the
-coordinator was handed ``--remote-workers host:port,...`` at startup and
-only discovered a dead worker when a socket broke mid-RPC.  This module
-is the missing control plane — a latency/state dissemination layer in
-the spirit of GLIDS (PAPERS.md §Related work) informing placement:
+A :class:`FleetDirectory` is the one view of the fleet the remote
+dispatcher reads — a latency/state dissemination layer in the spirit of
+GLIDS (PAPERS.md §Related work) informing placement:
 
 * workers **register** with the coordinator (announcing their serve
   address, width, and whether they carry a warm disk store), then
@@ -13,11 +11,13 @@ the spirit of GLIDS (PAPERS.md §Related work) informing placement:
   after K missed beats and **dead** after a timeout; a graceful
   **deregister** takes the distinct ``left`` path, so shutdown and crash
   are separately observable (and separately tested);
-* late joiners are admitted mid-run: the elastic dispatcher
-  (:class:`~repro.exec.remote.DistributedExecutor` in elastic mode)
-  watches the directory and spawns dispatch connections for every new
-  registration, so a hot-added worker immediately pulls ("steals")
-  queued specs from the live LPT queue.
+* late joiners are admitted mid-run: the dispatcher
+  (:class:`~repro.exec.remote.DistributedExecutor`) watches the
+  directory and spawns dispatch connections for every new registration,
+  so a hot-added worker immediately pulls ("steals") queued specs from
+  the live LPT queue;
+* a static ``--remote-workers`` list is a directory too: the executor
+  pings the list into a directory of its own, which nobody else joins.
 
 The heartbeat/suspicion state machine is deliberately **sans-I/O**:
 :class:`FleetDirectory` never sleeps, never opens a socket, and reads
@@ -368,7 +368,7 @@ class FleetCoordinator:
         coordinator = FleetCoordinator(port=7070)
         coordinator.start()
         # workers: python -m repro.dataset worker --join 127.0.0.1:7070
-        executor = DistributedExecutor(elastic=True, coordinator=coordinator)
+        executor = DistributedExecutor(coordinator=coordinator)
 
     Args:
         host: Interface to bind (loopback by default).

@@ -1,41 +1,45 @@
 """Distributed execution backend: shard specs over coordinator/worker RPC.
 
 The paper's measurement campaign is embarrassingly parallel across
-(city, ISP) shards, and since the spec refactor a dispatch unit is pure
-data (:class:`~repro.exec.spec.ShardSpec`) that any process on any
-machine rehydrates into byte-identical work.  This module is the
-coordinator half of shipping those specs off-machine:
+(city, ISP) shards, and a dispatch unit is pure data
+(:class:`~repro.exec.spec.ShardSpec`) that any process on any machine
+rehydrates into byte-identical work.  This module is the coordinator
+half of shipping those specs off-machine:
 
 * :class:`DistributedExecutor` (registry name ``"remote"``) fans specs
   out to ``python -m repro.dataset worker`` processes over
   :mod:`repro.net.rpc`;
-* each worker advertises a **width** (how many specs it runs at once) in
-  its ping reply, and the dispatcher opens that many keep-alive
-  connections to it — per-worker concurrency is expressed as
-  connections, nothing more;
+* the fleet is always a membership directory
+  (:class:`~repro.exec.membership.FleetDirectory`) and one reconcile
+  loop dispatches against it.  An **elastic** fleet is the directory of
+  a :class:`~repro.exec.membership.FleetCoordinator` that workers join
+  with ``python -m repro.dataset worker --join host:port``; a **static**
+  ``workers=`` list is pinged once, on first use, into a directory the
+  executor owns and nobody else joins;
+* each worker advertises a **width** (how many specs it runs at once),
+  and the dispatcher opens that many keep-alive connections to it —
+  per-worker concurrency is expressed as connections, nothing more;
 * the shared work queue is consumed in the order the curation pipeline
   dispatched (longest-processing-time-first under ``schedule="lpt"``,
-  priced by the PR-4 cost model), so greedy pulling by heterogeneous
-  workers *is* LPT list scheduling: wide/fast workers simply pull more;
+  priced by the shard cost model), so greedy pulling by heterogeneous
+  workers *is* LPT list scheduling: wide/fast workers simply pull more,
+  and a worker that joins mid-run starts pulling ("stealing") from the
+  same queue within one reconcile pass;
 * results come back as :class:`~repro.exec.store.DiskShardStore`-format
   entry blobs — the disk tier's wire format — which the pipeline promotes
   into the coordinator's two-tier cache exactly as if a local backend had
   executed them;
-* a worker that dies mid-run (connection lost) has its in-flight spec
-  **re-queued** at the front of the queue for the surviving workers;
-  specs are idempotent pure functions, so re-running one elsewhere is
-  always safe.  Only when *every* worker is gone with work still pending
-  does the run fail;
-* in **elastic mode** (``elastic=True`` with a coordinator) the fleet is
-  not a static list at all: the coordinator runs a membership directory
-  (:mod:`repro.exec.membership`) that workers join with ``python -m
-  repro.dataset worker --join host:port``, and ``map_specs`` watches it
-  live — late joiners get dispatch connections mid-run and immediately
-  pull ("steal") from the shared LPT queue, workers the failure detector
-  declares dead have their in-flight specs re-queued even when their
-  sockets have not broken yet, and a steal-vs-requeue race is harmless
-  by construction (results are recorded first-completion-wins, and every
-  completion of one spec is byte-identical).
+* a worker that dies mid-run has its unanswered in-flight specs
+  **re-queued** at the front of the queue for the surviving workers,
+  whether its own connections found it dead (a static fleet then
+  deregisters it, so later calls skip it) or the coordinator's failure
+  detector declared it dead first.  Specs are idempotent pure functions,
+  so re-running one elsewhere is always safe, and a spec completed twice
+  is recorded first-completion-wins (both completions are
+  byte-identical);
+* a worker counts toward the fleet only while one of its connections
+  stands.  A fleet with none left is empty: a static fleet fails at once
+  (nobody can join it), an elastic one after ``join_timeout``.
 
 Generic :meth:`Executor.map` work — closures over live objects — cannot
 cross a machine boundary and is deliberately **not** shipped: it degrades
@@ -54,7 +58,6 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
@@ -63,7 +66,7 @@ from ..net.faults import FaultProfile
 from ..net.rpc import RpcBusyError, RpcClient, RpcRemoteError
 from ..settings import parse_worker_addresses
 from .base import Executor
-from .membership import FleetCoordinator, WorkerRecord
+from .membership import FleetCoordinator, FleetDirectory, WorkerRecord
 from .spec import spec_to_wire
 from .store import observation_from_dict
 
@@ -73,7 +76,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DistributedExecutor",
-    "WorkerInfo",
     "local_worker_pool",
     "parse_worker_addresses",
     "start_local_worker",
@@ -84,27 +86,13 @@ _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
 
 
-@dataclass
-class WorkerInfo:
-    """One worker as the dispatcher sees it."""
-
-    address: tuple[str, int]
-    width: int = 1
-    alive: bool = True
-    has_store: bool = False
-
-    @property
-    def label(self) -> str:
-        return f"{self.address[0]}:{self.address[1]}"
-
-
 class DistributedExecutor(Executor):
     """Executes shard specs on a fleet of remote worker processes.
 
     Args:
-        workers: Worker addresses — a ``host:port,...`` string or
-            ``(host, port)`` tuples.  An empty fleet is a configuration
-            error (static mode).
+        workers: A static fleet: a ``host:port,...`` string or
+            ``(host, port)`` tuples, kept as ``addresses`` (empty for an
+            elastic fleet).  An empty list is a configuration error.
         call_timeout: Per-RPC socket timeout, seconds.  One RPC executes
             one spec, so this bounds a single dispatch unit's wall time.
         max_workers: Accepted for registry symmetry; ignored (per-worker
@@ -112,16 +100,16 @@ class DistributedExecutor(Executor):
         fault_profile: Optional fault injection for the coordinator side
             of every RPC connection (falls back to
             ``REPRO_FAULT_PROFILE``; ``"off"`` pins it off).
-        elastic: Consume a live membership directory
-            (:mod:`repro.exec.membership`) instead of a static list:
-            workers join/leave mid-run and ``map_specs`` follows.
-        coordinator: The started :class:`~repro.exec.membership.
-            FleetCoordinator` an elastic executor consumes (for example
+        coordinator: An elastic fleet: the started
+            :class:`~repro.exec.membership.FleetCoordinator` whose
+            directory workers join and leave mid-run (for example
             :func:`~repro.exec.membership.ensure_coordinator`'s).
-        join_timeout: Elastic mode only: how long ``map_specs`` tolerates
-            an *empty* fleet — at the start of a run (workers may still
-            be joining) or after losing every worker (a replacement may
-            be coming) — before failing, seconds.
+            Exclusive with ``workers``.
+        join_timeout: How long ``map_specs`` tolerates an *empty*
+            elastic fleet — at the start of a run (workers may still be
+            joining) or after losing every worker (a replacement may be
+            coming) — before failing, seconds.  A static fleet's window
+            is 0: nobody can join it.
     """
 
     name = "remote"
@@ -132,35 +120,31 @@ class DistributedExecutor(Executor):
         call_timeout: float = 600.0,
         max_workers: int | None = None,
         fault_profile: "FaultProfile | str | None" = None,
-        elastic: bool = False,
         coordinator: "FleetCoordinator | None" = None,
         join_timeout: float = 30.0,
     ) -> None:
         del max_workers  # width comes from the workers themselves
         self.fault_profile = fault_profile
-        self.join_timeout = join_timeout
         self.call_timeout = call_timeout
-        self.elastic = elastic
         self._coordinator = coordinator
-        self._probed = False
-        self._probe_lock = threading.Lock()
-        if elastic:
+        self._ping_lock = threading.Lock()
+        self._pinged = False
+        if coordinator is not None:
             if workers is not None:
                 raise ConfigurationError(
-                    "elastic mode consumes the membership directory; do "
-                    "not also pass a static worker list"
+                    "an elastic fleet is the coordinator's membership "
+                    "directory; do not also pass a static worker list"
                 )
-            if coordinator is None:
-                raise ConfigurationError(
-                    "elastic mode needs a coordinator (see "
-                    "repro.exec.membership.ensure_coordinator)"
-                )
-            self._workers: list[WorkerInfo] = []
+            self.addresses: tuple[tuple[str, int], ...] = ()
+            self.join_timeout = join_timeout
+            self._directory = coordinator.directory
             return
         if isinstance(workers, str):
             workers = parse_worker_addresses(workers)
-        addresses = [(host, int(port)) for host, port in workers or ()]
-        if not addresses:
+        self.addresses = tuple(
+            (host, int(port)) for host, port in workers or ()
+        )
+        if not self.addresses:
             raise ConfigurationError(
                 "the remote backend needs >= 1 worker address: set "
                 "REPRO_REMOTE_WORKERS or pass --remote-workers "
@@ -168,72 +152,73 @@ class DistributedExecutor(Executor):
                 "repro.dataset worker`), or run elastic (--elastic / "
                 "REPRO_ELASTIC=1) and have workers --join the coordinator"
             )
-        self._workers = [WorkerInfo(address) for address in addresses]
+        self.join_timeout = 0.0
+        self._directory = FleetDirectory()
 
     @property
     def coordinator(self) -> "FleetCoordinator | None":
-        """The membership coordinator (elastic mode only)."""
+        """The membership coordinator of an elastic fleet."""
         return self._coordinator
 
+    @property
+    def elastic(self) -> bool:
+        """Is the fleet a coordinator's directory (not a static list)?"""
+        return self._coordinator is not None
+
     # ------------------------------------------------------------------
-    # Probing
+    # The fleet
     # ------------------------------------------------------------------
     def _client(
-        self, worker: WorkerInfo, timeout: float | None = None
+        self, address: tuple[str, int], timeout: float | None = None
     ) -> RpcClient:
         return RpcClient(
-            worker.address,
+            address,
             timeout=self.call_timeout if timeout is None else timeout,
             fault_profile=self.fault_profile,
         )
 
-    def _probe(self) -> list[WorkerInfo]:
-        """Ping every worker once; returns the live ones.
+    def _fleet(self) -> FleetDirectory:
+        """The directory dispatch reads; a static list is pinged into it
+        on first use.
 
-        Unreachable workers are marked dead and skipped (the fleet may
-        legitimately be configured before every machine is up); they are
-        not re-probed — a worker that comes back mid-run simply goes
-        unused until the next executor is built.
+        An unreachable static worker is never registered (the fleet may
+        legitimately be configured before every machine is up) and never
+        re-pinged: a worker that comes back later goes unused until the
+        next executor is built.
         """
-        with self._probe_lock:
-            if not self._probed:
-                for worker in self._workers:
+        with self._ping_lock:
+            if not self._pinged:
+                for address in self.addresses:
                     try:
-                        with self._client(worker, timeout=5.0) as client:
+                        with self._client(address, timeout=5.0) as client:
                             reply = client.call("ping")
-                        worker.width = max(1, int(reply.get("width", 1)))
-                        worker.has_store = bool(reply.get("store", False))
-                        worker.alive = True
+                        self._directory.register(
+                            f"{address[0]}:{address[1]}",
+                            address,
+                            width=max(1, int(reply.get("width", 1))),
+                            has_store=bool(reply.get("store", False)),
+                        )
                     except (TransportError, RpcRemoteError, ValueError):
-                        worker.alive = False
-                self._probed = True
-            return [worker for worker in self._workers if worker.alive]
-
-    @property
-    def workers(self) -> tuple[WorkerInfo, ...]:
-        """The configured fleet (probing state included)."""
-        return tuple(self._workers)
+                        continue
+                self._pinged = True
+        return self._directory
 
     @property
     def width(self) -> int:
         """Total advertised fleet concurrency (drives ``auto`` chunking).
 
-        In elastic mode this reads the membership directory — waiting
-        briefly for a first registration, so a pipeline built the
-        instant after its workers were launched still chunks for the
-        real fleet width instead of a momentarily-empty directory.
+        Reads the directory, waiting up to ``min(5 s, join_timeout)`` for
+        a first registration, so a pipeline built the instant after its
+        elastic workers were launched still chunks for the real fleet
+        width instead of a momentarily-empty directory.
         """
-        if self.elastic:
-            assert self._coordinator is not None
-            directory = self._coordinator.directory
-            deadline = time.monotonic() + min(5.0, self.join_timeout)
+        directory = self._fleet()
+        deadline = time.monotonic() + min(5.0, self.join_timeout)
+        fleet = directory.dispatchable_workers()
+        while not fleet and time.monotonic() < deadline:
+            directory.wait_for_change(directory.version, timeout=0.2)
             fleet = directory.dispatchable_workers()
-            while not fleet and time.monotonic() < deadline:
-                directory.wait_for_change(directory.version, timeout=0.2)
-                fleet = directory.dispatchable_workers()
-            return max(1, sum(worker.width for worker in fleet))
-        live = self._probe()
-        return max(1, sum(worker.width for worker in live))
+        return max(1, sum(worker.width for worker in fleet))
 
     # ------------------------------------------------------------------
     # Executor protocol
@@ -255,79 +240,19 @@ class DistributedExecutor(Executor):
     def map_specs(
         self, specs: "Sequence[ShardSpec]"
     ) -> "list[tuple[tuple[AddressObservation, ...], float]]":
-        specs = list(specs)
-        if not specs:
-            return []
-        if self.elastic:
-            return self._map_specs_elastic(specs)
-        live = self._probe()
-        if not live:
-            raise TransportError(
-                "no remote worker is reachable: "
-                + ", ".join(worker.label for worker in self._workers)
-            )
-
-        state = _DispatchState(specs)
-        plan = [
-            (worker, slot)
-            for worker in live
-            for slot in range(min(worker.width, len(specs)))
-        ]
-        # Counted before any thread starts, so a fast-exiting dispatcher
-        # cannot race the bookkeeping below zero.
-        state.live_threads = len(plan)
-        threads: list[threading.Thread] = []
-        for worker, slot in plan:
-            thread = threading.Thread(
-                target=self._dispatch_loop,
-                args=(worker, state),
-                name=f"remote-{worker.label}-{slot}",
-                daemon=True,
-            )
-            thread.start()
-            threads.append(thread)
-        try:
-            with state.cv:
-                while state.unfinished > 0 and state.error is None:
-                    if state.live_threads == 0:
-                        raise TransportError(
-                            f"{state.unfinished} shard specs left "
-                            "undispatched: every remote worker failed "
-                            "mid-run"
-                        )
-                    state.cv.wait(timeout=0.5)
-                if state.error is not None:
-                    raise state.error
-        finally:
-            # Every exit path — success, coordinator-side error, fleet
-            # death — tells the dispatchers to stand down and joins them
-            # (bounded), so no daemon thread holding an open RpcClient
-            # socket leaks past this call.
-            with state.cv:
-                state.closing = True
-                state.cv.notify_all()
-            for thread in threads:
-                thread.join(timeout=5.0)
-        return state.results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # Elastic dispatch: consume the membership directory live
-    # ------------------------------------------------------------------
-    def _map_specs_elastic(
-        self, specs: "list[ShardSpec]"
-    ) -> "list[tuple[tuple[AddressObservation, ...], float]]":
         """Dispatch against whatever the directory says the fleet is.
 
         The reconcile loop below runs in the caller's thread and passes
         on every result and at least every 50 ms: every pass it (1)
         spawns dispatch connections for each newly-registered
         ``(worker, incarnation)`` — a hot-added worker starts stealing
-        from the shared LPT queue within one pass; (2)
-        retires the connection set of any worker the failure detector
-        declared dead (or that gracefully left), re-queueing its
-        unanswered in-flight specs at the queue front; (3) fails only
-        after the fleet has been *empty* for ``join_timeout`` seconds
-        with work outstanding — a momentarily-empty fleet is normal
+        from the shared LPT queue within one pass; (2) retires the
+        connection set of any worker that is no longer dispatchable
+        (declared dead, gone, or deregistered by its own connections),
+        re-queueing its unanswered in-flight specs at the queue front;
+        (3) fails once no worker has had a standing connection for
+        ``join_timeout`` seconds with work outstanding — at once for a
+        static fleet, while a momentarily-empty elastic fleet is normal
         elasticity, not an error.
 
         Steal-vs-requeue races are benign by construction: a spec both
@@ -336,8 +261,10 @@ class DistributedExecutor(Executor):
         first-completion-wins (both byte-identical), and a later pull of
         the stale queue copy sees the result slot filled and skips it.
         """
-        assert self._coordinator is not None
-        directory = self._coordinator.directory
+        specs = list(specs)
+        if not specs:
+            return []
+        directory = self._fleet()
         state = _DispatchState(specs)
         controls: dict[tuple[str, int], _WorkerControl] = {}
         empty_since: float | None = None
@@ -358,24 +285,24 @@ class DistributedExecutor(Executor):
                 for key, rec in fleet.items():
                     if key not in controls:
                         controls[key] = self._enlist(rec, state, len(specs))
-                if fleet:
+                if any(controls[key].standing for key in fleet):
                     empty_since = None
                 elif empty_since is None:
                     empty_since = time.monotonic()
-                elif time.monotonic() - empty_since > self.join_timeout:
-                    with state.cv:
-                        unfinished = state.unfinished
-                    raise TransportError(
-                        f"{unfinished} shard specs left unfinished: no "
-                        f"worker joined the elastic fleet at "
-                        f"{self._coordinator.address[0]}:"
-                        f"{self._coordinator.address[1]} within "
-                        f"{self.join_timeout:.0f}s"
-                    )
                 with state.cv:
-                    if state.unfinished > 0 and state.error is None:
-                        state.cv.wait(timeout=0.05)
+                    if state.unfinished == 0 or state.error is not None:
+                        continue
+                    if (
+                        empty_since is not None
+                        and time.monotonic() - empty_since >= self.join_timeout
+                    ):
+                        raise self._empty_fleet_error(state.unfinished)
+                    state.cv.wait(timeout=0.05)
         finally:
+            # Every exit path — success, coordinator-side error, an empty
+            # fleet — tells the dispatchers to stand down and joins them
+            # (bounded), so no daemon thread holding an open RpcClient
+            # socket leaks past this call.
             with state.cv:
                 state.closing = True
                 state.cv.notify_all()
@@ -384,29 +311,32 @@ class DistributedExecutor(Executor):
                     thread.join(timeout=5.0)
         return state.results  # type: ignore[return-value]
 
+    def _empty_fleet_error(self, unfinished: int) -> TransportError:
+        if self._coordinator is not None:
+            host, port = self._coordinator.address
+            reason = (
+                f"no worker joined the elastic fleet at {host}:{port} "
+                f"within {self.join_timeout:.0f}s, or none that joined "
+                "could be reached"
+            )
+        else:
+            reason = "no remote worker is reachable: " + ", ".join(
+                f"{host}:{port}" for host, port in self.addresses
+            )
+        return TransportError(
+            f"{unfinished} shard specs left unfinished: {reason}"
+        )
+
     def _enlist(
         self, record: WorkerRecord, state: "_DispatchState", n_specs: int
     ) -> "_WorkerControl":
         """Spawn the dispatch connections for one worker incarnation."""
-        info = WorkerInfo(
-            address=record.address,
-            width=record.width,
-            has_store=record.has_store,
-        )
-        control = _WorkerControl(record.worker_id, record.incarnation)
-        slots = max(1, min(record.width, n_specs))
-        # Counted before any thread starts, so a fast-exiting dispatcher
-        # cannot race the bookkeeping below zero.
-        with state.cv:
-            state.live_threads += slots
-        for slot in range(slots):
+        control = _WorkerControl()
+        for slot in range(max(1, min(record.width, n_specs))):
             thread = threading.Thread(
                 target=self._dispatch_loop,
-                args=(info, state, control),
-                name=(
-                    f"remote-{info.label}"
-                    f"#{record.incarnation}-{slot}"
-                ),
+                args=(record, state, control),
+                name=f"remote-{record.label}#{record.incarnation}-{slot}",
                 daemon=True,
             )
             thread.start()
@@ -415,7 +345,7 @@ class DistributedExecutor(Executor):
 
     @staticmethod
     def _retire(control: "_WorkerControl", state: "_DispatchState") -> None:
-        """Stand a dead/left worker's connections down; re-queue its
+        """Stand a departed worker's connections down; re-queue its
         unanswered in-flight specs at the queue front."""
         with state.cv:
             if control.retired:
@@ -428,11 +358,11 @@ class DistributedExecutor(Executor):
 
     def _dispatch_loop(
         self,
-        worker: WorkerInfo,
+        worker: WorkerRecord,
         state: "_DispatchState",
-        control: "_WorkerControl | None" = None,
+        control: "_WorkerControl",
     ) -> None:
-        client = self._client(worker)
+        client = self._client(worker.address)
         slot = object()  # this connection's in-flight registry key
         try:
             while True:
@@ -442,7 +372,7 @@ class DistributedExecutor(Executor):
                             state.unfinished == 0
                             or state.error is not None
                             or state.closing
-                            or (control is not None and control.retired)
+                            or control.retired
                         ):
                             return
                         # Work may flow back into the queue if another
@@ -451,7 +381,7 @@ class DistributedExecutor(Executor):
                     if (
                         state.error is not None
                         or state.closing
-                        or (control is not None and control.retired)
+                        or control.retired
                     ):
                         return
                     index = state.pending.popleft()
@@ -459,8 +389,7 @@ class DistributedExecutor(Executor):
                         # A steal-vs-requeue race already completed this
                         # spec elsewhere; drop the stale queue copy.
                         continue
-                    if control is not None:
-                        control.in_flight[slot] = index
+                    control.in_flight[slot] = index
                 spec = state.specs[index]
                 try:
                     reply = client.call(
@@ -483,8 +412,7 @@ class DistributedExecutor(Executor):
                     # pauses for the server's Retry-After hint instead of
                     # hammering — backoff, not failover.
                     with state.cv:
-                        if control is not None:
-                            control.in_flight.pop(slot, None)
+                        control.in_flight.pop(slot, None)
                         if (
                             state.results[index] is None
                             and index not in state.pending
@@ -504,8 +432,7 @@ class DistributedExecutor(Executor):
                     # sibling connections fail the same way on their next
                     # call).
                     with state.cv:
-                        if control is not None:
-                            control.in_flight.pop(slot, None)
+                        control.in_flight.pop(slot, None)
                         if (
                             state.results[index] is None
                             and index not in state.pending
@@ -513,9 +440,15 @@ class DistributedExecutor(Executor):
                             state.pending.appendleft(index)
                         state.cv.notify_all()
                     client.close()
-                    if self._still_alive(worker):
+                    if self._still_alive(worker.address):
                         continue
-                    worker.alive = False
+                    if self._coordinator is None:
+                        # A static fleet's directory is this executor's
+                        # own: record the death there, so the reconcile
+                        # loop retires the sibling connections and later
+                        # calls skip the worker.  An elastic directory
+                        # is the coordinator's failure detector's to keep.
+                        self._directory.deregister(worker.worker_id)
                     return
                 except Exception as exc:  # noqa: BLE001 - must not hang
                     # Anything else (an unserializable config, a decode
@@ -528,8 +461,7 @@ class DistributedExecutor(Executor):
                         state.cv.notify_all()
                     return
                 with state.cv:
-                    if control is not None:
-                        control.in_flight.pop(slot, None)
+                    control.in_flight.pop(slot, None)
                     if state.results[index] is None:
                         # First completion wins; a racing duplicate
                         # (requeue-then-zombie-finish) is byte-identical
@@ -540,12 +472,10 @@ class DistributedExecutor(Executor):
         finally:
             client.close()
             with state.cv:
-                if control is not None:
-                    control.in_flight.pop(slot, None)
-                state.live_threads -= 1
+                control.in_flight.pop(slot, None)
                 state.cv.notify_all()
 
-    def _still_alive(self, worker: WorkerInfo) -> bool:
+    def _still_alive(self, address: tuple[str, int]) -> bool:
         """Ping-probe a worker after a failed call (two short attempts).
 
         Two attempts, so a single injected fault on the probe itself does
@@ -554,7 +484,7 @@ class DistributedExecutor(Executor):
         """
         for _ in range(2):
             try:
-                with self._client(worker, timeout=5.0) as probe:
+                with self._client(address, timeout=5.0) as probe:
                     probe.call("ping")
                 return True
             except (TransportError, RpcRemoteError, OSError):
@@ -562,8 +492,8 @@ class DistributedExecutor(Executor):
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        fleet = ",".join(worker.label for worker in self._workers)
-        return f"DistributedExecutor(workers=[{fleet}])"
+        fleet = ",".join(rec.label for rec in self._directory.workers())
+        return f"DistributedExecutor(fleet=[{fleet}])"
 
 
 class _DispatchState:
@@ -576,28 +506,30 @@ class _DispatchState:
             [None] * len(specs)
         )
         self.unfinished = len(specs)
-        self.live_threads = 0
         self.error: BaseException | None = None
         self.closing = False  # map_specs is exiting: dispatchers stand down
         self.cv = threading.Condition()
 
 
 class _WorkerControl:
-    """Per-(worker, incarnation) dispatch bookkeeping for elastic mode.
+    """Per-(worker, incarnation) dispatch bookkeeping.
 
     ``in_flight`` maps each live dispatch connection (keyed by a private
     sentinel) to the spec index it is currently awaiting, so the
-    reconcile loop can re-queue exactly the unanswered work when the
-    failure detector declares this incarnation dead.  All fields are
+    reconcile loop can re-queue exactly the unanswered work when this
+    incarnation leaves the fleet.  ``retired`` and ``in_flight`` are
     guarded by the owning ``_DispatchState.cv``.
     """
 
-    def __init__(self, worker_id: str, incarnation: int) -> None:
-        self.worker_id = worker_id
-        self.incarnation = incarnation
+    def __init__(self) -> None:
         self.retired = False
         self.in_flight: dict[object, int] = {}
         self.threads: list[threading.Thread] = []
+
+    @property
+    def standing(self) -> bool:
+        """Does at least one of this worker's connections still stand?"""
+        return any(thread.is_alive() for thread in self.threads)
 
 
 def _decode_run_reply(

@@ -11,9 +11,15 @@ every BQT replay.  Caching never
 changes the datasets (byte-identical reuse is the cache's contract,
 enforced by tests/test_cache_persistence.py), so tests see the same
 fixtures either way.
+
+``child_env`` builds the environment a test hands to a ``python`` child
+process.
 """
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +30,8 @@ from repro.settings import RunSettings
 from repro.world import WorldConfig, build_world
 
 TEST_SEED = 42
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +84,35 @@ def two_city_dataset(two_city_world):
         cache=_env_result_cache(),
     )
     return pipeline.curate()
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """``child_env()`` builds the environment of a child ``python``.
+
+    The child inherits the suite's environment with this checkout's
+    ``src`` on ``PYTHONPATH``.  When that environment selects an elastic
+    fleet, the child drops ``REPRO_EXEC_BACKEND``, ``REPRO_ELASTIC`` and
+    ``REPRO_COORDINATOR``: the suite process already holds the
+    coordinator's address, and a child binding it again dies.  A static
+    ``REPRO_REMOTE_WORKERS`` fleet stays inherited, so children dispatch
+    to it as the suite does.
+    """
+
+    def build() -> dict[str, str]:
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = (
+            f"{SRC}{os.pathsep}{existing}" if existing else SRC
+        )
+        if RunSettings.from_env().elastic:
+            for name in (
+                "REPRO_EXEC_BACKEND", "REPRO_ELASTIC", "REPRO_COORDINATOR"
+            ):
+                env.pop(name, None)
+        return env
+
+    return build
 
 
 @pytest.fixture

@@ -21,7 +21,6 @@ Four layers of guarantees:
 from __future__ import annotations
 
 import json
-import os
 import re
 import subprocess
 import sys
@@ -230,7 +229,9 @@ class TestDiskShardStore:
         for keys, observations in shards:
             assert store.get(keys) == observations
 
-    def test_two_process_manifest_contention_loses_no_rows(self, tmp_path):
+    def test_two_process_manifest_contention_loses_no_rows(
+        self, tmp_path, child_env
+    ):
         """Regression for the manifest write race: two *processes*
         sharing one cache dir (exactly what remote workers + coordinator
         do) interleave manifest read-modify-writes.  Without the
@@ -253,7 +254,7 @@ class TestDiskShardStore:
             "        elapsed_seconds=float(j)) for j in range(2)]\n"
             "    store.put(keys, obs)\n"
         )
-        env = dict(os.environ, PYTHONPATH=_pythonpath())
+        env = child_env()
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", script, str(root), str(worker)], env=env
@@ -267,7 +268,9 @@ class TestDiskShardStore:
         assert len(store) == 2 * per_worker
         assert store.total_bytes() > 0
 
-    def test_concurrent_process_writes_leave_no_partial_files(self, tmp_path):
+    def test_concurrent_process_writes_leave_no_partial_files(
+        self, tmp_path, child_env
+    ):
         """Separate OS processes hammer one store root (the process-backend
         sharing scenario); every entry must come out whole."""
         root = tmp_path / "s"
@@ -285,7 +288,7 @@ class TestDiskShardStore:
             "        elapsed_seconds=float(j)) for j in range(3)]\n"
             "    store.put(keys, obs)\n"
         )
-        env = dict(os.environ, PYTHONPATH=_pythonpath())
+        env = child_env()
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", script, str(root), str(worker)], env=env
@@ -300,7 +303,7 @@ class TestDiskShardStore:
         assert observations is not None and len(observations) == 3
 
     def test_writer_killed_mid_merge_blocks_nobody_and_loses_no_rows(
-        self, tmp_path
+        self, tmp_path, child_env
     ):
         """Regression: a writer holding the ``manifest.lock`` flock is
         SIGKILLed *mid-merge* — after acquiring the lock and writing its
@@ -333,7 +336,7 @@ class TestDiskShardStore:
             "print('LOCKED', flush=True)\n"
             "time.sleep(600)\n"
         )
-        env = dict(os.environ, PYTHONPATH=_pythonpath())
+        env = child_env()
         victim = subprocess.Popen(
             [sys.executable, "-c", victim_script, str(root)],
             env=env, stdout=subprocess.PIPE, text=True,
@@ -634,16 +637,8 @@ class TestIncrementalRecuration:
 # ----------------------------------------------------------------------
 # Cross-process reuse via the CLI and REPRO_CACHE_DIR
 # ----------------------------------------------------------------------
-def _pythonpath() -> str:
-    src = str(ROOT / "src")
-    existing = os.environ.get("PYTHONPATH", "")
-    return f"{src}{os.pathsep}{existing}" if existing else src
-
-
-def _run_dataset_cli(out: Path, cache_dir: Path) -> str:
-    env = dict(
-        os.environ, PYTHONPATH=_pythonpath(), REPRO_CACHE_DIR=str(cache_dir)
-    )
+def _run_dataset_cli(out: Path, cache_dir: Path, env: dict) -> str:
+    env = dict(env, REPRO_CACHE_DIR=str(cache_dir))
     result = subprocess.run(
         [
             sys.executable, "-m", "repro.dataset",
@@ -669,15 +664,15 @@ def _replayed(stdout: str) -> int:
 
 
 @pytest.mark.slow
-def test_cross_process_reuse_replays_nothing(tmp_path):
+def test_cross_process_reuse_replays_nothing(tmp_path, child_env):
     cache_dir = tmp_path / "cache"
     first_out, second_out = tmp_path / "first.csv", tmp_path / "second.csv"
 
-    first = _run_dataset_cli(first_out, cache_dir)
+    first = _run_dataset_cli(first_out, cache_dir, child_env())
     assert _replayed(first) > 0
     assert (cache_dir / "manifest.json").exists()
 
-    second = _run_dataset_cli(second_out, cache_dir)
+    second = _run_dataset_cli(second_out, cache_dir, child_env())
     assert _replayed(second) == 0
     assert "(2 from disk)" in second
     assert first_out.read_bytes() == second_out.read_bytes()

@@ -9,9 +9,9 @@ consumes the live directory, and every scenario ends with results
 byte-identical to the serial reference — kill a worker mid-run, hot-add
 one, lose heartbeats to injected faults, or leave gracefully.
 
-Every test asserts thread hygiene on exit: no ``remote-*`` dispatcher
-threads (PR 6's leak regression) and no ``fleet-*`` membership threads
-once coordinators are stopped.
+Every test asserts thread hygiene on exit: every ``remote-*`` dispatcher
+thread and ``fleet-*`` membership thread it started is gone once its
+coordinator is stopped.
 """
 
 from __future__ import annotations
@@ -83,15 +83,19 @@ def coordinator():
 
     Tuned hot (0.1s beats, dead after 1s) so death-detection scenarios
     resolve in about a second of wall time instead of the production
-    five.
+    five.  On exit, every ``fleet-*`` and ``remote-*`` thread the test
+    started must be gone; threads alive before it (the process-wide
+    coordinator of a suite run with an elastic ``REPRO_*`` environment)
+    are not the test's.
     """
+    before = set(_membership_threads() + _dispatcher_threads())
     coord = FleetCoordinator(
         port=0, heartbeat_interval=0.1, suspect_misses=3, dead_after=1.0
     ).start()
     yield coord
     coord.stop()
-    assert _membership_threads() == []
-    assert _dispatcher_threads() == []
+    assert [t for t in _membership_threads() if t not in before] == []
+    assert [t for t in _dispatcher_threads() if t not in before] == []
 
 
 def _join_args(coord: FleetCoordinator) -> list[str]:
@@ -148,9 +152,7 @@ class TestElasticSteadyState:
             for proc in procs:
                 _await_worker_banner(proc, 60.0)
             _wait_for_fleet(coordinator, 2)
-            executor = DistributedExecutor(
-                elastic=True, coordinator=coordinator
-            )
+            executor = DistributedExecutor(coordinator=coordinator)
             assert executor.width == 4
             outcomes = executor.map_specs(
                 [_spec("cox"), _spec("att"), _spec("cox"), _spec("att")]
@@ -183,9 +185,7 @@ class TestElasticSteadyState:
                 return real_wait(version, timeout)
 
             monkeypatch.setattr(directory, "wait_for_change", counting_wait)
-            executor = DistributedExecutor(
-                elastic=True, coordinator=coordinator
-            )
+            executor = DistributedExecutor(coordinator=coordinator)
             outcomes = executor.map_specs([_spec("cox")])
         finally:
             stop_local_worker(proc)
@@ -195,15 +195,53 @@ class TestElasticSteadyState:
     def test_elastic_mode_rejects_static_worker_list(self, coordinator):
         with pytest.raises(ConfigurationError, match="elastic"):
             DistributedExecutor(
-                workers="127.0.0.1:7071", elastic=True, coordinator=coordinator
+                workers="127.0.0.1:7071", coordinator=coordinator
             )
 
     def test_empty_fleet_times_out_with_clear_error(self, coordinator):
         executor = DistributedExecutor(
-            elastic=True, coordinator=coordinator, join_timeout=1.0
+            coordinator=coordinator, join_timeout=1.0
         )
         with pytest.raises(TransportError, match="no worker joined"):
             executor.map_specs([_spec("cox")])
+        assert _dispatcher_threads() == []
+
+    def test_unreachable_live_worker_fails_after_join_timeout(
+        self, coordinator
+    ):
+        """A worker that heartbeats but advertises an address nobody
+        serves is no fleet: its connections all exit, so the run fails
+        after ``join_timeout`` instead of counting the worker forever."""
+        directory = coordinator.directory
+        directory.register("ghost", ("127.0.0.1", 1))
+        stop = threading.Event()
+
+        def beat():
+            while not stop.wait(0.05):
+                directory.heartbeat("ghost")
+
+        executor = DistributedExecutor(
+            coordinator=coordinator, join_timeout=1.0
+        )
+        errors: list[Exception] = []
+
+        def run():
+            try:
+                executor.map_specs([_spec("cox")])
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        beater = threading.Thread(target=beat, daemon=True)
+        runner = threading.Thread(target=run, daemon=True)
+        beater.start()
+        runner.start()
+        runner.join(timeout=5.0)
+        stop.set()
+        beater.join(timeout=5.0)
+        assert not runner.is_alive(), "map_specs still running after 5 s"
+        assert len(errors) == 1
+        assert isinstance(errors[0], TransportError)
+        assert "no worker joined" in str(errors[0])
         assert _dispatcher_threads() == []
 
 
@@ -229,9 +267,7 @@ class TestElasticity:
             for proc in (doomed, survivor):
                 _await_worker_banner(proc, 60.0)
             _wait_for_fleet(coordinator, 2)
-            executor = DistributedExecutor(
-                elastic=True, coordinator=coordinator
-            )
+            executor = DistributedExecutor(coordinator=coordinator)
             outcomes = executor.map_specs([_spec("cox") for _ in range(6)])
             assert all(obs == reference for obs, _wall in outcomes)
             # The hard path: exit 17 (os._exit mid-request), never "left".
@@ -258,7 +294,7 @@ class TestElasticity:
         a late worker joins: elastic admission needs no restart."""
         reference, _ = run_shard_spec(_spec("att"))
         executor = DistributedExecutor(
-            elastic=True, coordinator=coordinator, join_timeout=60.0
+            coordinator=coordinator, join_timeout=60.0
         )
         added: list = []
 
@@ -307,9 +343,7 @@ class TestElasticity:
             for proc in (doomed, steady):
                 _await_worker_banner(proc, 60.0)
             _wait_for_fleet(coordinator, 2)
-            executor = DistributedExecutor(
-                elastic=True, coordinator=coordinator
-            )
+            executor = DistributedExecutor(coordinator=coordinator)
             joiner.start()
             outcomes = executor.map_specs([_spec("cox") for _ in range(8)])
         finally:
@@ -338,9 +372,7 @@ class TestElasticity:
             for proc in (leaver, survivor):
                 _await_worker_banner(proc, 60.0)
             _wait_for_fleet(coordinator, 2)
-            executor = DistributedExecutor(
-                elastic=True, coordinator=coordinator
-            )
+            executor = DistributedExecutor(coordinator=coordinator)
             outcomes = executor.map_specs([_spec("cox") for _ in range(6)])
             assert all(obs == reference for obs, _wall in outcomes)
             assert leaver.wait(timeout=15.0) == 0  # clean exit, not 17
@@ -378,7 +410,7 @@ class TestHeartbeatChaos:
             # attempts — give it the same allowance as join_timeout.
             _wait_for_fleet(coordinator, 1, timeout=60.0)
             executor = DistributedExecutor(
-                elastic=True, coordinator=coordinator, join_timeout=60.0
+                coordinator=coordinator, join_timeout=60.0
             )
             outcomes = executor.map_specs([_spec("cox") for _ in range(6)])
             assert all(obs == reference for obs, _wall in outcomes)
@@ -442,7 +474,7 @@ def test_elastic_curation_digest_matches_serial(coordinator):
     try:
         _await_worker_banner(doomed, 60.0)
         _wait_for_fleet(coordinator, 1)
-        executor = DistributedExecutor(elastic=True, coordinator=coordinator)
+        executor = DistributedExecutor(coordinator=coordinator)
         joiner.start()
         elastic = CurationPipeline(
             world, SMALL_CONFIG, executor=executor
@@ -515,7 +547,7 @@ def test_cli_flags_reach_executor_and_leave_environ_unchanged(monkeypatch):
         settings_from_args(parser.parse_args(["--remote-workers", "127.0.0.1:7071"]))
     )
     assert static.name == "remote" and not static.elastic
-    assert [worker.address for worker in static.workers] == [("127.0.0.1", 7071)]
+    assert static.addresses == (("127.0.0.1", 7071),)
 
     host, port = _free_coordinator_address()
     args = parser.parse_args(["--elastic", "--coordinator", f"{host}:{port}"])

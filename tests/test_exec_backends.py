@@ -84,7 +84,7 @@ class TestExecutorContract:
             replace(RunSettings.from_env(), backend="remote")
         )
         assert executor.name == "remote"
-        assert executor.workers[0].address == ("127.0.0.1", 7071)
+        assert executor.addresses == (("127.0.0.1", 7071),)
 
     def test_resolve_remote_without_fleet_raises(self, monkeypatch):
         monkeypatch.delenv("REPRO_REMOTE_WORKERS", raising=False)

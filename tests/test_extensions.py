@@ -153,7 +153,7 @@ class TestBatMonitor:
 
 
 class TestCurationCli:
-    def test_end_to_end(self, tmp_path):
+    def test_end_to_end(self, tmp_path, child_env):
         out = tmp_path / "release.csv"
         completed = subprocess.run(
             [
@@ -167,6 +167,7 @@ class TestCurationCli:
             capture_output=True,
             text=True,
             timeout=300,
+            env=child_env(),
         )
         assert completed.returncode == 0, completed.stderr[-2000:]
         assert out.exists()

@@ -1,9 +1,7 @@
 """Tests for the synthetic census geography substrate."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,16 +238,10 @@ class TestFields:
         assert field.min() >= 0.0 and field.max() <= 1.0
 
     @pytest.mark.parametrize("module", ["scipy.stats", "asyncio"])
-    def test_world_build_does_not_import_scipy_stats(self, module):
+    def test_world_build_does_not_import_scipy_stats(self, module, child_env):
         """A fresh interpreter builds a world without loading scipy.stats,
         whose import alone costs more than a small world build, or
         asyncio, which no module of the package needs."""
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        existing = os.environ.get("PYTHONPATH")
-        env = dict(
-            os.environ,
-            PYTHONPATH=f"{src}{os.pathsep}{existing}" if existing else src,
-        )
         script = (
             "import sys\n"
             "from repro.world import WorldConfig, build_world\n"
@@ -261,7 +253,7 @@ class TestFields:
             capture_output=True,
             text=True,
             timeout=120,
-            env=env,
+            env=child_env(),
         )
         assert completed.returncode == 0, completed.stderr[-2000:]
         assert completed.stdout.strip() == "False"

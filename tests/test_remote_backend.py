@@ -11,13 +11,11 @@ process -> disk-store-format blob -> coordinator decode.
 from __future__ import annotations
 
 import json
-import os
 import select
 import subprocess
 import sys
 import threading
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -39,8 +37,6 @@ from repro.exec.spec import SPEC_WIRE_VERSION
 from repro.net import RpcClient
 from repro.net.rpc import RpcRemoteError
 from repro.world import WorldConfig, build_world
-
-ROOT = Path(__file__).resolve().parent.parent
 
 SMALL_CONFIG = CurationConfig(
     sampling=SamplingConfig(fraction=0.10, min_samples=5), n_workers=10
@@ -219,8 +215,13 @@ class TestDistributedDispatch:
                 )
                 specs = [_spec("cox") for _ in range(6)]
                 outcomes = executor.map_specs(specs)
+            # The dead worker was deregistered from the executor's own
+            # directory: later calls skip it and run on the survivor.
+            assert executor.width == 1
+            again = executor.map_specs([_spec("cox"), _spec("cox")])
         assert len(outcomes) == 6
         assert all(obs == reference for obs, _wall in outcomes)
+        assert [obs for obs, _wall in again] == [reference, reference]
         # Regression: map_specs used to raise out of its wait loop without
         # joining the dispatcher threads, leaking a daemon (and its open
         # RpcClient socket) per worker connection on every chaotic run.
@@ -252,7 +253,7 @@ class TestDistributedDispatch:
     def test_all_workers_dead_raises(self):
         with local_worker_pool(count=1, width=1) as addresses:
             executor = DistributedExecutor(workers=addresses)
-            executor._probe()  # learn the fleet while it is alive
+            assert executor.width == 1  # learn the fleet while it is alive
         # The pool context has exited: every worker is gone.
         with pytest.raises(TransportError):
             executor.map_specs([_spec("cox")])
@@ -312,13 +313,13 @@ def test_chaos_golden_digest_at_five_percent_loss(tmp_path):
 
 
 class TestWorkerChaosCli:
-    def test_bad_fault_profile_spec_fails_fast(self):
+    def test_bad_fault_profile_spec_fails_fast(self, child_env):
         result = subprocess.run(
             [
                 sys.executable, "-m", "repro.dataset", "worker",
                 "--port", "0", "--fault-profile", "banana=0.1",
             ],
-            env=dict(os.environ, PYTHONPATH=_pythonpath()),
+            env=child_env(),
             capture_output=True, text=True, timeout=120,
         )
         assert result.returncode != 0
@@ -365,14 +366,8 @@ def test_shared_cache_root_with_workers(tmp_path):
 # ----------------------------------------------------------------------
 # cache ls CLI
 # ----------------------------------------------------------------------
-def _pythonpath() -> str:
-    src = str(ROOT / "src")
-    existing = os.environ.get("PYTHONPATH", "")
-    return f"{src}{os.pathsep}{existing}" if existing else src
-
-
 class TestCacheLsCli:
-    def test_lists_entries_and_costs(self, tmp_path):
+    def test_lists_entries_and_costs(self, tmp_path, child_env):
         from repro.exec import ShardCostRecord, ShardMeta
         from repro.dataset.records import AddressObservation
 
@@ -405,7 +400,7 @@ class TestCacheLsCli:
                 sys.executable, "-m", "repro.dataset", "cache", "ls",
                 "--cache-dir", str(tmp_path / "store"),
             ],
-            env=dict(os.environ, PYTHONPATH=_pythonpath()),
+            env=child_env(),
             capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
@@ -415,13 +410,13 @@ class TestCacheLsCli:
         assert "total: 1 entries" in out
         assert "cost records: 1" in out
 
-    def test_missing_root_errors(self, tmp_path):
+    def test_missing_root_errors(self, tmp_path, child_env):
         result = subprocess.run(
             [
                 sys.executable, "-m", "repro.dataset", "cache", "ls",
                 "--cache-dir", str(tmp_path / "nope"),
             ],
-            env=dict(os.environ, PYTHONPATH=_pythonpath()),
+            env=child_env(),
             capture_output=True, text=True, timeout=120,
         )
         assert result.returncode != 0
@@ -440,14 +435,15 @@ class TestCacheLsCli:
     ],
     ids=["worker", "serve"],
 )
-def test_banner_is_the_first_stdout_line(argv):
-    """``_await_worker_banner`` polls the child's stdout with ``select``
-    and reads it with a buffered ``readline``: a line written just before
-    the banner can pull the banner into that buffer, where ``select`` no
-    longer sees it, and the launch times out."""
+def test_banner_is_the_first_stdout_line(argv, child_env):
+    """Each launcher's banner is the first line the child writes on
+    stdout, so a launcher reading only until the banner never has to
+    look past another line; ``_await_worker_banner`` also finds a
+    banner that arrives in one read after an earlier line (see the
+    next test)."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.dataset", *argv],
-        env=dict(os.environ, PYTHONPATH=_pythonpath()),
+        env=child_env(),
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
     )
     try:

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import subprocess
 import sys
 import threading
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -101,20 +99,14 @@ def _envelope(source: str, observations) -> bytes:
 # ----------------------------------------------------------------------
 # Subprocess harness
 # ----------------------------------------------------------------------
-def start_serve_process(extra_args=(), timeout: float = 90.0):
-    """Spawn ``python -m repro.dataset serve`` and wait for its banner."""
-    import repro
+def start_serve_process(env, extra_args=(), timeout: float = 90.0):
+    """Spawn ``python -m repro.dataset serve`` and wait for its banner.
 
-    src_root = Path(repro.__file__).resolve().parents[1]
-    existing = os.environ.get("PYTHONPATH", "")
-    env = dict(
-        os.environ,
-        PYTHONPATH=(
-            f"{src_root}{os.pathsep}{existing}" if existing else str(src_root)
-        ),
-    )
+    ``env`` is the child's environment (the ``child_env()`` fixture's).
+    """
     # Every server starts cold and memory-only: the contract counts
     # executions, which a shared disk tier from an earlier test would skip.
+    env = dict(env)
     env.pop("REPRO_CACHE_DIR", None)
     command = [
         sys.executable, "-m", "repro.dataset", "serve",
@@ -152,9 +144,11 @@ def stop_serve_process(proc) -> None:
 
 
 @pytest.fixture(scope="module")
-def serve_endpoint():
+def serve_endpoint(child_env):
     """One strict (fault-free) serving process shared by contract tests."""
-    proc, address = start_serve_process(["--fault-profile", "off"])
+    proc, address = start_serve_process(
+        child_env(), ["--fault-profile", "off"]
+    )
     yield address
     stop_serve_process(proc)
 
@@ -222,8 +216,9 @@ class TestHttpContract:
 
 
 class TestRateLimiting:
-    def test_client_rate_limit_429_with_retry_after(self):
+    def test_client_rate_limit_429_with_retry_after(self, child_env):
         proc, address = start_serve_process(
+            child_env(),
             ["--fault-profile", "off", "--rate", "1", "--burst", "2"]
         )
         try:
@@ -246,11 +241,14 @@ class TestRateLimiting:
 
 
 class TestCongestionShedding:
-    def test_batch_is_shed_503_while_interactive_hits_survive(self):
+    def test_batch_is_shed_503_while_interactive_hits_survive(
+        self, child_env
+    ):
         # --est-cost 1000 makes the first admission flood the virtual
         # queue: the tier is deterministically in overload for hundreds
         # of seconds, with zero timing sensitivity.
         proc, address = start_serve_process(
+            child_env(),
             ["--fault-profile", "off", "--est-cost", "1000",
              "--mark-delay", "0.5", "--shed-delay", "2.0"]
         )
@@ -278,12 +276,13 @@ class TestCongestionShedding:
 
 
 class TestChaos:
-    def test_contract_survives_seeded_server_faults(self):
+    def test_contract_survives_seeded_server_faults(self, child_env):
         """The serving endpoint under the chaos profile: responses are
         dropped/duplicated/delayed, yet every eventually-served payload
         is byte-identical to the serial path."""
         proc, address = start_serve_process(
-            ["--fault-profile", "seed=1305,server.drop=0.15,server.duplicate=0.05"]
+            child_env(),
+            ["--fault-profile", "seed=1305,server.drop=0.15,server.duplicate=0.05"],
         )
         oracle = _serial_digest()
         served = 0
