@@ -8,7 +8,8 @@ that the selected suggestion keeps the queried ZIP code (Section 3.3).
 The scorer combines token-level and character-level similarity after USPS
 normalization, so abbreviation variants score ~1.0 while genuinely
 different streets score low.  Implemented from scratch (no external fuzzy-
-matching dependency): Levenshtein via the classic two-row DP.
+matching dependency): Levenshtein as a bit-parallel distance over Python
+ints (Myers 1999, in Hyyrö's 2003 formulation).
 """
 
 from __future__ import annotations
@@ -33,29 +34,58 @@ DEFAULT_ACCEPT_THRESHOLD = 0.62
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance between two strings (two-row dynamic program).
+    """Edit distance between two strings (exact, bit-parallel).
+
+    The common prefix and suffix are stripped first: they never add to
+    the distance.  Then one bit per character of the longer string
+    carries the vertical differences of the DP column, and each
+    character of the shorter string advances the whole column with a
+    few integer operations.  Python ints are unbounded, so strings
+    longer than a machine word need no blocking.
 
     >>> levenshtein("magnolia", "magnola")
     1
     """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
+    start = 0
+    limit = min(len(a), len(b))
+    while start < limit and a[start] == b[start]:
+        start += 1
+    end = 0
+    limit -= start
+    while end < limit and a[-1 - end] == b[-1 - end]:
+        end += 1
+    a = a[start : len(a) - end]
+    b = b[start : len(b) - end]
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            insert_cost = current[j - 1] + 1
-            delete_cost = previous[j] + 1
-            replace_cost = previous[j - 1] + (char_a != char_b)
-            current.append(min(insert_cost, delete_cost, replace_cost))
-        previous = current
-    return previous[-1]
+    if not b:
+        return len(a)
+    # Hyyrö's vectors over the DP column: vp/vn mark +1/-1 vertical
+    # differences, hp/hn horizontal ones, d0 zero diagonal ones.
+    match: dict[str, int] = {}
+    bit = 1
+    for char in a:
+        match[char] = match.get(char, 0) | bit
+        bit <<= 1
+    top = bit >> 1
+    vp = bit - 1
+    vn = 0
+    distance = len(a)
+    for char in b:
+        eq = match.get(char, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & top:
+            distance += 1
+        elif hn & top:
+            distance -= 1
+        hp = (hp << 1) | 1
+        vp = (hn << 1) | ~(d0 | hp)
+        vn = hp & d0
+    return distance
 
 
 def string_similarity(a: str, b: str) -> float:

@@ -37,6 +37,16 @@ RNG-equivalence argument (why the synthesis is bit-exact):
    "delays", isp, street, zip)``.  Fresh generators per task mean a
    k-request task consumes draw indices ``0..k-1`` of each stream —
    independent of worker identity, politeness, or shard position.
+   Here the shard's streams are seeded in one pass
+   (:func:`repro.seeding.standard_normals`): the same seeds, derived
+   from a once-hashed ``(seed, label, isp)`` prefix, go through numpy's
+   ``SeedSequence`` hash and PCG64's seeding step as whole-array
+   arithmetic, and one reused generator set to each state draws the
+   task's ``k`` values.  That stays exact because numpy keeps a seed's
+   ``SeedSequence``/``PCG64`` bit stream fixed across releases (NEP 19),
+   and ``tests/test_seeding.py`` pins the computed states against
+   ``np.random.PCG64(seed)`` itself, so a numpy that changed them fails
+   loudly.
 2. ``Generator.standard_normal(k)`` produces exactly the same values as
    k successive ``standard_normal()`` calls on the same generator (one
    sequential ziggurat stream either way).
@@ -57,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -66,7 +76,7 @@ from ..bat import pages
 from ..bat.profiles import BatProfile, profile_for
 from ..core.parsing import plans_from_markup
 from ..core.workflow import QueryStatus, pick_suggestion, pick_unit
-from ..seeding import derive_seed
+from ..seeding import derive_seed, seed_deriver, standard_normals
 from ..world import offer_resolver
 from .records import AddressObservation, PlanObservation
 
@@ -156,7 +166,8 @@ class _FastTask:
 def _classify(
     entry: "NoisyAddress",
     profile: BatProfile,
-    app_seed: int,
+    flaky_seed: Callable[[str], int],
+    existing_seed: Callable[[str], int],
     index,
     offers,
 ) -> _FastTask | None:
@@ -166,7 +177,9 @@ def _classify(
     including float arithmetic on the delay medians, and BQT's decisions
     on the pages a lookup miss renders.  Returns None for a walk it does
     not model: an empty street or ZIP (the BAT's empty-form page), or a
-    picked address the index cannot resolve.
+    picked address the index cannot resolve.  ``flaky_seed`` and
+    ``existing_seed`` derive the app's per-address roll seeds,
+    ``derive_seed(app_seed, label, key)``, from their hashed prefixes.
     """
     street = entry.street_line.strip()
     zip5 = entry.zip_code.strip()
@@ -178,11 +191,11 @@ def _classify(
     def ended(status: str, plans: tuple[PlanObservation, ...] = ()) -> _FastTask:
         return _FastTask(tuple(medians), status, plans)
 
-    def uniform(label: str, key: str) -> float:
-        return (derive_seed(app_seed, label, key) % 10_000_000) / 10_000_000.0
+    def uniform(seed: int) -> float:
+        return (seed % 10_000_000) / 10_000_000.0
 
     def flaky(key: str) -> bool:
-        return uniform("flaky", key) < profile.flaky_error_rate
+        return uniform(flaky_seed(key)) < profile.flaky_error_rate
 
     # Flaky check first, keyed on the *queried* spelling — exactly the
     # server's order.
@@ -229,7 +242,7 @@ def _classify(
     status = QueryStatus.PLANS if plans else QueryStatus.NO_SERVICE
     # The index files every address under its own canonical key, so `key`
     # is the key the server rolls the existing-customer draw on.
-    if uniform("existing", key) < profile.existing_customer_rate:
+    if uniform(existing_seed(key)) < profile.existing_customer_rate:
         # lookup+interstitial, then the new-customer finish where the
         # lookup is not re-charged (0.0 + final render).
         medians.append(profile.lookup_delay + profile.interstitial_delay)
@@ -284,28 +297,27 @@ def run_shard_columnar(
     index = _city_address_index(world_config, city_world)
     offers = offer_resolver({city: city_world}, isp)
 
+    flaky_seed = seed_deriver(app_seed, "flaky")
+    existing_seed = seed_deriver(app_seed, "existing")
     fast: list[_FastTask] = []
     for entry in tasks:
-        classified = _classify(entry, profile, app_seed, index, offers)
+        classified = _classify(
+            entry, profile, flaky_seed, existing_seed, index, offers
+        )
         if classified is None:
             return None
         fast.append(classified)
 
     counts = [len(t.medians) for t in fast]
-    total_draws = sum(counts)
-    # Per-task generators (the content-keyed streams), batched draws:
-    # each k-request task consumes indices 0..k-1 of its own fresh
-    # stream, so one standard_normal(k) call per task reproduces the
-    # scalar per-request draws exactly; the exp/multiply arithmetic is
-    # then one whole-shard vector op.
-    z_render = np.empty(total_draws, dtype=np.float64)
-    offset = 0
-    for entry, k in zip(tasks, counts):
-        rng = np.random.default_rng(
-            derive_seed(app_seed, "delays", isp, entry.street_line, entry.zip_code)
-        )
-        z_render[offset : offset + k] = rng.standard_normal(k)
-        offset += k
+    # Each k-request task consumes draws 0..k-1 of its own content-keyed
+    # streams; standard_normals seeds every task's stream in one pass and
+    # draws its k values, and the exp/multiply arithmetic is then one
+    # whole-shard vector op.
+    render_seed = seed_deriver(app_seed, "delays", isp)
+    z_render = standard_normals(
+        [render_seed(entry.street_line, entry.zip_code) for entry in tasks],
+        counts,
+    )
     spreads = np.exp(profile.render_sigma * z_render)
 
     rtts: np.ndarray | None = None
@@ -313,20 +325,11 @@ def run_shard_columnar(
         # base_rtt == 0 consumes no draw at all (sample_rtt
         # short-circuits), so the stream is only synthesized when the
         # scalar path would have drawn from it.
-        z_rtt = np.empty(total_draws, dtype=np.float64)
-        offset = 0
-        for entry, k in zip(tasks, counts):
-            rng = np.random.default_rng(
-                derive_seed(
-                    transport_seed,
-                    "task-rtt",
-                    isp,
-                    entry.street_line,
-                    entry.zip_code,
-                )
-            )
-            z_rtt[offset : offset + k] = rng.standard_normal(k)
-            offset += k
+        rtt_seed = seed_deriver(transport_seed, "task-rtt", isp)
+        z_rtt = standard_normals(
+            [rtt_seed(entry.street_line, entry.zip_code) for entry in tasks],
+            counts,
+        )
         rtts = latency.base_rtt * np.exp(latency.sigma * z_rtt)
 
     spread_list = spreads.tolist()

@@ -11,9 +11,10 @@ Four layers of guarantees:
   equal object by object (not just digest) between the two paths, so a
   digest collision can never mask a drift; on a seven-ISP world every
   walk kind BQT takes occurs and no task leaves the fast path.
-* **Matching oracles** — the address index's candidates and BQT's
-  suggestion matcher equal reference copies of their pre-optimization
-  code, and the index's keys equal ``canonical_key``.
+* **Matching oracles** — the address index's candidates, BQT's
+  suggestion matcher and the edit distance under it equal reference
+  copies of their pre-optimization code, and the index's keys equal
+  ``canonical_key``.
 * **Properties (hypothesis)** — batch hashing matches the scalar hash on
   arbitrary strings, the vectorized RNG synthesis reproduces the scalar
   draw sequences element for element, and ``best_suggestion`` equals its
@@ -31,7 +32,7 @@ from difflib import SequenceMatcher
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.addresses.database import AddressIndex
@@ -45,6 +46,7 @@ from repro.core.matching import (
     DEFAULT_ACCEPT_THRESHOLD,
     address_similarity,
     best_suggestion,
+    levenshtein,
     string_similarity,
     token_similarity,
 )
@@ -444,6 +446,34 @@ def _reference_candidates(index, street_line, zip_code, limit=25):
     return tuple(ordered[:limit])
 
 
+def _reference_levenshtein(a, b):
+    """``levenshtein`` as it was: the classic two-row dynamic program."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, char_a in enumerate(a, start=1):
+        current = [i]
+        for j, char_b in enumerate(b, start=1):
+            insert_cost = current[j - 1] + 1
+            delete_cost = previous[j] + 1
+            replace_cost = previous[j - 1] + (char_a != char_b)
+            current.append(min(insert_cost, delete_cost, replace_cost))
+        previous = current
+    return previous[-1]
+
+
+def _reference_string_similarity(a, b):
+    if not a and not b:
+        return 1.0
+    return 1.0 - _reference_levenshtein(a, b) / max(len(a), len(b))
+
+
 def _reference_address_similarity(query_line, candidate_line):
     """``address_similarity`` as it was: both lines normalized per call."""
     query = normalize_street_line(query_line)
@@ -461,9 +491,9 @@ def _reference_address_similarity(query_line, candidate_line):
 
     query_street = " ".join(t for t in query_tokens if t != query_number)
     candidate_street = " ".join(t for t in candidate_tokens if t != candidate_number)
-    street_score = 0.5 * string_similarity(query_street, candidate_street) + 0.5 * (
-        token_similarity(query_street, candidate_street)
-    )
+    street_score = 0.5 * _reference_string_similarity(
+        query_street, candidate_street
+    ) + 0.5 * token_similarity(query_street, candidate_street)
     return 0.35 * number_score + 0.65 * street_score
 
 
@@ -565,6 +595,34 @@ def test_best_suggestion_matches_reference(
         assert address_similarity(query_line, line) == (
             _reference_address_similarity(query_line, line)
         )
+
+
+#: Alphabets small enough that random strings share characters, one of
+#: them beyond ASCII and the Basic Multilingual Plane.
+_ALPHABETS = st.sampled_from(["AB ", "ABCDEFGH 12", "aéß漢🙂 x"])
+
+
+@st.composite
+def _edit_pairs(draw):
+    """Two strings around a shared prefix and suffix.  What differs may
+    run to 90 characters: past one 64-bit word of the bit-parallel
+    distance."""
+    alphabet = draw(_ALPHABETS)
+    affix = st.text(alphabet=alphabet, max_size=20)
+    core = st.text(alphabet=alphabet, max_size=90)
+    prefix, suffix = draw(affix), draw(affix)
+    return (prefix + draw(core) + suffix, prefix + draw(core) + suffix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_edit_pairs() | st.tuples(st.text(), st.text()))
+@example(pair=("MAGNOLIA ST", "MAGNOLA ST"))
+@example(pair=("AB" * 40 + "C", "BA" * 45))
+@example(pair=("漢🙂" * 35 + "x", "x" + "🙂漢" * 33))
+def test_levenshtein_matches_reference(pair):
+    a, b = pair
+    assert levenshtein(a, b) == _reference_levenshtein(a, b)
+    assert string_similarity(a, b) == _reference_string_similarity(a, b)
 
 
 # ----------------------------------------------------------------------

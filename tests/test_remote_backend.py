@@ -206,9 +206,13 @@ class TestDistributedDispatch:
         graceful drain) must have its in-flight spec re-queued on the
         surviving worker; the run completes with correct results."""
         reference, _ = run_shard_spec(_spec("cox"))
+        # --crash-after 0: the doomed worker dies on its first run_shard,
+        # which it is sent as soon as it is enlisted.  A later crash point
+        # is never reached if the survivor drains the queue first, and the
+        # worker then never dies for the width check below to see.
         with local_worker_pool(count=1, width=1) as survivor:
             with local_worker_pool(
-                count=1, width=1, extra_args=("--crash-after", "1")
+                count=1, width=1, extra_args=("--crash-after", "0")
             ) as doomed:
                 executor = DistributedExecutor(
                     workers=tuple(survivor) + tuple(doomed)

@@ -1,8 +1,17 @@
-"""Tests for deterministic seed derivation."""
+"""Tests for deterministic seed derivation and batched PCG64 seeding."""
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.seeding import SeedSequenceLabeler, derive_seed, rng_for
+from repro.seeding import (
+    derive_seed,
+    _pcg64_states,
+    rng_for,
+    seed_deriver,
+    standard_normals,
+)
 
 
 class TestDeriveSeed:
@@ -31,6 +40,13 @@ class TestDeriveSeed:
         assert derive_seed(42, 1) == derive_seed(42, 1)
         assert derive_seed(42, 1) != derive_seed(42, 2)
 
+    def test_pinned_values(self):
+        # Every golden digest rests on these bytes: the parent seed's decimal
+        # string, then 0x1f and str(label) per label, SHA-256, 63 bits.
+        assert derive_seed(42, "geo", "new-orleans") == 1478970591267406778
+        assert derive_seed(0) == 6912158355717386040
+        assert derive_seed(7, "délais", 3, 1.5) == 5199895819564875316
+
     def test_distribution_spread(self):
         seeds = {derive_seed(42, i) for i in range(1000)}
         assert len(seeds) == 1000  # no collisions in a small sample
@@ -48,21 +64,75 @@ class TestRngFor:
         assert not np.array_equal(a, b)
 
 
-class TestSeedSequenceLabeler:
-    def test_matches_derive_seed(self):
-        labeler = SeedSequenceLabeler(7, "addresses")
-        assert labeler.seed("x") == derive_seed(7, "addresses", "x")
+class TestSeedDeriver:
+    """The prefix form hashes ``(parent, *labels)`` once and must derive
+    exactly what ``derive_seed`` derives for the full label list."""
 
-    def test_namespaces_isolate(self):
-        a = SeedSequenceLabeler(7, "geo")
-        b = SeedSequenceLabeler(7, "isp")
-        assert a.seed("x") != b.seed("x")
+    _LABELS = st.lists(st.text() | st.integers(), max_size=4)
 
-    def test_properties(self):
-        labeler = SeedSequenceLabeler(7, "ns")
-        assert labeler.parent_seed == 7
-        assert labeler.namespace == "ns"
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parent=st.integers(min_value=0, max_value=2**63 - 1),
+        prefix=_LABELS,
+        suffixes=st.lists(_LABELS, min_size=1, max_size=4),
+    )
+    @example(parent=7, prefix=["délais", 3], suffixes=[["Rue de l’Église 漢", 70112], []])
+    def test_equals_derive_seed(self, parent, prefix, suffixes):
+        derive = seed_deriver(parent, *prefix)
+        for suffix in suffixes:
+            assert derive(*suffix) == derive_seed(parent, *prefix, *suffix)
 
-    def test_rng(self):
-        labeler = SeedSequenceLabeler(7, "ns")
-        assert labeler.rng("x").random() == labeler.rng("x").random()
+
+#: One- and two-word seeds at both ends, and the tops of derive_seed's
+#: range and of the uint64 range _pcg64_states accepts.
+_EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1)
+
+
+class TestBatchedPcg64Seeding:
+    """``_pcg64_states`` reimplements numpy's SeedSequence and PCG64 seeding;
+    a numpy release that changed either would fail here first."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seeds=st.lists(
+            st.integers(min_value=0, max_value=2**63 - 1)
+            | st.sampled_from(_EDGE_SEEDS),
+            max_size=12,
+        )
+    )
+    @example(seeds=list(_EDGE_SEEDS))
+    def test_states_equal_pcg64(self, seeds):
+        for seed, (state, inc) in zip(seeds, _pcg64_states(seeds), strict=True):
+            assert np.random.PCG64(seed).state == {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tasks=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**63 - 1)
+                | st.sampled_from(_EDGE_SEEDS),
+                st.integers(min_value=0, max_value=8),
+            ),
+            max_size=12,
+        )
+    )
+    @example(tasks=[(seed, 8) for seed in _EDGE_SEEDS])
+    def test_normals_equal_default_rng(self, tasks):
+        seeds = [seed for seed, _ in tasks]
+        counts = [k for _, k in tasks]
+        expected = [
+            value
+            for seed, k in tasks
+            for value in np.random.default_rng(seed).standard_normal(k).tolist()
+        ]
+        assert standard_normals(seeds, counts).tolist() == expected
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_is_refused(self, seed):
+        with pytest.raises(OverflowError):
+            standard_normals([seed], [1])
