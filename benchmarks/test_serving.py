@@ -74,10 +74,15 @@ CITY = "wichita"
 ISP = "cox"
 SEED = 11
 SCALE = 0.02
-# Shard sized so one forced re-curation is real curation work (~40-70 ms
-# on the columnar path of a 2-core developer machine) while a warm hit
-# stays a small payload; two 12 s load phases finish in about a minute.
-FRACTION = 0.4
+# Shard sized so one forced re-curation is real curation work (~28 ms on
+# the columnar path of a 2-vCPU Xeon host: every address in the shard)
+# while a warm hit stays a small payload; two 12 s load phases finish in
+# about a minute.  The baseline only melts when forced work is this
+# heavy: at fraction 0.4 (s_bar 12-14 ms) its interactive p99 sat near
+# the SLO and its goodput stayed above 90% of capacity.  If the columnar
+# path gets much faster again, grow the shard (SCALE) rather than touch
+# the gates.
+FRACTION = 1.0
 MIN_SAMPLES = 20
 WORKERS = 5
 
@@ -94,7 +99,7 @@ CAPACITY_SECONDS = 6.0
 CAPACITY_CLIENTS = 4
 # The flood's attempt rate is paced by the shedding hint, not by service
 # time, so the client count keeps the offered work several times capacity
-# (~9-10x at the s_bar above; the gate asks for 2x).
+# (~6-7x at the s_bar above; the gate asks for 2x).
 BATCH_CLIENTS = 128
 
 OUTPUT_DIR = Path(__file__).parent / "output"

@@ -6,11 +6,16 @@ A :class:`World` contains everything the paper's study environment had:
 * a noisy residential address feed per city (the Zillow stand-in);
 * ground-truth ISP deployments, market structure and plan offers;
 * one simulated BAT web application per ISP, registered on a shared
-  in-process transport.
+  in-process transport (``World.bats`` and ``World.transport``).
 
-The measurement pipeline (:mod:`repro.dataset`) talks **only** to the
-transport — the ground-truth objects exist so tests and ablations can
-validate what the pipeline recovers.
+The apps and the transport are built on first use.  Direct BQT clients
+read them (the examples, the scaling experiment, tests); the measurement
+pipeline (:mod:`repro.dataset`) never does.  Each (city, ISP) shard
+builds its own address index and BAT app from the city's ground truth:
+the scalar engine queries that app through a fresh transport, and the
+columnar path synthesizes the same walks from the same index and offers
+(:mod:`repro.dataset.columnar`).  Tests and ablations read the ground
+truth directly to validate what the pipeline recovers.
 
 ``WorldConfig.scale`` shrinks every city's block-group count
 proportionally, so a laptop-scale world preserves the paper-scale
@@ -20,6 +25,7 @@ structure.  Everything is deterministic in ``seed``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .addresses.database import AddressIndex
 from .addresses.generator import (
@@ -103,19 +109,43 @@ class CityWorld:
 
 
 class World:
-    """The assembled simulation: cities + BAT servers on a transport."""
+    """The assembled simulation: cities + BAT servers on a transport.
 
-    def __init__(
-        self,
-        config: WorldConfig,
-        cities: dict[str, CityWorld],
-        transport: InProcessTransport,
-        bats: dict[str, BatApplication],
-    ) -> None:
+    ``bats`` and ``transport`` are built on first access, not by
+    :func:`build_world`.  Make that first access on one thread, before
+    the world is shared across threads.
+    """
+
+    def __init__(self, config: WorldConfig, cities: dict[str, CityWorld]) -> None:
         self.config = config
         self.cities = cities
-        self.transport = transport
-        self.bats = bats
+
+    @cached_property
+    def bats(self) -> dict[str, BatApplication]:
+        """One BAT app per active ISP, serving all of that ISP's cities."""
+        bats: dict[str, BatApplication] = {}
+        for isp_name in sorted(self.active_isps()):
+            canonical: list[Address] = []
+            for cw in self.cities.values():
+                if isp_name in cw.info.isps:
+                    canonical.extend(cw.book.canonical)
+            bats[isp_name] = BatApplication(
+                profile=profile_for(isp_name),
+                index=AddressIndex(tuple(canonical)),
+                offers=offer_resolver(self.cities, isp_name),
+                seed=self.config.seed,
+            )
+        return bats
+
+    @cached_property
+    def transport(self) -> InProcessTransport:
+        """An in-process transport with every app of :attr:`bats` registered."""
+        transport = InProcessTransport(
+            latency=self.config.latency, seed=derive_seed(self.config.seed, "transport")
+        )
+        for app in self.bats.values():
+            transport.register(app)
+        return transport
 
     @property
     def seed(self) -> int:
@@ -180,7 +210,7 @@ def offer_resolver(world_cities: dict[str, CityWorld], isp_name: str):
 
     Returns the resolver a :class:`~repro.bat.app.BatApplication` consumes:
     an empty tuple for any address outside the given cities or the ISP's
-    deployments (the "no service" page).  Used both by :func:`build_world`
+    deployments (the "no service" page).  Used both by :attr:`World.bats`
     (all of an ISP's cities) and by the curation pipeline's per-shard BAT
     instances (a single city).
     """
@@ -198,23 +228,4 @@ def build_world(config: WorldConfig | None = None) -> World:
     """Build a complete simulated world from a configuration."""
     config = config or WorldConfig()
     cities = {info.name: _build_city(config, info) for info in config.city_infos()}
-
-    transport = InProcessTransport(
-        latency=config.latency, seed=derive_seed(config.seed, "transport")
-    )
-    bats: dict[str, BatApplication] = {}
-    active = {isp for cw in cities.values() for isp in cw.info.isps}
-    for isp_name in sorted(active):
-        canonical: list[Address] = []
-        for cw in cities.values():
-            if isp_name in cw.info.isps:
-                canonical.extend(cw.book.canonical)
-        app = BatApplication(
-            profile=profile_for(isp_name),
-            index=AddressIndex(tuple(canonical)),
-            offers=offer_resolver(cities, isp_name),
-            seed=config.seed,
-        )
-        transport.register(app)
-        bats[isp_name] = app
-    return World(config=config, cities=cities, transport=transport, bats=bats)
+    return World(config=config, cities=cities)

@@ -1,10 +1,14 @@
 """Tests for the synthetic census geography substrate."""
 
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, GeographyError, UnknownCityError
 from repro.geo import (
@@ -21,7 +25,34 @@ from repro.geo import (
     total_addresses_thousands,
     total_block_groups,
 )
-from repro.geo.fields import correlated_uniform_field, field_to_grid_values
+from repro.geo.fields import (
+    _MAXLOG,
+    _SQRT1_2,
+    correlated_uniform_field,
+    field_to_grid_values,
+    ndtr,
+)
+
+
+def _assert_ndtr_matches_scipy(values) -> None:
+    """Every bit of the port's result equals scipy's, nan included."""
+    values = np.asarray(values, dtype=np.float64)
+    ported = np.array([ndtr(v) for v in values.tolist()], dtype=np.float64)
+    expected = scipy.special.ndtr(values)
+    differ = np.flatnonzero(ported.view(np.uint64) != expected.view(np.uint64))
+    assert differ.size == 0, [
+        (float(values[i]), float(ported[i]), float(expected[i])) for i in differ[:5]
+    ]
+
+
+def _ulp_walk(value: float, steps: int) -> list[float]:
+    """``value`` and its ``steps`` float neighbours on each side."""
+    below, above, walk = value, value, [value]
+    for _ in range(steps):
+        below = math.nextafter(below, -math.inf)
+        above = math.nextafter(above, math.inf)
+        walk += [below, above]
+    return walk
 
 
 class TestCityRegistry:
@@ -237,11 +268,59 @@ class TestFields:
         field = correlated_uniform_field(10, 10, rng)
         assert field.min() >= 0.0 and field.max() <= 1.0
 
-    @pytest.mark.parametrize("module", ["scipy.stats", "asyncio"])
-    def test_world_build_does_not_import_scipy_stats(self, module, child_env):
-        """A fresh interpreter builds a world without loading scipy.stats,
-        whose import alone costs more than a small world build, or
-        asyncio, which no module of the package needs."""
+    def test_ndtr_matches_scipy_on_dense_grid(self):
+        _assert_ndtr_matches_scipy(np.linspace(-40.0, 40.0, 200_001))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(0.0)
+    @example(-0.0)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    def test_ndtr_matches_scipy_on_any_float(self, value):
+        _assert_ndtr_matches_scipy([value])
+
+    @pytest.mark.parametrize(
+        "edge",
+        [_SQRT1_2, 1.0, 8.0, math.sqrt(_MAXLOG)],
+        ids=["ndtr-erf-vs-erfc", "erf-vs-erfc", "PQ-vs-RS", "underflow"],
+    )
+    def test_ndtr_matches_scipy_at_branch_edges(self, edge):
+        """|a|·√½ at each branch point of cephes' ndtr/erf/erfc, a few
+        hundred ulps either side, for both signs of a."""
+        centre = edge / _SQRT1_2
+        values = [s * v for s in (1.0, -1.0) for v in _ulp_walk(centre, 200)]
+        # The walk straddles the branch condition in both directions.
+        if edge == math.sqrt(_MAXLOG):
+            sides = {-(v * _SQRT1_2) ** 2 < -_MAXLOG for v in values}
+        else:
+            sides = {abs(v * _SQRT1_2) < edge for v in values}
+        assert sides == {True, False}
+        _assert_ndtr_matches_scipy(values)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (24, 25)])
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    def test_uniform_field_equals_scipy_ndtr(self, shape, radius, seed):
+        rows, cols = shape
+        ported = correlated_uniform_field(
+            rows, cols, np.random.default_rng(seed), smoothing_radius=radius
+        )
+        expected = scipy.special.ndtr(
+            smoothed_gaussian_field(
+                rows, cols, np.random.default_rng(seed), smoothing_radius=radius
+            )
+        )
+        assert ported.shape == expected.shape
+        assert np.array_equal(ported, expected)
+
+    @pytest.mark.parametrize("module", ["scipy", "asyncio"])
+    def test_world_build_does_not_import(self, module, child_env):
+        """A fresh interpreter builds a world without loading any scipy
+        module (``scipy.special`` alone took ~0.1 s to import, more than
+        this world's build) or asyncio, which no module of the package
+        needs."""
         script = (
             "import sys\n"
             "from repro.world import WorldConfig, build_world\n"

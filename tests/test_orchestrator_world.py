@@ -1,15 +1,19 @@
 """Tests for the container fleet, world builder, and competition analysis
 on multi-city datasets."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.addresses.database import AddressIndex
 from repro.analysis import city_pair_l1_norms, competition_analysis
+from repro.bat.app import BatApplication
 from repro.core import ContainerFleet
 from repro.dataset.sampling import SamplingConfig, sample_city
 from repro.errors import ConfigurationError, UnknownCityError
 from repro.isp.market import MODE_CABLE_FIBER_DUOPOLY
-from repro.world import WorldConfig
+from repro.world import WorldConfig, build_world
 
 
 class TestWorldBuilder:
@@ -21,6 +25,29 @@ class TestWorldBuilder:
     def test_bats_registered(self, tiny_world):
         for isp, app in tiny_world.bats.items():
             assert tiny_world.transport.knows_host(app.hostname)
+
+    def test_bats_and_transport_built_on_first_use(self, monkeypatch):
+        built = Counter()
+        for cls in (AddressIndex, BatApplication):
+
+            def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls.__name__] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        world = build_world(
+            WorldConfig(seed=42, scale=0.04, cities=("wichita", "oklahoma-city"))
+        )
+        assert not built
+
+        bats = world.bats
+        assert list(bats) == sorted(world.active_isps())
+        transport = world.transport
+        for app in bats.values():
+            assert transport.knows_host(app.hostname)
+        assert sorted(transport.hosts) == sorted(app.hostname for app in bats.values())
+        assert world.bats is bats and world.transport is transport
+        assert built == {"AddressIndex": len(bats), "BatApplication": len(bats)}
 
     def test_active_isps(self, tiny_world):
         assert set(tiny_world.active_isps()) == {"att", "cox"}
