@@ -1,13 +1,14 @@
-"""Bench E-X2: execution backends on a real-I/O fleet (and shard parity).
+"""Bench E-X2: execution backends on a paced curation (and dataset parity).
 
-The in-process simulation runs at CPU speed on virtual clocks, so parallel
-backends cannot beat a serial loop there on a single core — the workload
-parallelism the paper exploits (Section 4.1: 50-200 containers) only pays
-when queries *block*.  This bench reproduces that regime faithfully: the
-BAT served over a real TCP socket with real (scaled) render-delay sleeps,
-a 200-task fleet, and the same fleet run on the serial, thread and process
-backends.  The parallel backends must win on wall-clock while returning
-the same query outcomes in the same order.
+Unpaced, curation runs at CPU speed on virtual clocks, so parallel
+backends cannot beat a serial loop on one core — the parallelism the
+paper exploits (Section 4.1: 50-200 containers) only pays when queries
+*block*.  This bench reproduces that regime at the layer that does the
+parallel work: one (city, ISP) shard curated with ``pacing_time_scale``
+set, so every request blocks for its scaled virtual latency, split
+``chunk_tasks="auto"`` by the executor width and run on the serial,
+thread and process backends.  The parallel backends must win on
+wall-clock while producing the byte-identical dataset.
 """
 
 from __future__ import annotations
@@ -17,83 +18,65 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import ContainerFleet
-from repro.dataset.sampling import SamplingConfig, sample_city
+from repro.dataset import CurationConfig, CurationPipeline, SamplingConfig
 from repro.exec import ProcessPoolBackend, SerialExecutor, ThreadPoolBackend
-from repro.net.tcp import TcpBatServer, TcpTransport
 from repro.world import WorldConfig, build_world
 
-N_TASKS = 200
-N_WORKERS = 25  # enough exit IPs that no backend trips the rate limiter
+CITY = "new-orleans"
+ISP = "cox"
+N_WORKERS = 25  # enough exit IPs that no worker trips the rate limiter
 POOL_WIDTH = 8
-TIME_SCALE = 0.0005  # a 40 s page render becomes a 20 ms real sleep
+PACING = 8e-5  # a 40 s page render becomes a 3.2 ms real block
+
+CONFIG = CurationConfig(
+    sampling=SamplingConfig(0.1, 10),
+    n_workers=N_WORKERS,
+    politeness_seconds=0.0,
+    pacing_time_scale=PACING,
+)
 
 OUTPUT_PATH = Path(__file__).parent / "output" / "exec_backends.txt"
 
 
 @pytest.fixture(scope="module")
-def fleet_env():
-    world = build_world(
-        WorldConfig(seed=42, scale=0.05, cities=("new-orleans",))
-    )
-    app = world.bats["cox"]
-    book = world.city("new-orleans").book
-    samples = sample_city(
-        book, SamplingConfig(0.1, 10), world.seed, "cox"
-    )
-    entries = [e for geoid in sorted(samples) for e in samples[geoid]]
-    tasks = [("cox", e.street_line, e.zip_code) for e in entries[:N_TASKS]]
-    assert len(tasks) >= N_TASKS
-    with TcpBatServer(app, time_scale=TIME_SCALE) as server:
-        transport = TcpTransport({app.hostname: server.address})
-        yield transport, tasks
+def world():
+    return build_world(WorldConfig(seed=42, scale=0.05, cities=(CITY,)))
 
 
-def _timed_run(transport, tasks, executor):
-    fleet = ContainerFleet(
-        transport,
-        n_workers=N_WORKERS,
-        seed=1,
-        politeness_seconds=0.0,
-        executor=executor,
-    )
+def _timed_run(world, executor):
+    pipeline = CurationPipeline(world, CONFIG, executor=executor, chunk_tasks="auto")
     started = time.monotonic()
-    report = fleet.run(tasks)
-    return time.monotonic() - started, report
+    dataset = pipeline.curate(isps=(ISP,))
+    return time.monotonic() - started, dataset, pipeline.last_run
 
 
-def test_exec_backends_scaling(fleet_env):
-    transport, tasks = fleet_env
-    serial_s, serial = _timed_run(transport, tasks, SerialExecutor())
-    thread_s, threaded = _timed_run(
-        transport, tasks, ThreadPoolBackend(max_workers=POOL_WIDTH)
-    )
-    process_s, processed = _timed_run(
-        transport, tasks, ProcessPoolBackend(max_workers=POOL_WIDTH)
-    )
+def test_exec_backends_scaling(world):
+    runs = {
+        "serial": _timed_run(world, SerialExecutor()),
+        "thread": _timed_run(world, ThreadPoolBackend(max_workers=POOL_WIDTH)),
+        "process": _timed_run(world, ProcessPoolBackend(max_workers=POOL_WIDTH)),
+    }
+    serial_s = runs["serial"][0]
 
     lines = [
-        "Bench E-X2: execution backends, 200-task fleet over real TCP",
-        f"tasks={len(tasks)} fleet_workers={N_WORKERS} "
-        f"pool_width={POOL_WIDTH} time_scale={TIME_SCALE}",
-        f"{'backend':10s}{'wall_s':>10s}{'hits':>8s}",
-        f"{'serial':10s}{serial_s:>10.2f}{sum(r.is_hit for r in serial.results):>8d}",
-        f"{'thread':10s}{thread_s:>10.2f}{sum(r.is_hit for r in threaded.results):>8d}",
-        f"{'process':10s}{process_s:>10.2f}{sum(r.is_hit for r in processed.results):>8d}",
+        "Bench E-X2: execution backends, one paced curation shard",
+        f"shard={CITY}/{ISP} tasks={len(runs['serial'][1])} "
+        f"fleet_workers={N_WORKERS} pool_width={POOL_WIDTH} pacing={PACING}",
+        f"{'backend':10s}{'units':>7s}{'wall_s':>9s}{'vs serial':>11s}",
+    ] + [
+        f"{name:10s}{run.dispatched_units:>7d}{wall_s:>9.2f}"
+        f"{serial_s / wall_s:>10.1f}x"
+        for name, (wall_s, _dataset, run) in runs.items()
     ]
     report_text = "\n".join(lines)
     print("\n" + report_text)
     OUTPUT_PATH.write_text(report_text + "\n")
 
-    # Same fleet, same queries: outcomes agree in task order everywhere.
-    statuses = [r.status for r in serial.results]
-    assert [r.status for r in threaded.results] == statuses
-    assert [r.status for r in processed.results] == statuses
-    assert [r.plans for r in processed.results] == [
-        r.plans for r in serial.results
-    ]
+    # Same shard, same seeds: the datasets are byte-identical everywhere.
+    digests = {name: dataset.content_digest() for name, (_, dataset, _) in runs.items()}
+    assert len(set(digests.values())) == 1, digests
 
-    # Parallelism must pay on wall-clock (observed ~4-5x on one core; the
-    # 25% floor keeps the assertion robust on loaded CI machines).
-    assert thread_s < serial_s * 0.75, (thread_s, serial_s)
-    assert process_s < serial_s * 0.75, (process_s, serial_s)
+    # Parallelism must pay on wall-clock (observed ~3-5x on two cores;
+    # the 25% floor keeps the assertion robust on loaded CI machines).
+    assert runs["thread"][0] < serial_s * 0.75, (runs["thread"][0], serial_s)
+    assert runs["process"][0] < serial_s * 0.75, (runs["process"][0], serial_s)

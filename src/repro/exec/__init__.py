@@ -1,12 +1,14 @@
 """Pluggable parallel execution: backends, registry, and the result cache.
 
-The curation pipeline and the container fleet dispatch independent units
-of work (city/ISP shards, per-worker query batches) through an
-:class:`~repro.exec.base.Executor`.  Four interchangeable backends exist
-— serial, thread pool, process pool, and remote workers over RPC — and
-because every dispatched unit is a pure function of configuration and
-derived seeds, all four produce byte-identical datasets; only wall-clock
-time differs.
+The curation pipeline and the serving tier dispatch (city, ISP) shards,
+whole or in chunks, as :class:`~repro.exec.spec.ShardSpec` data through
+an :class:`~repro.exec.base.Executor`'s ``map_specs``.  Four
+interchangeable backends exist — serial, thread pool, process pool, and
+remote workers over RPC — and because every spec is a pure function of
+configuration and derived seeds, all four produce byte-identical
+datasets; only wall-clock time differs.  The BQT container fleet inside
+a shard (:class:`~repro.core.orchestrator.ContainerFleet`) runs on
+virtual time and never touches an executor.
 
 :class:`~repro.exec.cache.QueryResultCache` complements the executors: it
 remembers finished shard results under content-addressed keys so repeated

@@ -1,37 +1,35 @@
 """The executor protocol and backend registry.
 
-An :class:`Executor` maps a function over a list of work items and returns
-the results **in item order** — the one contract every consumer in the
-library relies on for determinism.  Four interchangeable backends
-implement it:
+An :class:`Executor` runs curation shard specs and returns their results
+**in spec order** — the one contract every consumer in the library
+relies on for determinism.  A spec is the library's only parallel unit:
+a (city, ISP) shard, or a chunk of one, as pure data
+(:class:`~repro.exec.spec.ShardSpec`).  Four interchangeable backends
+implement :meth:`Executor.map_specs`:
 
 * :class:`~repro.exec.serial.SerialExecutor` — a plain loop in the calling
   thread (the reference implementation; also the fastest choice for
   CPU-bound virtual-time simulation on a single core);
 * :class:`~repro.exec.threads.ThreadPoolBackend` — a
-  :class:`concurrent.futures.ThreadPoolExecutor`; pays off when work items
-  block on real I/O (the TCP transport path);
+  :class:`concurrent.futures.ThreadPoolExecutor`; pays off when specs
+  block (paced curation, where every request sleeps its scaled latency);
 * :class:`~repro.exec.processes.ProcessPoolBackend` — a
   :class:`concurrent.futures.ProcessPoolExecutor`; sidesteps the GIL for
-  CPU-bound work on multi-core hosts.  Work functions and items must be
-  picklable;
-* :class:`~repro.exec.remote.DistributedExecutor` — shard specs shipped
-  over RPC to ``python -m repro.dataset worker`` processes on any
-  machine (``--remote-workers`` or an elastic fleet).  Only
-  :meth:`Executor.map_specs` distributes; generic :meth:`Executor.map`
-  work runs locally.
+  CPU-bound specs on multi-core hosts (specs pickle);
+* :class:`~repro.exec.remote.DistributedExecutor` — specs shipped over
+  RPC to ``python -m repro.dataset worker`` processes on any machine
+  (``--remote-workers`` or an elastic fleet).
 
-Because the parallel unit everywhere in the library is a *deterministic
-shard* (a pure function of configuration and derived seed), the choice of
-backend never changes results — only wall-clock time.  The determinism
-parity tests in ``tests/test_exec_backends.py`` enforce this.
+Because a spec is a pure function of configuration and derived seeds,
+the choice of backend never changes results — only wall-clock time.  The
+determinism parity tests in ``tests/test_exec_backends.py`` enforce this.
 """
 
 from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..errors import ConfigurationError
 from ..settings import EXECUTOR_BACKENDS
@@ -49,9 +47,6 @@ __all__ = [
     "default_max_workers",
 ]
 
-_ItemT = TypeVar("_ItemT")
-_ResultT = TypeVar("_ResultT")
-
 
 def default_max_workers() -> int:
     """Default pool width: the host's CPU count, floored at two.
@@ -63,27 +58,15 @@ def default_max_workers() -> int:
 
 
 class Executor(ABC):
-    """Order-preserving batch executor over independent work items."""
+    """Order-preserving executor of curation shard specs."""
 
     #: Registry key of the backend (``"serial"``, ``"thread"``,
     #: ``"process"``, ``"remote"``).
     name: str = "abstract"
 
-    @abstractmethod
-    def map(
-        self,
-        fn: Callable[[_ItemT], _ResultT],
-        items: Sequence[_ItemT],
-    ) -> list[_ResultT]:
-        """Apply ``fn`` to every item and return results in item order.
-
-        Exceptions raised by ``fn`` propagate to the caller (the first one
-        encountered in item order); partial results are discarded.
-        """
-
     @property
     def width(self) -> int:
-        """How many work items this backend runs concurrently.
+        """How many specs this backend runs concurrently.
 
         One for the serial backend; the pool width for the thread and
         process backends (they expose ``max_workers``).  The curation
@@ -92,23 +75,17 @@ class Executor(ABC):
         """
         return int(getattr(self, "max_workers", 1))
 
+    @abstractmethod
     def map_specs(
         self, specs: "Sequence[ShardSpec]"
     ) -> "list[tuple[tuple[AddressObservation, ...], float]]":
-        """Execute curation shard specs, results in spec order.
+        """Run every spec; ``(observations, wall_seconds)`` in spec order.
 
-        The spec-shaped sibling of :meth:`map`: every dispatch unit the
-        curation pipeline hands an executor is a serializable
-        :class:`~repro.exec.spec.ShardSpec`, and this is where a backend
-        decides how to run them.  The default routes through
-        :func:`~repro.exec.spec.run_shard_spec` on the backend's own
-        :meth:`map` — correct for every in-process backend (and the
-        process pool, since specs pickle).  The remote backend overrides
-        this to ship specs to worker machines instead.
+        The local backends map :func:`~repro.exec.spec.run_shard_spec`
+        over the specs; the remote backend ships them to worker
+        processes.  The first exception in spec order propagates to the
+        caller; partial results are discarded.
         """
-        from .spec import run_shard_spec
-
-        return self.map(run_shard_spec, list(specs))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -136,8 +113,10 @@ def resolve_executor(
 ) -> Executor:
     """Turn a backend name (or an executor instance) into an executor.
 
-    ``None`` resolves to the serial backend.  Unknown names raise
-    :class:`~repro.errors.ConfigurationError`.
+    ``None`` resolves to the serial backend.  ``max_workers`` sizes the
+    thread and process pools; the serial backend has no pool, and a
+    remote fleet's width is what its workers advertise.  Unknown names
+    raise :class:`~repro.errors.ConfigurationError`.
     """
     if spec is None:
         spec = "serial"
@@ -151,7 +130,7 @@ def resolve_executor(
             f"unknown executor backend {spec!r} "
             f"(available: {', '.join(EXECUTOR_BACKENDS)})"
         ) from None
-    if spec == "serial":
+    if spec in ("serial", "remote"):
         return factory()
     return factory(max_workers=max_workers)
 

@@ -1,67 +1,44 @@
 """Process-pool backend.
 
-Each work item runs in a child process, sidestepping the GIL for CPU-bound
+Each spec runs in a child process, sidestepping the GIL for CPU-bound
 shard work on multi-core hosts.  The contract is the same as every other
-backend — results in item order — but two extra constraints apply:
-
-* the work function and its items must be picklable (top-level functions
-  and plain dataclasses; no closures over live transports);
-* per-item overhead includes pickling and, for curation shards, rebuilding
-  the shard's city ground truth inside the child (memoized per process, so
-  shards of the same city amortize it).
+backend — results in spec order.  Specs are plain frozen dataclasses, so
+they pickle; the per-spec overhead is that pickling plus, for a city the
+child has not seen, rebuilding its ground truth (memoized per process,
+so shards of the same city amortize it).
 
 On Linux the pool forks by default, so children inherit already-imported
-modules and start in milliseconds.
+modules and already-built cities and start in milliseconds.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence, TypeVar
 
 from ..errors import ConfigurationError
 from .base import Executor, default_max_workers
+from .spec import run_shard_spec
 
 __all__ = ["ProcessPoolBackend"]
 
-_ItemT = TypeVar("_ItemT")
-_ResultT = TypeVar("_ResultT")
-
 
 class ProcessPoolBackend(Executor):
-    """Order-preserving map over a :class:`ProcessPoolExecutor`."""
+    """Order-preserving spec runner over a :class:`ProcessPoolExecutor`."""
 
     name = "process"
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        start_method: str | None = None,
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError("max_workers must be >= 1")
         self.max_workers = max_workers or default_max_workers()
-        self.start_method = start_method
 
-    def _context(self) -> multiprocessing.context.BaseContext:
-        if self.start_method is None:
-            return multiprocessing.get_context()
-        return multiprocessing.get_context(self.start_method)
-
-    def map(
-        self,
-        fn: Callable[[_ItemT], _ResultT],
-        items: Sequence[_ItemT],
-    ) -> list[_ResultT]:
-        if not items:
+    def map_specs(self, specs):
+        if not specs:
             return []
-        # A pool wider than the work list would only spawn idle children.
-        width = min(self.max_workers, len(items))
-        with ProcessPoolExecutor(
-            max_workers=width, mp_context=self._context()
-        ) as pool:
-            return list(pool.map(fn, items))
+        # A pool wider than the spec list would only spawn idle children.
+        width = min(self.max_workers, len(specs))
+        with ProcessPoolExecutor(max_workers=width) as pool:
+            return list(pool.map(run_shard_spec, specs))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessPoolBackend(max_workers={self.max_workers})"

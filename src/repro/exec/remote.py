@@ -40,12 +40,6 @@ half of shipping those specs off-machine:
 * a worker counts toward the fleet only while one of its connections
   stands.  A fleet with none left is empty: a static fleet fails at once
   (nobody can join it), an elastic one after ``join_timeout``.
-
-Generic :meth:`Executor.map` work — closures over live objects — cannot
-cross a machine boundary and is deliberately **not** shipped: it degrades
-to a local in-order loop, so a run-wide remote backend still runs every
-non-spec consumer correctly (and the curation pipeline, the only spec
-producer, is the only thing that actually distributes).
 """
 
 from __future__ import annotations
@@ -59,7 +53,7 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..errors import ConfigurationError, TransportError
 from ..net.faults import FaultProfile
@@ -82,9 +76,6 @@ __all__ = [
     "stop_local_worker",
 ]
 
-_ItemT = TypeVar("_ItemT")
-_ResultT = TypeVar("_ResultT")
-
 
 class DistributedExecutor(Executor):
     """Executes shard specs on a fleet of remote worker processes.
@@ -95,8 +86,6 @@ class DistributedExecutor(Executor):
             elastic fleet).  An empty list is a configuration error.
         call_timeout: Per-RPC socket timeout, seconds.  One RPC executes
             one spec, so this bounds a single dispatch unit's wall time.
-        max_workers: Accepted for registry symmetry; ignored (per-worker
-            concurrency is whatever each worker advertises).
         fault_profile: Optional fault injection for the coordinator side
             of every RPC connection (falls back to
             ``REPRO_FAULT_PROFILE``; ``"off"`` pins it off).
@@ -118,12 +107,10 @@ class DistributedExecutor(Executor):
         self,
         workers: "Sequence[tuple[str, int]] | str | None" = None,
         call_timeout: float = 600.0,
-        max_workers: int | None = None,
         fault_profile: "FaultProfile | str | None" = None,
         coordinator: "FleetCoordinator | None" = None,
         join_timeout: float = 30.0,
     ) -> None:
-        del max_workers  # width comes from the workers themselves
         self.fault_profile = fault_profile
         self.call_timeout = call_timeout
         self._coordinator = coordinator
@@ -223,20 +210,6 @@ class DistributedExecutor(Executor):
     # ------------------------------------------------------------------
     # Executor protocol
     # ------------------------------------------------------------------
-    def map(
-        self,
-        fn: Callable[[_ItemT], _ResultT],
-        items: Sequence[_ItemT],
-    ) -> list[_ResultT]:
-        """Generic work runs locally, in order.
-
-        Closures cannot cross a machine boundary; only shard specs
-        (:meth:`map_specs`) distribute.  Degrading to the serial
-        reference keeps non-spec consumers (fleet batching, contract
-        tests) correct under a process-wide remote default.
-        """
-        return [fn(item) for item in items]
-
     def map_specs(
         self, specs: "Sequence[ShardSpec]"
     ) -> "list[tuple[tuple[AddressObservation, ...], float]]":

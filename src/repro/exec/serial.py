@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
-
 from .base import Executor
+from .spec import run_shard_spec
 
 __all__ = ["SerialExecutor"]
 
-_ItemT = TypeVar("_ItemT")
-_ResultT = TypeVar("_ResultT")
-
 
 class SerialExecutor(Executor):
-    """Runs every work item in submission order on the calling thread.
+    """Runs every spec in submission order on the calling thread.
 
     This is the reference implementation the parallel backends are tested
     against: whatever dataset a parallel backend produces must be
@@ -22,9 +18,5 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def map(
-        self,
-        fn: Callable[[_ItemT], _ResultT],
-        items: Sequence[_ItemT],
-    ) -> list[_ResultT]:
-        return [fn(item) for item in items]
+    def map_specs(self, specs):
+        return [run_shard_spec(spec) for spec in specs]

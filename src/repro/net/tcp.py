@@ -107,9 +107,7 @@ class TcpTransport(Transport):
     request after a host's first.  Responses are identical either way
     (regression-tested); only wall-clock changes.
 
-    The pools are thread-safe (a thread-batched fleet shares one
-    transport), and never pickle: a process-backend worker that inherits
-    this transport starts with no pools and dials its own sockets.
+    The pools are thread-safe, so threads may share one transport.
     """
 
     def __init__(
@@ -128,18 +126,6 @@ class TcpTransport(Transport):
         self._fault_profile = resolve_fault_profile(fault_profile)
         self.fault_retries = fault_retries
         self._pools: dict[str, KeepAlivePool] = {}
-        self._lock = threading.Lock()
-
-    # Sockets and locks cannot cross pickle boundaries (process backend);
-    # a rehydrated transport simply starts with no pools.
-    def __getstate__(self) -> dict[str, object]:
-        state = self.__dict__.copy()
-        state["_pools"] = {}
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     def knows_host(self, host: str) -> bool:

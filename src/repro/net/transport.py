@@ -111,7 +111,7 @@ class InProcessTransport(Transport):
         self.concurrency = 1  # set by the orchestrator for load modeling
         self._request_counts: dict[str, int] = {}
         # The RTT generator, request counters and application objects are
-        # shared mutable state; a thread-batched fleet sends concurrently.
+        # shared mutable state, guarded for callers on several threads.
         self._lock = threading.Lock()
 
     def register(self, app: BatServerApp) -> None:

@@ -154,10 +154,10 @@ class VirtualQueue:
 class Deadline:
     """An absolute per-request deadline on the serving clock's axis.
 
-    Propagated from the HTTP layer down to executor work, where the wave
-    loop checks it between dispatch waves — cooperative cancellation at
-    chunk granularity (a chunk replays exactly its span, so partial
-    progress is simply discarded without poisoning any cache).
+    Propagated from the HTTP layer to the service, which checks it once,
+    before dispatching any curation work: a request whose budget ran out
+    while it waited answers 504 without curating, and a dispatched
+    request runs to completion.
     """
 
     expires_at: float

@@ -67,7 +67,12 @@ def serve_main(argv: list[str]) -> int:
                              "cache keys — must match any warm cache)")
     add_backend_arguments(parser)
     parser.add_argument("--max-workers", type=int, default=None,
-                        help="executor pool width (default: backend's own)")
+                        help="executor pool width (default: backend's own). "
+                             "The thread backend builds one pool per "
+                             "re-curation, so this bounds one forced "
+                             "request's pool; admission's width + "
+                             "--queue-depth bounds how many requests "
+                             "curate at once")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="on-disk query-result cache root (default: "
                              "REPRO_CACHE_DIR; unset = memory-only cache). "

@@ -1,4 +1,4 @@
-"""The query service: admission → two-tier cache → deadline-aware curation.
+"""The query service: admission → two-tier cache → deadline-checked curation.
 
 :class:`ServeService` is the serving tier's business logic, shared by the
 HTTP endpoint and by in-process tests.  One instance owns a built
@@ -20,8 +20,9 @@ JSON into a small envelope instead of re-serializing the shard.
 Degradation ladder on a cache miss (what the admission
 :class:`~repro.serve.admission.Decision` selects):
 
-* **clear** — re-curate the shard (waves of chunk specs, deadline checked
-  between waves).
+* **clear** — re-curate the shard: one ``map_specs`` call over at most
+  the executor's width of chunk specs, the deadline checked once before
+  it.
 * **precongestion** (``stale_first``) — serve the newest stale disk shard
   for the (city, ISP) if one exists, else re-curate.
 * **overload** (``refuse_miss``) — stale or 503; no new curation work.
@@ -158,9 +159,6 @@ class ServeService:
         breaker: Circuit breaker around the executor fallthrough.
         clock: Injectable time source (tests pass a
             :class:`~repro.net.clock.VirtualClock`).
-        chunk_tasks: Task cap per dispatch chunk.  None sizes chunks so
-            one wave fills the executor width; smaller values buy finer
-            deadline-check granularity between waves.
     """
 
     def __init__(
@@ -172,7 +170,6 @@ class ServeService:
         admission: AdmissionController | None = None,
         breaker: CircuitBreaker | None = None,
         clock: Clock | None = None,
-        chunk_tasks: int | None = None,
     ) -> None:
         self.world = world
         self.config = config
@@ -181,7 +178,6 @@ class ServeService:
         self.admission = admission
         self.breaker = breaker or CircuitBreaker()
         self.clock: Clock = clock or RealClock()
-        self.chunk_tasks = chunk_tasks
         self._base_digest = curation_base_digest(world.config, config)
         self._shards: dict[tuple[str, str], _ShardInfo] = {}
         # At most one encoded payload per (city, ISP) resolved above.
@@ -220,8 +216,9 @@ class ServeService:
         when the decision was counted in-flight, exactly one ``finish``
         happens here, carrying the observed service time plus whether the
         request actually executed curation work — only executed costs
-        feed the EWMA miss-cost estimate; warm hits refund their unspent
-        admission charge instead.
+        feed the EWMA miss-cost estimate; everything else (hits, stale
+        reads, refusals, 504s, errors) refunds its unspent admission
+        charge instead.
         """
         started = self.clock.now()
         result: ServeResult | None = None
@@ -230,18 +227,11 @@ class ServeService:
             return result
         finally:
             if decision.counted and self.admission is not None:
-                # 504s spent their whole budget on real curation waves,
-                # so they count as executed cost; everything else that
-                # skipped the executor (hits, stale, refusals, errors)
-                # refunds its charge.
-                executed = result is not None and (
-                    result.source == "executed" or result.status == 504
-                )
                 self.admission.finish(
                     self.clock.now() - started,
                     self.clock.now(),
                     charged=decision.charged,
-                    executed=executed,
+                    executed=result is not None and result.source == "executed",
                 )
 
     def _handle(
@@ -379,7 +369,12 @@ class ServeService:
         state: str,
         deadline: Deadline | None,
     ) -> ServeResult:
-        """Re-curate the shard in deadline-checked waves of chunk specs."""
+        """Re-curate the shard: one dispatch of at most ``width`` chunk specs.
+
+        The deadline is checked once, before dispatch.  A request whose
+        budget ran out while it queued answers 504 without curating; a
+        dispatched request runs to completion.
+        """
         with self._breaker_lock:
             allowed = self.breaker.allow(self.clock.now())
         if not allowed:
@@ -395,11 +390,17 @@ class ServeService:
                 state=state,
                 retry_after=self.breaker.reset_after_s,
             )
+        if deadline is not None and deadline.expired(self.clock.now()):
+            self.deadline_exceeded += 1
+            return ServeResult(
+                504,
+                _json_body({"error": "deadline exceeded before dispatch"}),
+                state=state,
+            )
 
         n_tasks = len(info.tasks)
         width = max(1, int(getattr(self.executor, "width", 1)))
-        cap = self.chunk_tasks or max(1, -(-n_tasks // width))
-        spans = chunk_spans(n_tasks, cap)
+        spans = chunk_spans(n_tasks, max(1, -(-n_tasks // width)))
         specs = [
             ShardSpec(
                 world=self.world.config,
@@ -413,29 +414,8 @@ class ServeService:
             )
             for start, stop in spans
         ]
-
-        merged: list = []
         try:
-            # Waves of at most ``width`` chunks, deadline checked between
-            # waves: cooperative cancellation at chunk granularity.  An
-            # abandoned request discards its partial chunks — each chunk
-            # replays exactly its span, so nothing half-done can poison
-            # the cache.
-            for wave_start in range(0, len(specs), width):
-                if deadline is not None and deadline.expired(self.clock.now()):
-                    self.deadline_exceeded += 1
-                    return ServeResult(
-                        504,
-                        _json_body({
-                            "error": "deadline exceeded before completion",
-                            "completed_chunks": wave_start,
-                            "total_chunks": len(specs),
-                        }),
-                        state=state,
-                    )
-                wave = specs[wave_start : wave_start + width]
-                for observations, _wall in self.executor.map_specs(wave):
-                    merged.extend(observations)
+            chunks = self.executor.map_specs(specs)
         except (TransportError, OSError, RpcRemoteError) as exc:
             with self._breaker_lock:
                 self.breaker.record_failure(self.clock.now())
@@ -454,7 +434,7 @@ class ServeService:
 
         with self._breaker_lock:
             self.breaker.record_success()
-        observations = tuple(merged)
+        observations = tuple(obs for chunk, _wall in chunks for obs in chunk)
         self.cache.store_shard(
             info.keys,
             observations,

@@ -1,5 +1,6 @@
-"""Repository-level checks: public API surface, docs, doctests."""
+"""Repository-level checks: public API surface, layering, docs, doctests."""
 
+import ast
 import doctest
 import importlib
 from pathlib import Path
@@ -64,6 +65,40 @@ class TestPublicApi:
         for name in ("build_world", "WorldConfig", "BroadbandQueryTool",
                      "CurationPipeline", "carriage_value"):
             assert hasattr(repro, name)
+
+
+# Packages below the executor layer: the world, the BQT client and its
+# fleet, the network substrate and the analyses.
+LOWER_LAYERS = ("core", "net", "bat", "addresses", "geo", "isp", "analysis")
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every module a source file imports, relative imports resolved."""
+    package = path.relative_to(ROOT / "src").with_suffix("").parts[:-1]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            module = ".".join([*base, node.module] if node.module else base)
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_lower_layers_do_not_import_the_executor_layer():
+    """Executors run shard specs from the dataset and serving layers;
+    nothing below them imports ``repro.exec``, even lazily."""
+    offenders = []
+    for layer in LOWER_LAYERS:
+        for path in sorted((ROOT / "src" / "repro" / layer).rglob("*.py")):
+            offenders.extend(
+                f"{path.relative_to(ROOT / 'src').as_posix()}: {module}"
+                for module in sorted(_imported_modules(path))
+                if module == "repro.exec" or module.startswith("repro.exec.")
+            )
+    assert offenders == []
 
 
 class TestDoctests:

@@ -1,6 +1,6 @@
-"""The executor layer: backends, registry, fleet batching, and the
-determinism-parity guarantee (serial == thread == process == remote, byte
-for byte).
+"""The executor layer: backends, registry, the ``map_specs`` contract,
+and the determinism-parity guarantee (serial == thread == process ==
+remote, byte for byte).
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import ContainerFleet
 from repro.dataset import (
     CurationConfig,
     CurationPipeline,
@@ -17,8 +16,7 @@ from repro.dataset import (
     hash_address_id,
     write_dataset_csv,
 )
-from repro.dataset.sampling import sample_city
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnknownCityError
 from repro.exec import (
     EXECUTOR_BACKENDS,
     DistributedExecutor,
@@ -31,9 +29,30 @@ from repro.exec import (
     local_worker_pool,
     resolve_executor,
 )
+from repro.exec.spec import ShardSpec, run_shard_spec
 from repro.settings import RunSettings
+from repro.world import WorldConfig
 
 BACKENDS = ["serial", "thread", "process"]
+
+# Two 36-task shards (AT&T and Cox): cheap enough to curate per backend.
+SPEC_WORLD = WorldConfig(seed=11, scale=0.02, cities=("wichita",))
+SPEC_CONFIG = CurationConfig(
+    sampling=SamplingConfig(fraction=0.05, min_samples=3), n_workers=5
+)
+
+
+def _spec(isp, start=0, stop=None, city="wichita"):
+    return ShardSpec(
+        world=SPEC_WORLD, city=city, isp=isp, config=SPEC_CONFIG,
+        start=start, stop=stop,
+    )
+
+
+@pytest.fixture(scope="module")
+def whole_shards():
+    """Each shard's observations, run whole on the calling thread."""
+    return {isp: run_shard_spec(_spec(isp))[0] for isp in ("att", "cox")}
 
 
 # ----------------------------------------------------------------------
@@ -103,9 +122,16 @@ class TestExecutorContract:
         ],
         ids=BACKENDS,
     )
-    def test_map_preserves_item_order(self, executor):
-        items = list(range(23))
-        assert executor.map(_square, items) == [i * i for i in items]
+    def test_map_preserves_item_order(self, executor, whole_shards):
+        """``map_specs`` returns results in spec order, across specs
+        from different shards and spans."""
+        cuts = [("att", 20, None), ("cox", 0, 9), ("att", 0, 20), ("cox", 9, None)]
+        outcomes = executor.map_specs(
+            [_spec(isp, start, stop) for isp, start, stop in cuts]
+        )
+        assert [observations for observations, _wall in outcomes] == [
+            whole_shards[isp][start:stop] for isp, start, stop in cuts
+        ]
 
     @pytest.mark.parametrize(
         "executor",
@@ -116,8 +142,14 @@ class TestExecutorContract:
         ids=["serial", "thread"],
     )
     def test_map_propagates_exceptions(self, executor):
-        with pytest.raises(ValueError, match="item 3"):
-            executor.map(_explode_on_three, list(range(6)))
+        """The first failing spec in spec order raises from ``map_specs``."""
+        specs = [
+            _spec("cox"),
+            _spec("cox", city="atlantis"),
+            _spec("cox", city="lemuria"),
+        ]
+        with pytest.raises(UnknownCityError, match="atlantis"):
+            executor.map_specs(specs)
 
     @pytest.mark.parametrize(
         "executor",
@@ -129,78 +161,13 @@ class TestExecutorContract:
         ids=BACKENDS,
     )
     def test_map_empty(self, executor):
-        assert executor.map(_square, []) == []
+        assert executor.map_specs([]) == []
 
     def test_bad_max_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             ThreadPoolBackend(max_workers=0)
         with pytest.raises(ConfigurationError):
             ProcessPoolBackend(max_workers=0)
-
-
-def _square(x: int) -> int:
-    return x * x
-
-
-def _explode_on_three(x: int) -> int:
-    if x == 3:
-        raise ValueError("item 3 exploded")
-    return x
-
-
-# ----------------------------------------------------------------------
-# Fleet batched execution
-# ----------------------------------------------------------------------
-class TestFleetExecutor:
-    @pytest.fixture(scope="class")
-    def tasks(self, tiny_world):
-        book = tiny_world.city("new-orleans").book
-        samples = sample_city(
-            book, SamplingConfig(0.1, 5), tiny_world.seed, "cox"
-        )
-        entries = [e for geoid in sorted(samples) for e in samples[geoid]]
-        return [("cox", e.street_line, e.zip_code) for e in entries[:40]]
-
-    def test_batched_results_in_task_order(self, tiny_world, tasks):
-        fleet = ContainerFleet(
-            tiny_world.transport, n_workers=6, seed=1, executor=SerialExecutor()
-        )
-        report = fleet.run(tasks)
-        assert report.total_queries == len(tasks)
-        for (isp, line, _), result in zip(tasks, report.results):
-            assert result.isp == isp
-            assert result.input_line == line
-
-    def test_thread_batches_match_serial_batches(self, tiny_world, tasks):
-        serial = ContainerFleet(
-            tiny_world.transport, n_workers=6, seed=1, executor=SerialExecutor()
-        ).run(tasks)
-        threaded = ContainerFleet(
-            tiny_world.transport,
-            n_workers=6,
-            seed=1,
-            executor=ThreadPoolBackend(max_workers=4),
-        ).run(tasks)
-        # Statuses and plans are address-deterministic; only timings are
-        # allowed to drift on the shared in-process transport.
-        assert [r.status for r in serial.results] == [
-            r.status for r in threaded.results
-        ]
-        assert [r.plans for r in serial.results] == [
-            r.plans for r in threaded.results
-        ]
-
-    def test_process_backend_rejected_on_in_process_transport(
-        self, tiny_world, tasks
-    ):
-        fleet = ContainerFleet(
-            tiny_world.transport,
-            n_workers=4,
-            seed=1,
-            executor=ProcessPoolBackend(max_workers=2),
-        )
-        with pytest.raises(ConfigurationError, match="process"):
-            fleet.run(tasks)
 
 
 # ----------------------------------------------------------------------
@@ -325,9 +292,3 @@ class TestRemoteBackendParity:
         executor = DistributedExecutor(workers=loopback_fleet)
         # Two workers x width 2, as advertised over ping.
         assert executor.width == 4
-
-    def test_generic_map_degrades_to_local_serial(self, loopback_fleet):
-        executor = DistributedExecutor(workers=loopback_fleet)
-        assert executor.map(_square, list(range(9))) == [
-            i * i for i in range(9)
-        ]

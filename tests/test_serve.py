@@ -12,8 +12,7 @@ remote backend uses:
 * **In-process service tests** — :class:`ServeService` against fake
   executors and a :class:`VirtualClock` for the paths that need precise
   control: stale-from-disk degradation, circuit-breaker fallthrough,
-  cooperative deadline cancellation between waves, and the no-admission
-  baseline.
+  the deadline check before dispatch, and the no-admission baseline.
 """
 
 from __future__ import annotations
@@ -202,15 +201,11 @@ class TestHttpContract:
             assert client.get("/nowhere").status == 404
 
     def test_deadline_exceeded_is_504(self, serve_endpoint):
-        # deadline_ms=0 expires before the first execution wave: the
-        # degenerate-but-deterministic end of the cooperative
-        # cancellation path (the mid-flight case is tested in-process
-        # where the clock is controllable).
+        # deadline_ms=0 has expired by the time the request could
+        # dispatch (the in-process test drives the clock precisely).
         with ServeClient(*serve_endpoint, client_id="hurried") as client:
             response = client.query(CITY, ISP, deadline_ms=0, force=True)
             assert response.status == 504
-            body = json.loads(response.text())
-            assert body["completed_chunks"] == 0
             # The connection survives a 504; a patient retry succeeds.
             assert client.query(CITY, ISP).status == 200
 
@@ -340,7 +335,7 @@ class _FailingExecutor(Executor):
     name = "failing"
     max_workers = 2
 
-    def map(self, fn, items):
+    def map_specs(self, specs):
         raise TransportError("backend unreachable")
 
 
@@ -350,7 +345,7 @@ class _HandlerErrorExecutor(Executor):
     name = "handler-error"
     max_workers = 2
 
-    def map(self, fn, items):
+    def map_specs(self, specs):
         raise RpcRemoteError("run_shard", 500, "handler exploded")
 
 
@@ -365,9 +360,9 @@ class _VariantExecutor(Executor):
         self.variants = variants
         self._calls = itertools.count()
 
-    def map(self, fn, items):
+    def map_specs(self, specs):
         variant = self.variants[next(self._calls) % len(self.variants)]
-        return [(variant[spec.start:spec.stop], 0.0) for spec in items]
+        return [(variant[spec.start:spec.stop], 0.0) for spec in specs]
 
 
 def _shifted(observations, shift: float) -> tuple:
@@ -393,18 +388,21 @@ def _count_digests(monkeypatch) -> list:
 
 
 class _ClockAdvancingExecutor(Executor):
-    """Runs specs for real but charges 1 virtual second per wave call —
-    how the deadline tests make time pass without sleeping."""
+    """Runs specs for real but charges 1 virtual second per call, and
+    counts its calls — how the deadline tests make time pass without
+    sleeping."""
 
     name = "ticking"
     max_workers = 1
 
     def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
+        self.calls = 0
 
-    def map(self, fn, items):
+    def map_specs(self, specs):
+        self.calls += 1
         self.clock.sleep(1.0)
-        return [fn(item) for item in items]
+        return [run_shard_spec(spec) for spec in specs]
 
 
 class TestServeService:
@@ -477,25 +475,39 @@ class TestServeService:
         assert breaker.state == "closed"
         service.close()
 
-    def test_deadline_trips_between_waves(self, serve_world):
+    def test_deadline_passed_before_dispatch_is_504(self, serve_world):
         clock = VirtualClock()
+        admission = AdmissionController(AdmissionConfig(width=2, queue_depth=1))
+        executor = _ClockAdvancingExecutor(clock)
         service = ServeService(
             serve_world, _config(),
             cache=QueryResultCache(),
-            executor=_ClockAdvancingExecutor(clock),
+            executor=executor,
+            admission=admission,
             clock=clock,
-            chunk_tasks=1,  # one task per chunk: many waves
         )
-        deadline = Deadline.after(clock.now(), 2.5)
-        result = service.handle(CITY, ISP, _admitted(), deadline=deadline)
+        # Admitted, then queued past its budget before the handler ran.
+        decision = service.admit("c", ISP, "interactive", clock.now())
+        deadline = Deadline.after(clock.now(), 0.5)
+        clock.sleep(1.0)
+        est_cost = admission.snapshot(clock.now())["est_cost_s"]
+        result = service.handle(CITY, ISP, decision, deadline=deadline)
         assert result.status == 504
-        # Two full waves fit in the 2.5s budget; the check before the
-        # third trips.  Partial progress is reported and discarded.
-        body = json.loads(result.body)
-        assert 0 < body["completed_chunks"] < body["total_chunks"]
         assert service.deadline_exceeded == 1
-        # Nothing half-done reached the cache.
+        assert executor.calls == 0
         assert service.cache.stats.stores == 0
+        # A 504 ran no curation: it refunds its charge and leaves the
+        # miss-cost estimate where it was.
+        assert admission.snapshot(clock.now())["est_cost_s"] == est_cost
+        # The deadline is checked only before dispatch: a request still
+        # in budget then runs to completion, though the executor's 1 s
+        # overshoots its 0.5 s.
+        decision = service.admit("c", ISP, "interactive", clock.now())
+        result = service.handle(
+            CITY, ISP, decision, deadline=Deadline.after(clock.now(), 0.5)
+        )
+        assert result.status == 200 and executor.calls == 1
+        assert service.cache.stats.stores > 0
         service.close()
 
     def test_admission_accounting_pairs_finish(self, serve_world):

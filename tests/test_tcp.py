@@ -11,6 +11,7 @@ from repro.net import (
     TcpTransport,
     VirtualClock,
 )
+from repro.net.conn import shutdown_and_close
 from repro.net.transport import RENDER_HEADER
 
 
@@ -374,28 +375,6 @@ class TestKeepAliveTransport:
         finally:
             pooled.close()
 
-    def test_pool_state_survives_pickling_as_empty(self, server):
-        import pickle
-
-        pooled = TcpTransport(
-            {server.hostname: server.address}, keep_alive=True,
-            fault_profile="off",
-        )
-        try:
-            pooled.send(
-                HttpRequest.get("/"), server.hostname, "73.9.9.9", RealClock()
-            )
-            clone = pickle.loads(pickle.dumps(pooled))
-            assert clone.keep_alive
-            assert clone._pools == {}
-            response = clone.send(
-                HttpRequest.get("/"), server.hostname, "73.9.9.9", RealClock()
-            )
-            assert response.status == 200
-            clone.close()
-        finally:
-            pooled.close()
-
     def test_bqt_workflow_identical_over_keepalive(self, tiny_world):
         """Full BQT sessions over a pooled connection match one-shot runs.
 
@@ -504,7 +483,8 @@ class _SilentServer:
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(8)
         self.address = self._listener.getsockname()
-        threading.Thread(target=self._serve, daemon=True).start()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
 
     def _serve(self):
         while True:
@@ -517,7 +497,10 @@ class _SilentServer:
                     self.requests += 1
 
     def close(self):
-        self._listener.close()
+        # close() alone does not wake a thread blocked in accept().
+        shutdown_and_close(self._listener)
+        self._thread.join(timeout=5.0)
+        assert not self._thread.is_alive()
 
 
 class TestResendRule:
