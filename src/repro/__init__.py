@@ -34,23 +34,27 @@ Quickstart::
     print(result.status, result.best_cv)
 """
 
-from .core.bqt import BroadbandQueryTool
-from .core.orchestrator import ContainerFleet
-from .core.workflow import QueryResult, QueryStatus
-from .dataset.container import BroadbandDataset
-from .dataset.curation import CurationConfig, CurationPipeline
-from .dataset.sampling import SamplingConfig
-from .errors import ReproError
-from .exec import (
-    Executor,
-    ProcessPoolBackend,
-    QueryResultCache,
-    SerialExecutor,
-    ThreadPoolBackend,
-    resolve_executor,
-)
-from .isp.plans import Plan, carriage_value
-from .world import World, WorldConfig, build_world
+from ._lazy import lazy_exports
+
+#: Each submodule and the names this package re-exports from it, imported
+#: on first access, so importing one subpackage does not load them all.
+_EXPORTS = {
+    ".core.bqt": ("BroadbandQueryTool",),
+    ".core.orchestrator": ("ContainerFleet",),
+    ".core.workflow": ("QueryResult", "QueryStatus"),
+    ".dataset.container": ("BroadbandDataset",),
+    ".dataset.curation": ("CurationConfig", "CurationPipeline"),
+    ".dataset.sampling": ("SamplingConfig",),
+    ".errors": ("ReproError",),
+    ".exec.base": ("Executor", "resolve_executor"),
+    ".exec.cache": ("QueryResultCache",),
+    ".exec.processes": ("ProcessPoolBackend",),
+    ".exec.serial": ("SerialExecutor",),
+    ".exec.threads": ("ThreadPoolBackend",),
+    ".isp.plans": ("Plan", "carriage_value"),
+    ".world": ("World", "WorldConfig", "build_world"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __version__ = "0.1.0"
 

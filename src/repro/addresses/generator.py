@@ -11,17 +11,23 @@ Street names are unique within each ZIP code so that canonical keys are
 unambiguous; multi-dwelling units get per-unit canonical records while the
 feed frequently lists only the building address (driving the paper's MDU
 workflow).
+
+Every draw, the noise model's included, comes from a
+:class:`~repro.seeding.DrawStream`, which serves ``np.random.default_rng``'s
+scalar draws bit for bit from bulk PCG64 words at a fraction of a
+``Generator`` call's cost.  A city's records are therefore the ones a loop
+of scalar ``Generator`` calls builds; ``tests/test_addresses.py`` keeps
+that loop as the reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import AddressError, ConfigurationError
 from ..geo.grid import CityGrid
-from ..seeding import derive_seed
+from ..seeding import DrawStream, derive_seed
 from .model import Address
 from .noise import NoiseConfig, NoiseModel, NoisyAddress
 from .streetnames import BASE_NAMES, SUFFIXES, UNIT_STYLES
@@ -45,7 +51,7 @@ class AddressGeneratorConfig:
             each block group (the feed and registry sizes scale with this).
         block_groups_per_zip: How many contiguous block groups share a ZIP.
         mdu_fraction: Fraction of buildings that are multi-dwelling.
-        max_units: Maximum units in one multi-dwelling building.
+        max_units: Maximum units in one multi-dwelling building (2-26).
         noise: Crowdsourced-noise configuration for the feed.
     """
 
@@ -64,6 +70,9 @@ class AddressGeneratorConfig:
             raise ConfigurationError("mdu_fraction must be a probability")
         if self.max_units < 2:
             raise ConfigurationError("max_units must be >= 2")
+        if self.max_units > 26:
+            # "Apt {letter}" names units A-Z; a 27th would repeat one.
+            raise ConfigurationError("max_units must be <= 26")
 
 
 class CityAddressBook:
@@ -128,11 +137,18 @@ def generate_city_addresses(
     without replacement within each ZIP so canonical keys stay unique.
     """
     city = grid.city
-    rng = np.random.default_rng(derive_seed(seed, "addresses", city.name))
+    rng = DrawStream(derive_seed(seed, "addresses", city.name))
     noise_model = NoiseModel(
-        config.noise, np.random.default_rng(derive_seed(seed, "feed-noise", city.name))
+        config.noise, DrawStream(derive_seed(seed, "feed-noise", city.name))
     )
     city_index = sum(map(ord, city.name))
+    per_block_group = config.addresses_per_block_group
+    max_units = config.max_units
+    # Each style's unit designators 1..max_units, formatted once.
+    style_units = [
+        tuple(_format_unit(style, unit_index) for unit_index in range(1, max_units + 1))
+        for style in UNIT_STYLES
+    ]
 
     all_name_pairs = [(base, suffix) for base in BASE_NAMES for suffix in SUFFIXES]
     canonical: list[Address] = []
@@ -150,10 +166,8 @@ def generate_city_addresses(
             order = rng.permutation(len(all_name_pairs))
             available_pairs = [all_name_pairs[i] for i in order]
 
-        n_streets = int(rng.integers(3, 7))
-        buildings_per_street = int(
-            np.ceil(config.addresses_per_block_group / n_streets)
-        )
+        n_streets = rng.integers(3, 7)
+        buildings_per_street = math.ceil(per_block_group / n_streets)
         built = 0
         for street_index in range(n_streets):
             if not available_pairs:
@@ -162,33 +176,21 @@ def generate_city_addresses(
                     f"({city.name}); lower block_groups_per_zip"
                 )
             base_name, suffix = available_pairs.pop()
-            start_number = int(rng.integers(1, 40)) * 100
+            start_number = rng.integers(1, 40) * 100
             for building in range(buildings_per_street):
-                if built >= config.addresses_per_block_group:
+                if built >= per_block_group:
                     break
-                house_number = start_number + building * 2 + int(rng.integers(0, 2))
-                is_mdu = rng.random() < config.mdu_fraction
-                units: list[str | None]
-                if is_mdu:
-                    n_units = int(rng.integers(2, config.max_units + 1))
-                    style = UNIT_STYLES[int(rng.integers(0, len(UNIT_STYLES)))]
-                    units = [
-                        _format_unit(style, unit_index)
-                        for unit_index in range(1, n_units + 1)
-                    ]
+                house_number = start_number + building * 2 + rng.integers(0, 2)
+                if rng.random() < config.mdu_fraction:
+                    n_units = rng.integers(2, max_units + 1)
+                    units = style_units[rng.integers(0, len(UNIT_STYLES))][:n_units]
                 else:
-                    units = [None]
+                    units = (None,)
                 for unit in units:
                     canonical.append(
                         Address(
-                            house_number=house_number,
-                            street_name=base_name,
-                            street_suffix=suffix,
-                            unit=unit,
-                            city=city.name,
-                            state=city.state,
-                            zip_code=current_zip,
-                            block_group=bg.geoid,
+                            house_number, base_name, suffix, unit,
+                            city.name, city.state, current_zip, bg.geoid,
                         )
                     )
                 # The feed lists one entry per *building*; for MDUs the entry
@@ -196,7 +198,7 @@ def generate_city_addresses(
                 building_address = canonical[-len(units)]
                 feed.append(noise_model.corrupt(building_address))
                 built += 1
-            if built >= config.addresses_per_block_group:
+            if built >= per_block_group:
                 break
 
     return CityAddressBook(city.name, tuple(canonical), tuple(feed))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..seeding import DrawStream
 from .model import Address
 from .normalize import SUFFIX_ABBREVIATIONS
 
@@ -126,11 +127,32 @@ _VARIANT_SPELLINGS: dict[str, tuple[str, ...]] = {
 
 
 class NoiseModel:
-    """Applies crowdsourced noise to canonical addresses."""
+    """Applies crowdsourced noise to canonical addresses.
 
-    def __init__(self, config: NoiseConfig, rng: np.random.Generator) -> None:
+    ``rng`` is anything with ``numpy.random.Generator``'s ``random()``,
+    ``integers(low, high)`` and ``choice(seq)``: the generator passes a
+    :class:`~repro.seeding.DrawStream`, which draws exactly what a
+    ``Generator`` of its seed would.
+    """
+
+    def __init__(
+        self, config: NoiseConfig, rng: np.random.Generator | DrawStream
+    ) -> None:
         self.config = config
         self._rng = rng
+        # A roll picks the first class whose cumulative bound exceeds it;
+        # the bounds are summed once, in this order.
+        self._bounds: list[tuple[float, str]] = []
+        cumulative = 0.0
+        for probability, noise_class in (
+            (config.p_garbage, NoiseClass.GARBAGE),
+            (config.p_wrong_zip, NoiseClass.WRONG_ZIP),
+            (config.p_wrong_number, NoiseClass.WRONG_NUMBER),
+            (config.p_typo, NoiseClass.TYPO),
+            (config.p_variant, NoiseClass.VARIANT),
+        ):
+            cumulative += probability
+            self._bounds.append((cumulative, noise_class))
 
     def _pick_class(self, address: Address) -> str:
         cfg = self.config
@@ -139,24 +161,21 @@ class NoiseModel:
         if address.is_multi_dwelling and self._rng.random() < cfg.p_missing_unit:
             return NoiseClass.MISSING_UNIT
         roll = self._rng.random()
-        thresholds = (
-            (cfg.p_garbage, NoiseClass.GARBAGE),
-            (cfg.p_wrong_zip, NoiseClass.WRONG_ZIP),
-            (cfg.p_wrong_number, NoiseClass.WRONG_NUMBER),
-            (cfg.p_typo, NoiseClass.TYPO),
-            (cfg.p_variant, NoiseClass.VARIANT),
-        )
-        cumulative = 0.0
-        for probability, noise_class in thresholds:
-            cumulative += probability
-            if roll < cumulative:
+        for bound, noise_class in self._bounds:
+            if roll < bound:
                 return noise_class
         return NoiseClass.CLEAN
 
     def corrupt(self, address: Address) -> NoisyAddress:
         """Produce the feed entry for one canonical address."""
         noise_class = self._pick_class(address)
-        street_line = address.street_line()
+        # Address.street_line() and, without the unit, the building's line.
+        building_line = (
+            f"{address.house_number} {address.street_name} {address.street_suffix}"
+        )
+        street_line = (
+            f"{building_line} {address.unit}" if address.unit else building_line
+        )
         zip_code = address.zip_code
 
         if noise_class == NoiseClass.VARIANT:
@@ -166,7 +185,7 @@ class NoiseModel:
         elif noise_class == NoiseClass.WRONG_NUMBER:
             street_line = self._apply_wrong_number(address)
         elif noise_class == NoiseClass.MISSING_UNIT:
-            street_line = address.without_unit().street_line()
+            street_line = building_line
         elif noise_class == NoiseClass.WRONG_ZIP:
             zip_code = self._apply_wrong_zip(address)
         elif noise_class == NoiseClass.GARBAGE:

@@ -25,66 +25,74 @@ byte-transparent sub-shard chunks so no single straggler serializes the
 tail of a run.
 """
 
-from .base import (
-    EXECUTOR_BACKENDS,
-    Executor,
-    build_executor,
-    default_max_workers,
-    resolve_executor,
-)
-from .cache import (
-    CacheStats,
-    QueryResultCache,
-    address_cache_key,
-    shard_cache_keys,
-)
-from .membership import (
-    CoordinatorLink,
-    FleetCoordinator,
-    FleetDirectory,
-    WorkerRecord,
-    ensure_coordinator,
-    parse_coordinator_address,
-    shutdown_coordinators,
-    worker_identity,
-)
-from .processes import ProcessPoolBackend
-from .remote import (
-    DistributedExecutor,
-    local_worker_pool,
-    parse_worker_addresses,
-    start_local_worker,
-    stop_local_worker,
-)
-from .schedule import (
-    SCHEDULE_MODES,
-    ShardCost,
-    ShardCostModel,
-    calibrate_costs,
-    chunk_spans,
-    lpt_order,
-    resolve_chunk_tasks,
-)
-from .serial import SerialExecutor
-from .spec import (
-    ShardSpec,
-    run_shard_spec,
-    spec_cache_keys,
-    spec_from_wire,
-    spec_to_wire,
-)
-from .store import (
-    STORE_VERSION,
-    DiskShardStore,
-    ShardCostRecord,
-    ShardMeta,
-    StoreEntry,
-    build_result_cache,
-    observation_from_dict,
-    observation_to_dict,
-    shard_digest,
-)
-from .threads import ThreadPoolBackend
+from .._lazy import lazy_exports
+
+#: Each submodule and the names this package re-exports from it, imported
+#: on first access: a serial curation never loads ``membership``,
+#: ``processes`` or ``remote``.
+_EXPORTS = {
+    ".base": (
+        "EXECUTOR_BACKENDS",
+        "Executor",
+        "build_executor",
+        "default_max_workers",
+        "resolve_executor",
+    ),
+    ".cache": (
+        "CacheStats",
+        "QueryResultCache",
+        "address_cache_key",
+        "shard_cache_keys",
+    ),
+    ".membership": (
+        "CoordinatorLink",
+        "FleetCoordinator",
+        "FleetDirectory",
+        "WorkerRecord",
+        "ensure_coordinator",
+        "parse_coordinator_address",
+        "shutdown_coordinators",
+        "worker_identity",
+    ),
+    ".processes": ("ProcessPoolBackend",),
+    ".remote": (
+        "DistributedExecutor",
+        "local_worker_pool",
+        "parse_worker_addresses",
+        "start_local_worker",
+        "stop_local_worker",
+    ),
+    ".schedule": (
+        "SCHEDULE_MODES",
+        "ShardCost",
+        "ShardCostModel",
+        "calibrate_costs",
+        "chunk_spans",
+        "lpt_order",
+        "resolve_chunk_tasks",
+    ),
+    ".serial": ("SerialExecutor",),
+    ".spec": (
+        "ShardSpec",
+        "run_shard_spec",
+        "spec_cache_keys",
+        "spec_from_wire",
+        "spec_to_wire",
+    ),
+    ".store": (
+        "STORE_VERSION",
+        "DiskShardStore",
+        "ShardCostRecord",
+        "ShardMeta",
+        "StoreEntry",
+        "build_result_cache",
+        "observation_from_dict",
+        "observation_to_dict",
+        "shard_digest",
+    ),
+    ".threads": ("ThreadPoolBackend",),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "Executor",

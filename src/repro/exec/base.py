@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import ConfigurationError
 from ..settings import EXECUTOR_BACKENDS
@@ -91,22 +91,6 @@ class Executor(ABC):
         return f"{type(self).__name__}()"
 
 
-def _backend_factories() -> dict[str, Callable[..., Executor]]:
-    # Imported lazily so ``base`` has no import-time dependency on the
-    # concrete backends (which import ``base`` themselves).
-    from .processes import ProcessPoolBackend
-    from .remote import DistributedExecutor
-    from .serial import SerialExecutor
-    from .threads import ThreadPoolBackend
-
-    return {
-        "serial": SerialExecutor,
-        "thread": ThreadPoolBackend,
-        "process": ProcessPoolBackend,
-        "remote": DistributedExecutor,
-    }
-
-
 def resolve_executor(
     spec: "Executor | str | None",
     max_workers: int | None = None,
@@ -114,25 +98,40 @@ def resolve_executor(
     """Turn a backend name (or an executor instance) into an executor.
 
     ``None`` resolves to the serial backend.  ``max_workers`` sizes the
-    thread and process pools; the serial backend has no pool, and a
-    remote fleet's width is what its workers advertise.  Unknown names
-    raise :class:`~repro.errors.ConfigurationError`.
+    thread and process pools; the serial backend has no pool.  Only the
+    named backend's module is imported (the backends import ``base``
+    themselves), so a serial run never loads the pool or RPC machinery.
+    A remote executor needs a fleet, which a name cannot carry:
+    ``"remote"`` raises :class:`~repro.errors.ConfigurationError` naming
+    :func:`build_executor`, as unknown names raise it too.
     """
     if spec is None:
         spec = "serial"
     if isinstance(spec, Executor):
         return spec
-    factories = _backend_factories()
-    try:
-        factory = factories[spec]
-    except KeyError:
+    if spec == "serial":
+        from .serial import SerialExecutor
+
+        return SerialExecutor()
+    if spec == "thread":
+        from .threads import ThreadPoolBackend
+
+        return ThreadPoolBackend(max_workers=max_workers)
+    if spec == "process":
+        from .processes import ProcessPoolBackend
+
+        return ProcessPoolBackend(max_workers=max_workers)
+    if spec == "remote":
         raise ConfigurationError(
-            f"unknown executor backend {spec!r} "
-            f"(available: {', '.join(EXECUTOR_BACKENDS)})"
-        ) from None
-    if spec in ("serial", "remote"):
-        return factory()
-    return factory(max_workers=max_workers)
+            "resolve_executor cannot build a remote fleet: pass "
+            "build_executor(RunSettings.from_env()), which reads "
+            "REPRO_REMOTE_WORKERS or REPRO_ELASTIC, or "
+            "DistributedExecutor(workers=...) as the executor"
+        )
+    raise ConfigurationError(
+        f"unknown executor backend {spec!r} "
+        f"(available: {', '.join(EXECUTOR_BACKENDS)})"
+    )
 
 
 def build_executor(

@@ -9,17 +9,29 @@ versions (it uses SHA-256, not ``hash()``).
 Hot loops that derive many seeds under one shared prefix take the prefix
 form, :func:`seed_deriver`, and draw many per-seed normal streams at once
 with :func:`standard_normals`, which seeds a whole batch of PCG64 streams
-in one pass.
+in one pass.  Loops that make many scalar draws from one seed (the address
+generator) take a :class:`DrawStream`: ``random()``, ``integers()``,
+``choice()`` and ``permutation()`` of ``np.random.default_rng(seed)``, bit
+for bit, served from chunks of raw PCG64 words instead of one ``Generator``
+call per draw.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-__all__ = ["derive_seed", "seed_deriver", "rng_for", "standard_normals"]
+__all__ = [
+    "derive_seed",
+    "seed_deriver",
+    "rng_for",
+    "standard_normals",
+    "DrawStream",
+]
+
+_T = TypeVar("_T")
 
 _MASK_63 = (1 << 63) - 1
 
@@ -188,3 +200,102 @@ def standard_normals(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
         generator.standard_normal(out=out[offset : offset + k])
         offset += k
     return out
+
+
+# ----------------------------------------------------------------------
+# Scalar draws from raw PCG64 words
+# ----------------------------------------------------------------------
+_TWO_POW_32 = 1 << 32
+#: ``next_double``'s scale: a word's top 53 bits times 2**-53.
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0
+
+
+class DrawStream:
+    """Scalar draws of ``np.random.default_rng(seed)``, bit for bit.
+
+    Each ``Generator`` method call costs ~1 µs of dispatch however little
+    it draws.  This stream fetches PCG64's 64-bit output words in chunks
+    (``random_raw``) and replays, in Python, what numpy's C code does
+    with them:
+
+    * ``random()`` is ``next_double``: ``(word >> 11) * 2**-53``;
+    * ``integers(low, high)`` is Lemire's bounded draw (arXiv:1805.10941)
+      over PCG64's buffered ``next_uint32``, which returns a word's low
+      half and keeps its high half for the next 32-bit draw (``random()``
+      in between leaves that half buffered).  A one-value range draws
+      nothing;
+    * ``choice(seq)`` is ``seq[integers(0, len(seq))]``;
+    * ``permutation(n)`` rewinds the bit generator past the words fetched
+      but not used, hands it the buffered half, runs numpy's own
+      ``permutation`` and takes the half back.
+
+    numpy keeps these streams fixed across releases (NEP 19);
+    ``tests/test_seeding.py`` pins every method, interleaved, against a
+    ``Generator`` of the same seed.
+    """
+
+    #: Words fetched per ``random_raw`` call.
+    CHUNK = 1024
+
+    def __init__(self, seed: int) -> None:
+        self._generator = np.random.default_rng(seed)
+        self._bit_generator = self._generator.bit_generator
+        self._words: list[int] = []
+        self._next = 0
+        #: The buffered high half of PCG64's last split word, or None.
+        self._half: int | None = None
+
+    def _word(self) -> int:
+        index = self._next
+        if index == len(self._words):
+            self._words = self._bit_generator.random_raw(self.CHUNK).tolist()
+            index = 0
+        self._next = index + 1
+        return self._words[index]
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & _MASK_32
+
+    def random(self) -> float:
+        """``Generator.random()``: a float in [0, 1)."""
+        return (self._word() >> 11) * _DOUBLE_SCALE
+
+    def integers(self, low: int, high: int) -> int:
+        """``Generator.integers(low, high)`` for ``high - low <= 2**32``."""
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 < span <= _TWO_POW_32:
+            raise ValueError(f"integers({low}, {high}): need 1 <= high - low <= 2**32")
+        scaled = self._uint32() * span
+        if scaled & _MASK_32 < span:
+            threshold = _TWO_POW_32 % span
+            while scaled & _MASK_32 < threshold:
+                scaled = self._uint32() * span
+        return low + (scaled >> 32)
+
+    def choice(self, seq: Sequence[_T]) -> _T:
+        """``Generator.choice(seq)`` (uniform, one element)."""
+        return seq[self.integers(0, len(seq))]
+
+    def permutation(self, n: int) -> np.ndarray:
+        """``Generator.permutation(n)``."""
+        bit_generator = self._bit_generator
+        unused = len(self._words) - self._next
+        if unused:
+            bit_generator.advance(-unused)
+        state = bit_generator.state
+        state["has_uint32"] = int(self._half is not None)
+        state["uinteger"] = self._half or 0
+        bit_generator.state = state
+        order = self._generator.permutation(n)
+        state = bit_generator.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._words, self._next = [], 0
+        return order

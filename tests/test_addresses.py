@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.addresses import (
     Address,
@@ -17,8 +19,12 @@ from repro.addresses import (
     normalize_zip,
     tokenize,
 )
+from repro.addresses.generator import CityAddressBook, _format_unit, _zip_for
+from repro.addresses.noise import _VARIANT_SPELLINGS, NoisyAddress
+from repro.addresses.streetnames import BASE_NAMES, SUFFIXES, UNIT_STYLES
 from repro.errors import AddressError, ConfigurationError
 from repro.geo import CityGrid, get_city
+from repro.seeding import derive_seed
 
 
 def make_address(**overrides) -> Address:
@@ -234,6 +240,17 @@ class TestGenerator:
             AddressGeneratorConfig(addresses_per_block_group=0)
         with pytest.raises(ConfigurationError):
             AddressGeneratorConfig(mdu_fraction=1.5)
+        # "Apt {letter}" has 26 letters: a 27th unit would repeat "Apt A".
+        with pytest.raises(ConfigurationError, match="max_units must be <= 26"):
+            AddressGeneratorConfig(max_units=27)
+        assert AddressGeneratorConfig(max_units=26).max_units == 26
+
+    def test_most_units_keep_canonical_keys_unique(self):
+        grid = CityGrid(get_city("billings"), 3, seed=5)
+        config = AddressGeneratorConfig(mdu_fraction=1.0, max_units=26)
+        book = generate_city_addresses(grid, config, seed=5)
+        keys = {canonical_key(a.street_line(), a.zip_code) for a in book.canonical}
+        assert len(keys) == len(book.canonical)
 
 
 class TestAddressIndex:
@@ -289,3 +306,226 @@ class TestAddressIndex:
             a for a in book.canonical if a.block_group != "new-orleans-bg-0000"
         )
         assert sub.lookup(outside.street_line(), outside.zip_code) is None
+
+
+# ----------------------------------------------------------------------
+# Reference: the generator as one numpy ``Generator`` call per draw
+# ----------------------------------------------------------------------
+class _ReferenceNoiseModel:
+    """``NoiseModel`` as it drew from a ``Generator`` on every call."""
+
+    def __init__(self, config, rng):
+        self.config = config
+        self._rng = rng
+
+    def _pick_class(self, address):
+        cfg = self.config
+        if address.is_multi_dwelling and self._rng.random() < cfg.p_missing_unit:
+            return NoiseClass.MISSING_UNIT
+        roll = self._rng.random()
+        thresholds = (
+            (cfg.p_garbage, NoiseClass.GARBAGE),
+            (cfg.p_wrong_zip, NoiseClass.WRONG_ZIP),
+            (cfg.p_wrong_number, NoiseClass.WRONG_NUMBER),
+            (cfg.p_typo, NoiseClass.TYPO),
+            (cfg.p_variant, NoiseClass.VARIANT),
+        )
+        cumulative = 0.0
+        for probability, noise_class in thresholds:
+            cumulative += probability
+            if roll < cumulative:
+                return noise_class
+        return NoiseClass.CLEAN
+
+    def corrupt(self, address):
+        noise_class = self._pick_class(address)
+        street_line = address.street_line()
+        zip_code = address.zip_code
+        if noise_class == NoiseClass.VARIANT:
+            street_line = self._apply_variant(address)
+        elif noise_class == NoiseClass.TYPO:
+            street_line = self._apply_typo(address)
+        elif noise_class == NoiseClass.WRONG_NUMBER:
+            street_line = self._apply_wrong_number(address)
+        elif noise_class == NoiseClass.MISSING_UNIT:
+            street_line = address.without_unit().street_line()
+        elif noise_class == NoiseClass.WRONG_ZIP:
+            zip_code = self._apply_wrong_zip(address)
+        elif noise_class == NoiseClass.GARBAGE:
+            street_line = f"{address.house_number} {address.street_name[:2]}"
+        return NoisyAddress(
+            street_line=street_line,
+            zip_code=zip_code,
+            city=address.city,
+            state=address.state,
+            noise_class=noise_class,
+            truth=address,
+        )
+
+    def _apply_variant(self, address):
+        variants = _VARIANT_SPELLINGS.get(address.street_suffix.upper())
+        if not variants:
+            return address.street_line()
+        suffix = variants[self._rng.integers(0, len(variants))]
+        parts = [str(address.house_number), address.street_name, suffix]
+        if address.unit:
+            unit = address.unit
+            if unit.lower().startswith("apt ") and self._rng.random() < 0.5:
+                unit = "#" + unit[4:]
+            parts.append(unit)
+        return " ".join(parts)
+
+    def _apply_typo(self, address):
+        name = list(address.street_name)
+        position = int(self._rng.integers(0, len(name)))
+        operation = self._rng.random()
+        if operation < 0.4 and len(name) > 3:
+            del name[position]
+        elif operation < 0.7:
+            name.insert(position, name[position])
+        else:
+            swap = min(position + 1, len(name) - 1)
+            name[position], name[swap] = name[swap], name[position]
+        parts = [str(address.house_number), "".join(name), address.street_suffix]
+        if address.unit:
+            parts.append(address.unit)
+        return " ".join(parts)
+
+    def _apply_wrong_number(self, address):
+        delta = int(self._rng.choice([-4, -2, 2, 4]))
+        parts = [
+            str(max(1, address.house_number + delta)),
+            address.street_name,
+            address.street_suffix,
+        ]
+        if address.unit:
+            parts.append(address.unit)
+        return " ".join(parts)
+
+    def _apply_wrong_zip(self, address):
+        digits = list(address.zip_code)
+        digits[-1] = str((int(digits[-1]) + 1 + int(self._rng.integers(0, 8))) % 10)
+        return "".join(digits)
+
+
+def _reference_city_addresses(grid, config, seed):
+    """``generate_city_addresses`` as one ``Generator`` call per draw."""
+    city = grid.city
+    rng = np.random.default_rng(derive_seed(seed, "addresses", city.name))
+    noise_model = _ReferenceNoiseModel(
+        config.noise, np.random.default_rng(derive_seed(seed, "feed-noise", city.name))
+    )
+    city_index = sum(map(ord, city.name))
+    all_name_pairs = [(base, suffix) for base in BASE_NAMES for suffix in SUFFIXES]
+    canonical, feed = [], []
+    zip_ordinal, available_pairs, current_zip = -1, [], ""
+    for bg in grid:
+        if bg.index % config.block_groups_per_zip == 0:
+            zip_ordinal += 1
+            current_zip = _zip_for(city_index, city.state, zip_ordinal)
+            order = rng.permutation(len(all_name_pairs))
+            available_pairs = [all_name_pairs[i] for i in order]
+        n_streets = int(rng.integers(3, 7))
+        buildings_per_street = int(np.ceil(config.addresses_per_block_group / n_streets))
+        built = 0
+        for _ in range(n_streets):
+            base_name, suffix = available_pairs.pop()
+            start_number = int(rng.integers(1, 40)) * 100
+            for building in range(buildings_per_street):
+                if built >= config.addresses_per_block_group:
+                    break
+                house_number = start_number + building * 2 + int(rng.integers(0, 2))
+                if rng.random() < config.mdu_fraction:
+                    n_units = int(rng.integers(2, config.max_units + 1))
+                    style = UNIT_STYLES[int(rng.integers(0, len(UNIT_STYLES)))]
+                    units = [_format_unit(style, i) for i in range(1, n_units + 1)]
+                else:
+                    units = [None]
+                for unit in units:
+                    canonical.append(
+                        Address(
+                            house_number=house_number,
+                            street_name=base_name,
+                            street_suffix=suffix,
+                            unit=unit,
+                            city=city.name,
+                            state=city.state,
+                            zip_code=current_zip,
+                            block_group=bg.geoid,
+                        )
+                    )
+                feed.append(noise_model.corrupt(canonical[-len(units)]))
+                built += 1
+            if built >= config.addresses_per_block_group:
+                break
+    return CityAddressBook(city.name, tuple(canonical), tuple(feed))
+
+
+_PROBABILITY = st.floats(min_value=0.0, max_value=1.0)
+# Each rolled class at most 0.19, so the five always sum below 1.
+_CLASS_PROBABILITY = st.floats(min_value=0.0, max_value=0.19)
+_NOISE_CONFIGS = st.one_of(
+    st.just(NoiseConfig()),
+    st.just(NoiseConfig.noiseless()),
+    st.builds(
+        NoiseConfig,
+        p_variant=_CLASS_PROBABILITY,
+        p_typo=_CLASS_PROBABILITY,
+        p_wrong_number=_CLASS_PROBABILITY,
+        p_missing_unit=_PROBABILITY,
+        p_wrong_zip=_CLASS_PROBABILITY,
+        p_garbage=_CLASS_PROBABILITY,
+    ),
+)
+_GENERATOR_CONFIGS = st.builds(
+    AddressGeneratorConfig,
+    addresses_per_block_group=st.integers(min_value=1, max_value=40),
+    block_groups_per_zip=st.integers(min_value=1, max_value=9),
+    mdu_fraction=st.sampled_from([0.0, 0.12, 1.0]) | _PROBABILITY,
+    max_units=st.sampled_from([2, 8, 26]) | st.integers(min_value=2, max_value=26),
+    noise=_NOISE_CONFIGS,
+)
+
+
+class TestGeneratorEqualsReference:
+    """The generator draws through ``DrawStream`` and precomputes unit
+    names, noise bounds and street lines; it must still emit exactly the
+    records of the one-``Generator``-call-per-draw loop."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        city=st.sampled_from(["new-orleans", "wichita", "billings", "fargo"]),
+        block_groups=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**31),
+        config=_GENERATOR_CONFIGS,
+    )
+    @example(
+        city="billings", block_groups=3, seed=5,
+        config=AddressGeneratorConfig(mdu_fraction=1.0, max_units=26),
+    )
+    @example(
+        city="fargo", block_groups=10, seed=1,
+        config=AddressGeneratorConfig(mdu_fraction=0.0, max_units=2,
+                                      noise=NoiseConfig.noiseless()),
+    )
+    def test_equals_reference(self, city, block_groups, seed, config):
+        grid = CityGrid(get_city(city), block_groups, seed=seed)
+        book = generate_city_addresses(grid, config, seed)
+        reference = _reference_city_addresses(grid, config, seed)
+        assert book.canonical == reference.canonical
+        assert book.feed == reference.feed
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("city", ["new-orleans", "baltimore", "durham"])
+    def test_default_world_city_equals_reference(self, city, seed):
+        info = get_city(city)
+        grid = CityGrid(info, 40, seed=seed)
+        config = AddressGeneratorConfig()
+        book = generate_city_addresses(grid, config, seed)
+        reference = _reference_city_addresses(grid, config, seed)
+        assert book.canonical == reference.canonical
+        assert book.feed == reference.feed

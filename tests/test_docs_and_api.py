@@ -41,6 +41,9 @@ DOCTEST_MODULES = [
     "repro.analysis.stats",
 ]
 
+# Packages that resolve their re-exports on first access (PEP 562).
+LAZY_PACKAGES = ["repro", "repro.exec", "repro.net"]
+
 
 class TestPublicApi:
     @pytest.mark.parametrize("name", PUBLIC_MODULES)
@@ -65,6 +68,31 @@ class TestPublicApi:
         for name in ("build_world", "WorldConfig", "BroadbandQueryTool",
                      "CurationPipeline", "carriage_value"):
             assert hasattr(repro, name)
+
+    @pytest.mark.parametrize("name", LAZY_PACKAGES)
+    def test_lazy_exports_are_the_submodule_objects(self, name):
+        """These packages import a submodule when one of its names is
+        first read.  ``__all__`` lists exactly the names of the export
+        table; each resolves to the object its submodule holds and
+        appears in ``dir()``."""
+        package = importlib.import_module(name)
+        exported = {
+            symbol: module
+            for module, symbols in package._EXPORTS.items()
+            for symbol in symbols
+        }
+        assert set(package.__all__) - {"__version__"} == set(exported)
+        listing = dir(package)
+        for symbol, module in exported.items():
+            value = getattr(package, symbol)
+            assert value is getattr(importlib.import_module(module, name), symbol)
+            assert symbol in listing
+
+    @pytest.mark.parametrize("name", LAZY_PACKAGES)
+    def test_lazy_exports_reject_unknown_names(self, name):
+        package = importlib.import_module(name)
+        with pytest.raises(AttributeError, match=f"{name!r} has no attribute 'Nope'"):
+            package.Nope
 
 
 # Packages below the executor layer: the world, the BQT client and its

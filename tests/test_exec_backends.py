@@ -110,6 +110,15 @@ class TestExecutorContract:
         with pytest.raises(ConfigurationError, match="REPRO_REMOTE_WORKERS"):
             resolve_executor("remote")
 
+    def test_resolve_remote_names_build_executor(self, monkeypatch):
+        # A fleet in the environment does not help: a name carries none,
+        # so the error points at the call that reads it.
+        monkeypatch.setenv("REPRO_REMOTE_WORKERS", "127.0.0.1:7071")
+        with pytest.raises(
+            ConfigurationError, match=r"build_executor\(RunSettings\.from_env\(\)\)"
+        ):
+            resolve_executor("remote")
+
     def test_default_max_workers_floor(self):
         assert default_max_workers() >= 2
 

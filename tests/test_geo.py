@@ -337,6 +337,51 @@ class TestFields:
         assert completed.returncode == 0, completed.stderr[-2000:]
         assert completed.stdout.strip() == "False"
 
+    @pytest.fixture(scope="class")
+    def serial_curate_modules(self, child_env):
+        """Every module a fresh interpreter loads to build a one-city
+        world and curate it on the serial backend."""
+        script = (
+            "import sys\n"
+            "from repro.dataset.curation import CurationConfig, CurationPipeline\n"
+            "from repro.dataset.sampling import SamplingConfig\n"
+            "from repro.world import WorldConfig, build_world\n"
+            "world = build_world(WorldConfig(scale=0.02, cities=('wichita',)))\n"
+            "config = CurationConfig(sampling=SamplingConfig(0.1, 5), n_workers=5)\n"
+            "dataset = CurationPipeline(world, config, executor='serial').curate()\n"
+            "assert len(dataset) > 0\n"
+            "print('\\n'.join(sys.modules))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=child_env(),
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        return set(completed.stdout.split())
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.exec.remote",
+            "repro.exec.membership",
+            "repro.exec.processes",
+            "repro.net.rpc",
+            "repro.net.tcp",
+            "multiprocessing",
+        ],
+    )
+    def test_serial_curate_does_not_import(self, module, serial_curate_modules):
+        """A serial curation never loads the remote, fleet-membership,
+        process-pool, RPC or TCP machinery it does not run: ``repro``,
+        ``repro.exec`` and ``repro.net`` resolve their re-exports on
+        first access, and ``resolve_executor`` imports only the backend
+        it names."""
+        assert "repro.dataset.curation" in serial_curate_modules
+        assert module not in serial_curate_modules
+
     def test_field_to_grid_values_partial_row(self):
         grid = CityGrid(get_city("fargo"), 10, seed=1)  # 3x4 grid, 10 cells
         rng = np.random.default_rng(0)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.seeding import (
+    DrawStream,
     derive_seed,
     _pcg64_states,
     rng_for,
@@ -136,3 +137,85 @@ class TestBatchedPcg64Seeding:
     def test_seed_outside_uint64_is_refused(self, seed):
         with pytest.raises(OverflowError):
             standard_normals([seed], [1])
+
+
+#: Ranges with heavy Lemire rejection (2**31 + 1 rejects almost half of
+#: all draws), the widest 32-bit one, and the one-value range that draws
+#: nothing.
+_SPANS = (1, 2, 3, 7, 26, 39, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1, 2**32)
+
+#: One scalar draw: ("random",), ("integers", low, span), ("choice", n)
+#: or ("permutation", n).
+_DRAWS = st.one_of(
+    st.just(("random",)),
+    st.tuples(
+        st.just("integers"),
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.sampled_from(_SPANS) | st.integers(min_value=1, max_value=2**32),
+    ),
+    st.tuples(st.just("choice"), st.integers(min_value=1, max_value=9)),
+    st.tuples(st.just("permutation"), st.integers(min_value=0, max_value=70)),
+)
+
+
+def _draw(rng, draw):
+    kind, *args = draw
+    if kind == "random":
+        return rng.random()
+    if kind == "integers":
+        low, span = args
+        return int(rng.integers(low, low + span))
+    if kind == "choice":
+        return str(rng.choice(tuple(f"s{i}" for i in range(args[0]))))
+    return rng.permutation(args[0]).tolist()
+
+
+class TestDrawStream:
+    """``DrawStream`` replays numpy's ``next_double``, buffered
+    ``next_uint32``, Lemire bounded draw and ``permutation`` over raw PCG64
+    words; a numpy release that changed any of them would fail here
+    before it moved a world."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1)
+        | st.sampled_from(_EDGE_SEEDS),
+        chunk=st.sampled_from([1, 2, 3, DrawStream.CHUNK]),
+        draws=st.lists(_DRAWS, max_size=60),
+    )
+    # A permutation taken while a half-word is buffered, then one that
+    # leaves a half buffered for the draws after it.
+    @example(
+        seed=42,
+        chunk=DrawStream.CHUNK,
+        draws=[("integers", 0, 3), ("random",), ("permutation", 9),
+               ("integers", 0, 2), ("permutation", 4), ("integers", 1, 2**31 + 1)],
+    )
+    def test_draws_equal_default_rng(self, seed, chunk, draws):
+        stream = DrawStream(seed)
+        stream.CHUNK = chunk  # small chunks put every draw at a refill edge
+        generator = np.random.default_rng(seed)
+        for draw in draws:
+            assert _draw(stream, draw) == _draw(generator, draw), draw
+        # Both sit at the same point of the stream afterwards.
+        assert stream.random() == generator.random()
+        assert stream.integers(0, 2**31 + 1) == generator.integers(0, 2**31 + 1)
+
+    def test_one_value_range_draws_nothing(self):
+        stream = DrawStream(7)
+        assert stream.integers(5, 6) == 5
+        assert stream.random() == np.random.default_rng(7).random()
+
+    def test_long_interleaved_run_equals_default_rng(self):
+        # Thousands of draws: many chunk refills at the default size.
+        stream, generator = DrawStream(11), np.random.default_rng(11)
+        for i in range(6000):
+            draw = (("random",), ("integers", 0, 7), ("choice", 4))[i % 3]
+            if i % 997 == 0:
+                draw = ("permutation", 1064)
+            assert _draw(stream, draw) == _draw(generator, draw)
+
+    @pytest.mark.parametrize("low, high", [(3, 3), (4, 2), (0, 2**32 + 1)])
+    def test_unserved_range_is_refused(self, low, high):
+        with pytest.raises(ValueError):
+            DrawStream(0).integers(low, high)
