@@ -15,13 +15,13 @@ bench:
 	$(PYTEST) -q benchmarks
 
 ## CPU-path gate: columnar/scalar golden parity both ways, batched
-## seeding and the address generator's scalar draws against numpy's own,
-## then Bench E-X10 (fails if the columnar fast path drops below 10x
-## scalar).
+## seeding, the address generator's scalar draws and the stratified
+## sampler against numpy's own, then Bench E-X10 (fails if the columnar
+## fast path drops below 10x scalar).
 bench-cpu:
 	REPRO_COLUMNAR=1 $(PYTEST) -q tests/test_columnar.py
 	REPRO_COLUMNAR=0 $(PYTEST) -q tests/test_columnar.py -m "not slow"
-	$(PYTEST) -q tests/test_seeding.py tests/test_addresses.py
+	$(PYTEST) -q tests/test_seeding.py tests/test_addresses.py tests/test_sampling.py
 	$(PYTEST) -q -s benchmarks/test_cpu_path.py
 
 ## Syntax/lint gate: ruff when installed, byte-compilation always.

@@ -1,4 +1,4 @@
-"""USPS-style street-address normalization.
+r"""USPS-style street-address normalization.
 
 The paper notes that "for the same street address, some databases might use
 'Ave' instead of Avenue and 'CT' or 'Ct' instead of Court" (Section 3.3).
@@ -9,11 +9,19 @@ against the input address.
 
 The abbreviation table follows USPS Publication 28, Appendix C (the common
 subset covering the suffixes our street generator produces).
+
+Normalization runs once per cache key, per address-index entry and per
+BQT suggestion, so it is written as plain ``str`` methods rather than
+regular expressions: ``str.upper``, ``str.replace`` for the punctuation,
+``str.split()`` for whitespace, one dict lookup per token and
+``str.isdecimal`` for ZIP digits.  Each is exact on every code point
+(``tests/test_addresses.py`` checks all 1,114,112): ``str.upper`` is
+idempotent, so a token never needs upper-casing twice, ``str.split()``
+splits on exactly the characters ``\s`` matches, and ``str.isdecimal``
+accepts exactly the characters ``\d`` matches.
 """
 
 from __future__ import annotations
-
-import re
 
 __all__ = [
     "SUFFIX_ABBREVIATIONS",
@@ -85,47 +93,56 @@ UNIT_DESIGNATORS: dict[str, str] = {
     "FLOOR": "FL",
 }
 
-_WHITESPACE_RE = re.compile(r"\s+")
-_PUNCT_RE = re.compile(r"[.,;]+")
+# Every token spelling that folds, to its standard form.  Suffix variants
+# take precedence over unit designators.
+_TOKEN_FORMS: dict[str, str] = {**UNIT_DESIGNATORS, **_SUFFIX_VARIANTS}
 
 
 def tokenize(text: str) -> list[str]:
     """Upper-case and split a street line into clean tokens.
 
+    ``.``, ``,`` and ``;`` separate tokens; ``#`` is a token of its own,
+    so ``#3`` still reads as a unit marker.
+
     >>> tokenize("12  Magnolia Ave., Apt 3")
     ['12', 'MAGNOLIA', 'AVE', 'APT', '3']
     """
-    cleaned = _PUNCT_RE.sub(" ", text.upper())
-    # Keep "#3" recognizable as a unit marker by splitting the hash off.
-    cleaned = cleaned.replace("#", " # ")
-    return [token for token in _WHITESPACE_RE.split(cleaned) if token]
+    return (
+        text.upper()
+        .replace(".", " ")
+        .replace(",", " ")
+        .replace(";", " ")
+        .replace("#", " # ")
+        .split()
+    )
 
 
 def normalize_token(token: str) -> str:
     """Normalize one token: suffix and unit-designator variants collapse."""
     upper = token.upper().rstrip(".")
-    if upper in _SUFFIX_VARIANTS:
-        return _SUFFIX_VARIANTS[upper]
-    if upper in UNIT_DESIGNATORS:
-        return UNIT_DESIGNATORS[upper]
-    return upper
+    return _TOKEN_FORMS.get(upper, upper)
 
 
 def normalize_street_line(line: str) -> str:
     """Normalize a full street line to its canonical comparable form.
+
+    A token from :func:`tokenize` is already upper-case and holds no
+    ``.``, so it goes straight to the variant table.
 
     >>> normalize_street_line("12 Magnolia Avenue Apt 3")
     '12 MAGNOLIA AVE APT 3'
     >>> normalize_street_line("12 magnolia ave. #3")
     '12 MAGNOLIA AVE APT 3'
     """
-    return " ".join(normalize_token(token) for token in tokenize(line))
+    forms = _TOKEN_FORMS
+    return " ".join([forms.get(token, token) for token in tokenize(line)])
 
 
 def normalize_zip(zip_code: str) -> str:
-    """Reduce a ZIP or ZIP+4 to its five-digit base."""
-    digits = re.sub(r"\D", "", zip_code)
-    return digits[:5]
+    """Reduce a ZIP or ZIP+4 to its five-digit base: its first five digits."""
+    if zip_code.isdecimal():
+        return zip_code[:5]
+    return "".join(filter(str.isdecimal, zip_code))[:5]
 
 
 def canonical_key(street_line: str, zip_code: str) -> str:

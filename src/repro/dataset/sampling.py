@@ -5,6 +5,14 @@ The paper samples uniformly at the census-block-group level: "for each
 such block group", with the floor that every block group contributes at
 least thirty samples so block-group statistics are meaningful
 (Section 4.1).
+
+Each block group draws from its own generator,
+``np.random.default_rng(derive_seed(seed, "sample", isp, geoid))``.
+:func:`sample_city` hashes the ``(seed, "sample", isp)`` prefix once per
+city and takes the generators from :func:`~repro.seeding.seeded_generators`,
+which seeds them all in one pass and reuses one ``Generator``; the draws
+are those of a fresh generator per block group, bit for bit
+(``tests/test_sampling.py`` keeps that loop as the reference).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 from ..addresses.generator import CityAddressBook
 from ..addresses.noise import NoisyAddress
 from ..errors import ConfigurationError
-from ..seeding import derive_seed
+from ..seeding import seed_deriver, seeded_generators
 
 __all__ = ["SamplingConfig", "sample_block_group", "sample_city"]
 
@@ -50,7 +58,7 @@ def sample_block_group(
     if size >= len(entries):
         return entries
     chosen = rng.choice(len(entries), size=size, replace=False)
-    return tuple(entries[i] for i in sorted(map(int, chosen)))
+    return tuple([entries[i] for i in sorted(chosen.tolist())])
 
 
 def sample_city(
@@ -64,8 +72,10 @@ def sample_city(
     The draw is independent per (ISP, city, block group), as in the paper
     (each ISP's query set is sampled separately).
     """
-    samples: dict[str, tuple[NoisyAddress, ...]] = {}
-    for geoid in book.block_groups:
-        rng = np.random.default_rng(derive_seed(seed, "sample", isp, geoid))
-        samples[geoid] = sample_block_group(book.feed_in(geoid), config, rng)
-    return samples
+    geoids = book.block_groups
+    derive = seed_deriver(seed, "sample", isp)
+    generators = seeded_generators([derive(geoid) for geoid in geoids])
+    return {
+        geoid: sample_block_group(book.feed_in(geoid), config, rng)
+        for geoid, rng in zip(geoids, generators)
+    }

@@ -9,7 +9,11 @@ the content that determines them:
 other input that shapes the result (sampling parameters, fleet size,
 politeness, salt, latency model, ablation knobs).  Any change to any of
 those inputs changes the key, so stale entries are never returned — there
-is no explicit invalidation API because invalidation is the key.
+is no explicit invalidation API because invalidation is the key.  The
+key's bytes are laid out in one function, :func:`cache_key_deriver`;
+:func:`shard_cache_keys` derives a whole shard's keys through one
+deriver, which hashes the ISP prefix once, and :func:`address_cache_key`
+is its one-key call.
 
 Reuse is **shard-atomic**: a (city, ISP) shard is served from cache only
 when *every* address in the shard is present.  Within a shard, query
@@ -31,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..addresses.normalize import canonical_key
 from ..errors import ConfigurationError
@@ -45,8 +49,37 @@ __all__ = [
     "CacheStats",
     "QueryResultCache",
     "address_cache_key",
+    "cache_key_deriver",
     "shard_cache_keys",
 ]
+
+
+def cache_key_deriver(
+    isp: str,
+    world_seed: int,
+    scale: float,
+    context_digest: str = "",
+) -> Callable[[str, str], str]:
+    """``address_cache_key(isp, ·, ·, world_seed, scale, context_digest)``
+    as a function of ``(street_line, zip_code)``.
+
+    This is the one place the key's bytes are laid out: ``isp``, the
+    address's :func:`~repro.addresses.normalize.canonical_key`, the
+    seed's decimal string, ``repr(float(scale))`` and the context
+    digest, each UTF-8 encoded and followed by a ``0x1f`` byte, SHA-256,
+    as lowercase hex.  The ``isp`` prefix is hashed once; each call
+    copies that state and absorbs its canonical key and the constant
+    tail in one update, so a shard's keys hash only what differs.
+    """
+    prefix = hashlib.sha256(f"{isp}\x1f".encode("utf-8"))
+    tail = f"\x1f{int(world_seed)}\x1f{float(scale)!r}\x1f{context_digest}\x1f"
+
+    def derive(street_line: str, zip_code: str) -> str:
+        hasher = prefix.copy()
+        hasher.update(f"{canonical_key(street_line, zip_code)}{tail}".encode("utf-8"))
+        return hasher.hexdigest()
+
+    return derive
 
 
 def address_cache_key(
@@ -61,7 +94,8 @@ def address_cache_key(
 
     The address is normalized first (case, whitespace, suffix
     abbreviations), so the same physical address always maps to the same
-    key regardless of the feed's noisy spelling of the moment.
+    key regardless of the feed's noisy spelling of the moment.  The
+    one-key call of :func:`cache_key_deriver`.
 
     >>> a = address_cache_key("cox", "12 Oak Avenue", "70112", 42, 0.05)
     >>> a == address_cache_key("cox", "12 OAK AVE", "70112", 42, 0.05)
@@ -69,17 +103,9 @@ def address_cache_key(
     >>> a != address_cache_key("cox", "12 Oak Avenue", "70112", 43, 0.05)
     True
     """
-    hasher = hashlib.sha256()
-    for part in (
-        isp,
-        canonical_key(street_line, zip_code),
-        str(int(world_seed)),
-        repr(float(scale)),
-        context_digest,
-    ):
-        hasher.update(part.encode("utf-8"))
-        hasher.update(b"\x1f")
-    return hasher.hexdigest()
+    return cache_key_deriver(isp, world_seed, scale, context_digest)(
+        street_line, zip_code
+    )
 
 
 def shard_cache_keys(
@@ -97,18 +123,11 @@ def shard_cache_keys(
     outcome — is a pure function of the truth.  This is the one place the
     key stream is derived; the coordinator pipeline and remote workers
     both call it, which is what makes their store entries mutually
-    addressable.
+    addressable.  Every key shares one :func:`cache_key_deriver`.
     """
+    derive = cache_key_deriver(isp, world_seed, scale, config_digest)
     return tuple(
-        address_cache_key(
-            isp,
-            entry.truth.street_line(),
-            entry.truth.zip_code,
-            world_seed,
-            scale,
-            context_digest=config_digest,
-        )
-        for entry in tasks
+        [derive(entry.truth.street_line(), entry.truth.zip_code) for entry in tasks]
     )
 
 

@@ -62,7 +62,7 @@ from ..settings import parse_worker_addresses
 from .base import Executor
 from .membership import FleetCoordinator, FleetDirectory, WorkerRecord
 from .spec import spec_to_wire
-from .store import observation_from_dict
+from .store import observations_from_dicts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dataset.records import AddressObservation
@@ -508,11 +508,14 @@ class _WorkerControl:
 def _decode_run_reply(
     reply: dict,
 ) -> "tuple[tuple[AddressObservation, ...], float]":
-    """Decode a worker's ``run_shard`` reply (a store-format entry blob)."""
+    """Decode a worker's ``run_shard`` reply (a store-format entry blob).
+
+    The rows follow the store's type rule (:func:`~repro.exec.store.
+    observations_from_dicts`); a reply that breaks it raises
+    :class:`TransportError`, like any other malformed reply.
+    """
     try:
-        entry = reply["entry"]
-        rows = entry["observations"]
-        observations = tuple(observation_from_dict(row) for row in rows)
+        observations = observations_from_dicts(reply["entry"]["observations"])
         wall_seconds = float(reply.get("wall_seconds", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise TransportError(f"malformed run_shard reply: {exc}") from exc

@@ -28,8 +28,15 @@ Durability rules:
   :data:`STORE_VERSION`; a version mismatch is a cache miss, never a
   crash — and the mismatched file is left on disk untouched, since it may
   be a *newer* format written by another code version sharing the root.
-  Corrupted or truncated entries are deleted on read and reported as
-  misses.
+  Corrupted, truncated or wrong-typed entries are deleted on read and
+  reported as misses.
+* **One decode per entry.**  :func:`observations_from_dicts` decodes an
+  entry's rows in one pass: it type-checks every row, and builds each
+  distinct plan list's :class:`~repro.dataset.records.PlanObservation`
+  tuple once, shared by every row that carries that list (a shard of
+  thousands of rows holds a few dozen lists).  :meth:`DiskShardStore.get`,
+  :meth:`DiskShardStore.find_stale` and the remote executor's reply
+  decoder all go through it.
 * **LRU eviction under a byte cap.**  The manifest keeps a monotonic
   access clock; when ``max_bytes`` is set, the least-recently-used entries
   are evicted until the store fits.
@@ -63,6 +70,7 @@ import json
 import os
 import threading
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -84,6 +92,7 @@ __all__ = [
     "build_result_cache",
     "observation_to_dict",
     "observation_from_dict",
+    "observations_from_dicts",
 ]
 
 #: Serialization format version.  Bump on any change to the entry schema;
@@ -176,26 +185,85 @@ def observation_to_dict(obs: "AddressObservation") -> dict:
     }
 
 
-def observation_from_dict(row: dict) -> "AddressObservation":
+_ROW_FIELDS = itemgetter(
+    "address_id", "city", "block_group", "isp", "status", "elapsed_seconds", "plans"
+)
+_PLAN_FIELDS = itemgetter("name", "down", "up", "price")
+#: A number field's accepted types.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def observations_from_dicts(rows: Iterable[dict]) -> "tuple[AddressObservation, ...]":
+    """Decode rows of the entry format (:func:`observation_to_dict`), in order.
+
+    Every row is type-checked before it is decoded: ``address_id``,
+    ``city``, ``block_group``, ``isp``, ``status`` and each plan's
+    ``name`` must be ``str``; ``elapsed_seconds`` and each plan's
+    ``down``, ``up`` and ``price`` must be ``int`` or ``float``; ``plans``
+    must be a list of objects.  Types are matched exactly, so ``bool`` is
+    refused where a number is due (JSON decoding makes no subclasses).
+    The first violation, or a missing field, raises :class:`ValueError`.
+
+    Each distinct plan list is decoded once and its tuple shared by every
+    row that carries it.  The lists are matched by value, which is why
+    the types are checked per row first: ``True``, ``1`` and ``1.0`` are
+    one dict key.  So are ``0.0`` and ``-0.0``, so a list with a zero
+    field is decoded on its own.
+    """
     from ..dataset.records import AddressObservation, PlanObservation
 
-    return AddressObservation(
-        address_id=row["address_id"],
-        city=row["city"],
-        block_group=row["block_group"],
-        isp=row["isp"],
-        status=row["status"],
-        plans=tuple(
-            PlanObservation(
-                name=p["name"],
-                download_mbps=float(p["down"]),
-                upload_mbps=float(p["up"]),
-                monthly_price=float(p["price"]),
+    numbers = _NUMBER_TYPES
+    plan_tuples: dict[tuple, tuple[PlanObservation, ...]] = {}
+    decoded = []
+    try:
+        for row in rows:
+            address_id, city, block_group, isp, status, elapsed, plans = _ROW_FIELDS(row)
+            if not (
+                type(address_id) is str
+                and type(city) is str
+                and type(block_group) is str
+                and type(isp) is str
+                and type(status) is str
+                and type(elapsed) in numbers
+                and type(plans) is list
+            ):
+                raise ValueError(f"wrong-typed field in observation row {row!r}")
+            fields = tuple(map(_PLAN_FIELDS, plans))
+            shared = True
+            for name, down, up, price in fields:
+                if not (
+                    type(name) is str
+                    and type(down) in numbers
+                    and type(up) in numbers
+                    and type(price) in numbers
+                ):
+                    raise ValueError(f"wrong-typed plan field in {plans!r}")
+                if not (down and up and price):
+                    shared = False
+            plan_tuple = plan_tuples.get(fields) if shared else None
+            if plan_tuple is None:
+                plan_tuple = tuple(
+                    [
+                        PlanObservation(name, float(down), float(up), float(price))
+                        for name, down, up, price in fields
+                    ]
+                )
+                if shared:
+                    plan_tuples[fields] = plan_tuple
+            decoded.append(
+                AddressObservation(
+                    address_id, city, block_group, isp, status, plan_tuple,
+                    float(elapsed),
+                )
             )
-            for p in row["plans"]
-        ),
-        elapsed_seconds=float(row["elapsed_seconds"]),
-    )
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed observation row: {exc!r}") from exc
+    return tuple(decoded)
+
+
+def observation_from_dict(row: dict) -> "AddressObservation":
+    """One row of the entry format: :func:`observations_from_dicts` of one."""
+    return observations_from_dicts((row,))[0]
 
 
 class DiskShardStore:
@@ -268,7 +336,8 @@ class DiskShardStore:
 
         A successful read bumps the entry's LRU clock (persisted lazily —
         on the next mutation — so a hit never pays a manifest write).
-        Corrupted or malformed files are deleted and reported as misses;
+        Corrupted or malformed files (wrong-typed fields included, see
+        :func:`observations_from_dicts`) are deleted and reported as misses;
         a file with a *different serialization version* is left on disk
         untouched — it may belong to another code version sharing the
         store root — and only reported as a miss.
@@ -291,12 +360,8 @@ class DiskShardStore:
                 # content can never be served.
                 self._drop_entry(digest, path)
                 return None
-            try:
-                observations = tuple(
-                    observation_from_dict(row) for row in payload["observations"]
-                )
-            except (KeyError, TypeError, ValueError):
-                self._drop_entry(digest, path)
+            observations = self._decode(digest, path, payload)
+            if observations is None:
                 return None
             self._touch(digest, payload, path)
         return observations
@@ -322,7 +387,8 @@ class DiskShardStore:
         Returns ``(observations, meta)`` — callers compare
         ``meta.config_digest`` against the current one to decide whether
         the answer is actually stale — or None when nothing matches.
-        Corrupt candidates are dropped and the scan moves on.
+        Corrupt or wrong-typed candidates are dropped and the scan moves
+        on to the next-newest.
         """
         with self._lock:
             candidates = sorted(
@@ -343,13 +409,8 @@ class DiskShardStore:
                     if corrupt:
                         self._drop_entry(digest, path)
                     continue
-                try:
-                    observations = tuple(
-                        observation_from_dict(row)
-                        for row in payload["observations"]
-                    )
-                except (KeyError, TypeError, ValueError):
-                    self._drop_entry(digest, path)
+                observations = self._decode(digest, path, payload)
+                if observations is None:
                     continue
                 meta_row = payload.get("meta") or {}
                 meta = ShardMeta(
@@ -513,6 +574,16 @@ class DiskShardStore:
         if not isinstance(payload.get("observations"), list):
             return None, True
         return payload, False
+
+    def _decode(
+        self, digest: str, path: Path, payload: dict
+    ) -> "tuple[AddressObservation, ...] | None":
+        """An entry's observations; a malformed entry is dropped (None)."""
+        try:
+            return observations_from_dicts(payload["observations"])
+        except ValueError:
+            self._drop_entry(digest, path)
+            return None
 
     def _touch(self, digest: str, payload: dict, path: Path) -> None:
         # LRU bookkeeping only: recorded in memory and persisted on the

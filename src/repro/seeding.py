@@ -7,19 +7,20 @@ with a string label.  The derivation is stable across processes and Python
 versions (it uses SHA-256, not ``hash()``).
 
 Hot loops that derive many seeds under one shared prefix take the prefix
-form, :func:`seed_deriver`, and draw many per-seed normal streams at once
-with :func:`standard_normals`, which seeds a whole batch of PCG64 streams
-in one pass.  Loops that make many scalar draws from one seed (the address
-generator) take a :class:`DrawStream`: ``random()``, ``integers()``,
-``choice()`` and ``permutation()`` of ``np.random.default_rng(seed)``, bit
-for bit, served from chunks of raw PCG64 words instead of one ``Generator``
-call per draw.
+form, :func:`seed_deriver`.  Loops that need one generator per seed take
+:func:`seeded_generators`, which seeds a whole batch of PCG64 streams in
+one pass and sets one reused ``Generator`` to each in turn;
+:func:`standard_normals` draws many per-seed normal streams through it.
+Loops that make many scalar draws from one seed (the address generator)
+take a :class:`DrawStream`: ``random()``, ``integers()``, ``choice()`` and
+``permutation()`` of ``np.random.default_rng(seed)``, bit for bit, served
+from chunks of raw PCG64 words instead of one ``Generator`` call per draw.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "derive_seed",
     "seed_deriver",
     "rng_for",
+    "seeded_generators",
     "standard_normals",
     "DrawStream",
 ]
@@ -179,24 +181,36 @@ def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
     return states
 
 
+def seeded_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng(seed)`` for each seed in turn, bit for bit.
+
+    The PCG64 states come from ``_pcg64_states`` in one pass.  One
+    generator is made per call and set to each state as the loop reaches
+    it, so a yielded generator is valid only until the next is taken:
+    draw from it before advancing.
+    """
+    generator = np.random.Generator(np.random.PCG64(0))
+    bit_generator = generator.bit_generator
+    # One state dict, refilled per seed: the setter copies it out, and its
+    # empty uint32 buffer is a fresh generator's.
+    full_state = bit_generator.state
+    lcg = full_state["state"]
+    for state, inc in _pcg64_states(seeds):
+        lcg["state"], lcg["inc"] = state, inc
+        bit_generator.state = full_state
+        yield generator
+
+
 def standard_normals(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
     """Concatenated ``np.random.default_rng(seed).standard_normal(k)``.
 
     One float64 array holding, for each ``(seed, k)`` pair in order, the
-    first ``k`` standard normals of that seed's generator, bit for bit.
-    The PCG64 states come from ``_pcg64_states`` in one pass; one
-    reused generator is set to each state and draws its ``k`` values.
+    first ``k`` standard normals of that seed's generator, bit for bit,
+    drawn from :func:`seeded_generators`.
     """
     out = np.empty(sum(counts), dtype=np.float64)
-    generator = np.random.Generator(np.random.PCG64(0))
-    bit_generator = generator.bit_generator
-    # One state dict, refilled per stream: the setter copies it out.
-    full_state = bit_generator.state
-    lcg = full_state["state"]
     offset = 0
-    for (state, inc), k in zip(_pcg64_states(seeds), counts):
-        lcg["state"], lcg["inc"] = state, inc
-        bit_generator.state = full_state
+    for generator, k in zip(seeded_generators(seeds), counts):
         generator.standard_normal(out=out[offset : offset + k])
         offset += k
     return out

@@ -1,5 +1,7 @@
 """Tests for the street-address substrate."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -20,6 +22,7 @@ from repro.addresses import (
     tokenize,
 )
 from repro.addresses.generator import CityAddressBook, _format_unit, _zip_for
+from repro.addresses.normalize import _SUFFIX_VARIANTS, UNIT_DESIGNATORS
 from repro.addresses.noise import _VARIANT_SPELLINGS, NoisyAddress
 from repro.addresses.streetnames import BASE_NAMES, SUFFIXES, UNIT_STYLES
 from repro.errors import AddressError, ConfigurationError
@@ -84,6 +87,89 @@ class TestNormalize:
     def test_canonical_key_distinguishes_numbers(self):
         assert canonical_key("12 Magnolia Ave", "70112") != canonical_key(
             "14 Magnolia Ave", "70112"
+        )
+
+
+# The regular-expression normalizer the str-method one replaced, kept as
+# the reference it must equal.
+_REF_WHITESPACE_RE = re.compile(r"\s+")
+_REF_PUNCT_RE = re.compile(r"[.,;]+")
+
+
+def _reference_tokenize(text):
+    cleaned = _REF_PUNCT_RE.sub(" ", text.upper())
+    cleaned = cleaned.replace("#", " # ")
+    return [token for token in _REF_WHITESPACE_RE.split(cleaned) if token]
+
+
+def _reference_normalize_token(token):
+    upper = token.upper().rstrip(".")
+    if upper in _SUFFIX_VARIANTS:
+        return _SUFFIX_VARIANTS[upper]
+    if upper in UNIT_DESIGNATORS:
+        return UNIT_DESIGNATORS[upper]
+    return upper
+
+
+def _reference_normalize_street_line(line):
+    return " ".join(_reference_normalize_token(t) for t in _reference_tokenize(line))
+
+
+def _reference_normalize_zip(zip_code):
+    return re.sub(r"\D", "", zip_code)[:5]
+
+
+#: Street-line material: table spellings in any case, punctuation, and
+#: characters that upper-case to several (``ß``), are whitespace only to
+#: Unicode (``\x1f``, ``\u2003``) or are digits only to Unicode (``٣``).
+_SPELLINGS = sorted({*_SUFFIX_VARIANTS, *UNIT_DESIGNATORS})
+_LINE_PIECES = st.one_of(
+    st.sampled_from(_SPELLINGS),
+    st.sampled_from(_SPELLINGS).map(str.lower),
+    st.sampled_from(list(" .,;#\t\x1f\u00a0\u2003\u3000ßﬁ١٣Ⅻ")),
+    st.text(max_size=4),
+)
+_LINES = st.lists(_LINE_PIECES, max_size=10).map("".join)
+
+
+class TestNormalizeEqualsReference:
+    """The str-method normalizer equals the regular-expression one on
+    every input."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(line=_LINES, zip_code=_LINES | st.text(alphabet="0123456789-", max_size=12))
+    @example(line="12  Magnolia Ave., Apt 3", zip_code="70112-1234")
+    @example(line="12 oak st.#3;;Rue de l’Église\x1c\x1fß", zip_code="٧٠١١٢")
+    @example(line="", zip_code="")
+    def test_equals_regex_normalizer(self, line, zip_code):
+        assert tokenize(line) == _reference_tokenize(line)
+        assert normalize_street_line(line) == _reference_normalize_street_line(line)
+        assert normalize_zip(zip_code) == _reference_normalize_zip(zip_code)
+        assert canonical_key(line, zip_code) == (
+            f"{_reference_normalize_street_line(line)}|"
+            f"{_reference_normalize_zip(zip_code)}"
+        )
+        for token in line.split(" "):
+            assert normalize_token(token) == _reference_normalize_token(token)
+
+    def test_code_point_equivalences_are_exhaustive(self):
+        """Each str method equals the regex step it replaced on every one
+        of the 1,114,112 code points: ``str.upper`` is idempotent,
+        ``str.split()`` and ``\\s`` both split on exactly ``str.isspace``,
+        and ``\\d`` matches exactly ``str.isdecimal``."""
+        every = "".join(map(chr, range(0x110000)))
+        assert len(every) == 1_114_112
+        # upper() maps each code point on its own, so idempotence on the
+        # whole string is idempotence on each code point.
+        upper = every.upper()
+        assert upper.upper() == upper
+        spaces = "".join(filter(str.isspace, every))
+        assert "".join(re.findall(r"\s", every)) == spaces
+        assert "".join(every.split()) == "".join(
+            char for char in every if not char.isspace()
+        )
+        assert "".join(re.findall(r"\d", every)) == "".join(
+            filter(str.isdecimal, every)
         )
 
 

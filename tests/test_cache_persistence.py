@@ -29,6 +29,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dataset import CurationConfig, CurationPipeline, SamplingConfig
 from repro.dataset.records import AddressObservation, PlanObservation
@@ -40,6 +42,7 @@ from repro.exec import (
     build_result_cache,
     shard_digest,
 )
+from repro.exec.store import observations_from_dicts
 from repro.experiments import (
     clear_context_cache,
     context_cache_size,
@@ -387,6 +390,213 @@ class TestDiskShardStore:
         # garbage (atomic-rename names are pid-unique, never reused).
         manifest = json.loads((root / "manifest.json").read_bytes())
         assert len(manifest["entries"]) == 2
+
+
+# ----------------------------------------------------------------------
+# Entry decoding: the type rule and the batch decoder
+# ----------------------------------------------------------------------
+def _entry_file(root: Path, keys) -> Path:
+    digest = shard_digest(keys)
+    return root / "objects" / digest[:2] / f"{digest}.json"
+
+
+def _rewrite_rows(path: Path, edit) -> None:
+    """Apply ``edit`` to an entry file's observation rows in place."""
+    payload = json.loads(path.read_bytes())
+    edit(payload["observations"])
+    path.write_text(json.dumps(payload))
+
+
+def _reference_observation_from_dict(row: dict) -> AddressObservation:
+    """The per-row decode the batch decoder replaced."""
+    return AddressObservation(
+        address_id=row["address_id"],
+        city=row["city"],
+        block_group=row["block_group"],
+        isp=row["isp"],
+        status=row["status"],
+        plans=tuple(
+            PlanObservation(
+                name=p["name"],
+                download_mbps=float(p["down"]),
+                upload_mbps=float(p["up"]),
+                monthly_price=float(p["price"]),
+            )
+            for p in row["plans"]
+        ),
+        elapsed_seconds=float(row["elapsed_seconds"]),
+    )
+
+
+#: ``(row path, value)``: a field of the entry format and a JSON value of
+#: a type it must refuse.
+_WRONG_TYPED = [
+    *(
+        (path, value)
+        for path in (
+            ("address_id",), ("city",), ("block_group",), ("isp",),
+            ("status",), ("plans", 0, "name"),
+        )
+        for value in (["plan"], {"name": "plan"}, None, 7)
+    ),
+    *(
+        (path, value)
+        for path in (
+            ("elapsed_seconds",), ("plans", 0, "down"), ("plans", 0, "up"),
+            ("plans", 0, "price"),
+        )
+        for value in ("300", True, False, None)
+    ),
+    *(
+        (("plans",), value)
+        for value in ({"name": "plan"}, "plan", None, 3, [["plan"]], ["plan"], [None])
+    ),
+]
+
+
+def _set_field(row: dict, path: tuple, value) -> None:
+    *parents, last = path
+    for step in parents:
+        row = row[step]
+    row[last] = value
+
+
+class TestEntryTypeRule:
+    """Every row of an entry is type-checked; an entry that breaks the
+    rule is malformed: deleted and reported as a miss."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        _WRONG_TYPED,
+        ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v in _WRONG_TYPED],
+    )
+    def test_wrong_typed_entry_is_a_miss_and_removed(self, tmp_path, path, value):
+        keys, observations = _shard("a")
+        store = DiskShardStore(tmp_path / "s")
+        store.put(keys, observations)
+        entry = _entry_file(tmp_path / "s", keys)
+        _rewrite_rows(entry, lambda rows: _set_field(rows[1], path, value))
+        assert store.get(keys) is None
+        assert not entry.exists()
+
+    @pytest.mark.parametrize("path", [("elapsed_seconds",), ("plans", 0, "price")])
+    def test_int_too_large_for_a_float_is_a_miss(self, tmp_path, path):
+        keys, observations = _shard("a")
+        store = DiskShardStore(tmp_path / "s")
+        store.put(keys, observations)
+        entry = _entry_file(tmp_path / "s", keys)
+        _rewrite_rows(entry, lambda rows: _set_field(rows[1], path, 10**400))
+        assert store.get(keys) is None
+        assert not entry.exists()
+
+    def test_bool_equal_to_an_earlier_number_is_refused(self, tmp_path):
+        """``True == 1.0``: a row must not pass by matching an earlier
+        row's plan list by value."""
+        keys, observations = _shard("a")
+        store = DiskShardStore(tmp_path / "s")
+        store.put(keys, observations)
+        entry = _entry_file(tmp_path / "s", keys)
+
+        def edit(rows):
+            for row in rows:
+                row["plans"][0]["up"] = 1.0
+            rows[2]["plans"][0]["up"] = True
+
+        _rewrite_rows(entry, edit)
+        assert store.get(keys) is None
+        assert not entry.exists()
+
+    def test_rows_share_each_distinct_plan_list(self, tmp_path):
+        keys, observations = _shard("a")
+        store = DiskShardStore(tmp_path / "s")
+        store.put(keys, observations)
+        first, *rest = DiskShardStore(tmp_path / "s").get(keys)
+        assert all(obs.plans is first.plans for obs in rest)
+
+    @pytest.mark.parametrize("damage", ["garbage", "wrong-typed"])
+    def test_find_stale_drops_a_bad_newest_entry(self, tmp_path, damage):
+        store = DiskShardStore(tmp_path / "s")
+        shards = {}
+        for tag in ("older", "newer"):
+            keys = tuple(f"key-{tag}-{i}" for i in range(3))
+            observations = tuple(
+                replace(_observation(i), address_id=f"{tag}-{i}") for i in range(3)
+            )
+            store.put(
+                keys, observations,
+                meta=ShardMeta(city="wichita", isp="cox", config_digest=tag),
+            )
+            shards[tag] = keys, observations
+        newest = _entry_file(tmp_path / "s", shards["newer"][0])
+        if damage == "garbage":
+            newest.write_bytes(b"\x00garbage{{{")
+        else:
+            _rewrite_rows(
+                newest, lambda rows: _set_field(rows[0], ("plans", 0, "name"), 5)
+            )
+        found = store.find_stale("wichita", "cox")
+        assert found is not None
+        observations, meta = found
+        assert observations == shards["older"][1]
+        assert meta.config_digest == "older"
+        assert not newest.exists()
+
+
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(min_value=-(2**62), max_value=2**62),
+    st.sampled_from([0, 0.0, -0.0, 1, 1.0, float("nan"), float("inf")]),
+)
+_PLANS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "name": st.sampled_from(["Basic", "Gig"]) | st.text(max_size=3),
+            "down": _NUMBERS,
+            "up": _NUMBERS,
+            "price": _NUMBERS,
+        }
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def _entry_rows(draw):
+    """Rows whose plan lists repeat, drawn from a small pool of lists."""
+    pool = draw(st.lists(_PLANS, min_size=1, max_size=4))
+    return [
+        {
+            "address_id": draw(st.text(max_size=4)),
+            "city": "wichita",
+            "block_group": draw(st.sampled_from(["bg-1", "bg-2"])),
+            "isp": "cox",
+            "status": draw(st.sampled_from(["plans", "no_service", "unknown"])),
+            "elapsed_seconds": draw(_NUMBERS),
+            "plans": [dict(plan) for plan in draw(st.sampled_from(pool))],
+        }
+        for _ in range(draw(st.integers(min_value=0, max_value=12)))
+    ]
+
+
+class TestBatchDecodeEqualsReference:
+    """The batch decoder equals the per-row decode on every valid entry,
+    bit for bit: compared by ``repr``, which tells ``-0.0`` from ``0.0``
+    and an int from a float."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_entry_rows())
+    @example(rows=[
+        {"address_id": "a", "city": "c", "block_group": "b", "isp": "i",
+         "status": "plans", "elapsed_seconds": z,
+         "plans": [{"name": "n", "down": z, "up": 1, "price": z}]}
+        for z in (0.0, -0.0, 0, float("nan"), -0.0)
+    ])
+    def test_equals_per_row_decode(self, rows):
+        expected = repr(tuple(_reference_observation_from_dict(r) for r in rows))
+        assert repr(observations_from_dicts(rows)) == expected
+        # As read back from an entry file: JSON spells -0.0 and NaN.
+        parsed = json.loads(json.dumps(rows))
+        assert repr(observations_from_dicts(parsed)) == expected
 
 
 # ----------------------------------------------------------------------

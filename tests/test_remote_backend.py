@@ -32,7 +32,9 @@ from repro.exec import (
     spec_from_wire,
     spec_to_wire,
 )
-from repro.exec.remote import _await_worker_banner
+from repro.dataset.records import AddressObservation, PlanObservation
+from repro.exec.remote import _await_worker_banner, _decode_run_reply
+from repro.exec.store import observation_to_dict
 from repro.exec.spec import SPEC_WIRE_VERSION
 from repro.net import RpcClient
 from repro.net.rpc import RpcRemoteError
@@ -105,6 +107,60 @@ class TestSpecWire:
     def test_executor_requires_a_fleet(self):
         with pytest.raises(ConfigurationError, match=">= 1 worker"):
             DistributedExecutor(workers="")
+
+
+# ----------------------------------------------------------------------
+# Worker reply decoding
+# ----------------------------------------------------------------------
+def _run_reply() -> dict:
+    """A ``run_shard`` reply carrying two observations."""
+    plan = PlanObservation(
+        name="Gig", download_mbps=1000.0, upload_mbps=1000.0, monthly_price=80.0
+    )
+    observations = [
+        AddressObservation(
+            address_id=f"addr-{i}", city="wichita", block_group="bg-1",
+            isp="att", status="plans", plans=(plan,), elapsed_seconds=2.5 + i,
+        )
+        for i in range(2)
+    ]
+    return {
+        "entry": {"observations": [observation_to_dict(obs) for obs in observations]},
+        "wall_seconds": 0.25,
+        "cached": False,
+    }
+
+
+class TestRunReplyDecoding:
+    """A worker reply is decoded under the store's type rule."""
+
+    def test_decodes_rows_and_wall_time(self):
+        observations, wall_seconds = _decode_run_reply(_run_reply())
+        assert [obs.address_id for obs in observations] == ["addr-0", "addr-1"]
+        assert observations[1].plans[0].download_mbps == 1000.0
+        assert wall_seconds == 0.25
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("address_id",), None),
+            (("status",), 3),
+            (("elapsed_seconds",), "2.5"),
+            (("elapsed_seconds",), True),
+            (("plans",), {"name": "Gig"}),
+            (("plans", 0, "name"), ["Gig"]),
+            (("plans", 0, "price"), True),
+        ],
+    )
+    def test_wrong_typed_row_raises_transport_error(self, path, value):
+        reply = _run_reply()
+        row = reply["entry"]["observations"][1]
+        *parents, last = path
+        for step in parents:
+            row = row[step]
+        row[last] = value
+        with pytest.raises(TransportError, match="malformed run_shard reply"):
+            _decode_run_reply(reply)
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,26 @@ key, shard atomicity, and key injectivity."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.addresses.normalize import canonical_key
 from repro.dataset import CurationConfig, CurationPipeline, SamplingConfig
+from repro.dataset.curation import shard_config_digest
 from repro.errors import ConfigurationError
-from repro.exec import QueryResultCache, address_cache_key
+from repro.exec import (
+    QueryResultCache,
+    ShardSpec,
+    address_cache_key,
+    shard_cache_keys,
+    shard_digest,
+    spec_cache_keys,
+)
+from repro.exec.spec import spec_tasks
 from repro.world import WorldConfig, build_world
 
 SMALL_CONFIG = CurationConfig(
@@ -192,3 +205,105 @@ class TestKeyInjectivity:
         assert address_cache_key(
             "cox", "12 Oak Avenue", "70112", 42, 0.05
         ) == address_cache_key("cox", "12 OAK AVE", "70112", 42, 0.05)
+
+
+def _reference_address_cache_key(
+    isp, street_line, zip_code, world_seed, scale, context_digest=""
+):
+    """The per-key layout ``cache_key_deriver`` replaced: five parts, each
+    UTF-8 encoded and followed by ``0x1f``, hashed one update at a time."""
+    hasher = hashlib.sha256()
+    for part in (
+        isp,
+        canonical_key(street_line, zip_code),
+        str(int(world_seed)),
+        repr(float(scale)),
+        context_digest,
+    ):
+        hasher.update(part.encode("utf-8"))
+        hasher.update(b"\x1f")
+    return hasher.hexdigest()
+
+
+#: The benchmark's world and curation config: four cities at scale 0.10.
+BENCH_WORLD = WorldConfig(
+    seed=42, scale=0.10, cities=("wichita", "baltimore", "billings", "durham")
+)
+BENCH_CONFIG = CurationConfig(
+    sampling=SamplingConfig(fraction=0.10, min_samples=10), n_workers=50
+)
+
+
+class TestKeyLayout:
+    """The key bytes are the store's addresses: a layout drift would
+    orphan every existing store without moving any dataset digest."""
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (("cox", "12 Magnolia Ave", "70112-1234", 42, 0.1, "ctx"),
+             "7c062f2a96ce087a758e770d6bc477deb858d3caf7ffc671f80b2bcd10c59cfc"),
+            (("att", "400 Oak St #3B", "67202", 7, 0.05, "ctx"),
+             "f5f3714f69412dd142085b78d9c182930865284970cbc1575e8ed52e2ae632e2"),
+            (("verizon", "17 Rue de l’Église", "21201", 42, 0.1, "déjà"),
+             "055ba2aa0a4af85735d07b64a2e0786210589b7137f6d8788a3979165d977cb5"),
+            (("spectrum", "9 Elm Street Apt 2", "59101", 1, 1e-9),
+             "fbf17cf80f4620a5214372cbf797fa8375c0381d23e2161d81ce00294100c8ba"),
+        ],
+        ids=["zip-plus-four", "hash-unit", "non-ascii", "tiny-scale"],
+    )
+    def test_pinned_keys(self, args, key):
+        assert address_cache_key(*args) == key
+
+    def test_pinned_benchmark_shard_digest(self):
+        spec = ShardSpec(
+            world=BENCH_WORLD,
+            city="billings",
+            isp="centurylink",
+            config=BENCH_CONFIG,
+            config_digest=shard_config_digest(
+                BENCH_WORLD, BENCH_CONFIG, "billings", "centurylink"
+            ),
+        )
+        keys = spec_cache_keys(spec, spec_tasks(spec))
+        assert len(keys) == 120
+        assert shard_digest(keys) == (
+            "bef4f94d90bdca30bd2af2cb59d2367fc04458718ccc679e2d0573a8c5313a2e"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        isp=st.text(max_size=8),
+        street_line=st.text(max_size=30),
+        zip_code=st.text(alphabet="0123456789- ", max_size=11) | st.text(max_size=6),
+        world_seed=st.integers(min_value=-(2**70), max_value=2**70),
+        scale=st.floats(allow_nan=True, allow_infinity=True),
+        context_digest=st.text(max_size=8),
+    )
+    @example(isp="cox\x1f", street_line="12 Oak Ave", zip_code="70112",
+             world_seed=0, scale=-0.0, context_digest="")
+    def test_equals_per_key_layout(
+        self, isp, street_line, zip_code, world_seed, scale, context_digest
+    ):
+        args = (isp, street_line, zip_code, world_seed, scale, context_digest)
+        try:
+            expected = _reference_address_cache_key(*args)
+        except UnicodeEncodeError:  # lone surrogates fail either way
+            with pytest.raises(UnicodeEncodeError):
+                address_cache_key(*args)
+            return
+        assert address_cache_key(*args) == expected
+
+    def test_shard_keys_equal_per_key_loop(self, small_world):
+        """Every key of every shard, on a world with units, variant
+        spellings and several ZIPs."""
+        city = small_world.city("wichita")
+        tasks = city.book.feed
+        for isp in city.info.isps:
+            assert shard_cache_keys(isp, tasks, 5, 0.05, "digest") == tuple(
+                _reference_address_cache_key(
+                    isp, task.truth.street_line(), task.truth.zip_code,
+                    5, 0.05, "digest",
+                )
+                for task in tasks
+            )

@@ -11,6 +11,7 @@ from repro.seeding import (
     _pcg64_states,
     rng_for,
     seed_deriver,
+    seeded_generators,
     standard_normals,
 )
 
@@ -132,6 +133,32 @@ class TestBatchedPcg64Seeding:
             for value in np.random.default_rng(seed).standard_normal(k).tolist()
         ]
         assert standard_normals(seeds, counts).tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seeds=st.lists(
+            st.integers(min_value=0, max_value=2**63 - 1)
+            | st.sampled_from(_EDGE_SEEDS),
+            max_size=8,
+        )
+    )
+    @example(seeds=list(_EDGE_SEEDS))
+    def test_generators_equal_default_rng(self, seeds):
+        """Each yielded generator draws what a fresh ``default_rng(seed)``
+        draws, whatever the previous seed's generator left buffered."""
+
+        def draws(rng):
+            return (
+                rng.integers(0, 7, size=3).tolist(),
+                rng.choice(20, size=5, replace=False).tolist(),
+                rng.random(2).tolist(),
+                rng.standard_normal(2).tolist(),
+                # A 32-bit draw leaves half a word buffered.
+                rng.integers(0, 2**31, dtype=np.int32).item(),
+            )
+
+        taken = [draws(rng) for rng in seeded_generators(seeds)]
+        assert taken == [draws(np.random.default_rng(seed)) for seed in seeds]
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_is_refused(self, seed):
