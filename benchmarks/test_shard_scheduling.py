@@ -18,8 +18,9 @@ faithfully and measures the fix:
   adversarial case unordered dispatch cannot avoid).
 * **Baseline**: PR 3 behavior — ``schedule="fifo"``, no chunking — on a
   four-wide thread pool.
-* **Contender**: the scheduler — LPT ordering from the cost model plus
-  ``chunk_tasks="auto"`` sub-shard chunking — on the *same* pool.
+* **Contender**: the scheduler — LPT ordering by politeness x tasks
+  (``shard_price``) plus ``chunk_tasks="auto"`` sub-shard chunking — on
+  the *same* pool.
 
 The contender must win >= 1.5x on wall clock while producing the
 byte-identical dataset (digest-checked here, and at test granularity in

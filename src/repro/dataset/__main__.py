@@ -15,7 +15,7 @@ shards from disk instead of replaying a single BQT query::
 
 A ``worker`` subcommand serves curation shard specs to a remote-backend
 coordinator (see :mod:`repro.dataset.worker`), and ``cache ls`` prints a
-store root's manifest — entries in LRU order plus recorded shard costs::
+store root's manifest — its entries in LRU order::
 
     python -m repro.dataset worker --port 7071 --width 4 &
     python -m repro.dataset --backend remote --remote-workers 127.0.0.1:7071
@@ -169,8 +169,7 @@ def warm_main(argv: list[str]) -> int:
     thirty cities, 10% stratified sampling, the env-tunable scale and
     sample floor — through an on-disk cache, so the next ``python -m
     repro.experiments`` (or CI warm pass) loads every shard from disk and
-    replays zero queries.  Observed shard costs land in the manifest as a
-    bonus: the warming run itself seeds the scheduler's cost model.
+    replays zero queries.
     """
     # Imported here: repro.experiments pulls the analysis stack, which the
     # plain curation CLI does not need.
@@ -257,8 +256,8 @@ def warm_main(argv: list[str]) -> int:
           f"cached ({run.disk_shards} from disk)")
     print_run_summary(pipeline, args.profile_shards)
     store = cache.store
-    print(f"store: {len(store)} shard entries, {store.total_bytes()} bytes, "
-          f"{len(store.cost_records())} cost records at {store.root}")
+    print(f"store: {len(store)} shard entries, {store.total_bytes()} bytes "
+          f"at {store.root}")
     return 0
 
 
@@ -266,10 +265,10 @@ def cache_main(argv: list[str]) -> int:
     """``python -m repro.dataset cache ls``: inspect a store root.
 
     Prints the manifest — shard entries in LRU order with their (city,
-    ISP, seed, scale, config digest) identities, sizes, and recorded
-    cost rows — without touching a byte of entry content.  This is what a
-    worker would ship for each cached shard, so operators can audit a
-    shared cache root (or a worker's ``--cache-dir``) at a glance.
+    ISP, seed, scale, config digest) identities and sizes — without
+    touching a byte of entry content.  This is what a worker would ship
+    for each cached shard, so operators can audit a shared cache root (or
+    a worker's ``--cache-dir``) at a glance.
     """
     from ..exec.store import DiskShardStore
 
@@ -279,7 +278,7 @@ def cache_main(argv: list[str]) -> int:
     )
     parser.add_argument("action", choices=("ls",),
                         help="ls: print the manifest (entries in LRU "
-                             "order, bytes, cost records)")
+                             "order, bytes)")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="store root to inspect (default: "
                              "REPRO_CACHE_DIR)")

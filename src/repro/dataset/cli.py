@@ -111,8 +111,8 @@ def add_scheduling_arguments(parser: argparse.ArgumentParser) -> None:
     """The shard-scheduling knobs shared by both CLIs."""
     parser.add_argument("--schedule", default=None, choices=SCHEDULE_MODES,
                         help="shard dispatch order: lpt (longest first, "
-                             "priced by the cost model; default) or fifo "
-                             "(enumeration order).  The dataset is "
+                             "priced by politeness x tasks; default) or "
+                             "fifo (enumeration order).  The dataset is "
                              "byte-identical either way")
     parser.add_argument("--chunk-tasks", type=_chunk_tasks_arg, default=None,
                         metavar="N|auto",
@@ -123,14 +123,15 @@ def add_scheduling_arguments(parser: argparse.ArgumentParser) -> None:
                              "Byte-transparent like --schedule")
     parser.add_argument("--profile-shards", action="store_true",
                         help="print a per-shard wall-time table after the "
-                             "run, stragglers first")
+                             "run, stragglers first, beside each shard's "
+                             "scheduling price")
 
 
 def render_shard_table(report: CurationRunReport) -> str:
     """The ``--profile-shards`` table: dispatched shards, stragglers first."""
     header = (
         f"{'city':<16}{'isp':<13}{'tasks':>7}{'chunks':>8}"
-        f"{'wall_s':>9}{'predicted':>11}  source"
+        f"{'wall_s':>9}{'predicted':>11}"
     )
     lines = [header, "-" * len(header)]
     rows = sorted(
@@ -140,7 +141,7 @@ def render_shard_table(report: CurationRunReport) -> str:
         lines.append(
             f"{timing.city:<16}{timing.isp:<13}{timing.tasks:>7d}"
             f"{timing.chunks:>8d}{timing.wall_seconds:>9.2f}"
-            f"{timing.predicted_seconds:>11.1f}  {timing.cost_source}"
+            f"{timing.predicted_seconds:>11.1f}"
         )
     if not rows:
         lines.append("(no shards were dispatched — everything came "
@@ -149,7 +150,7 @@ def render_shard_table(report: CurationRunReport) -> str:
 
 
 def render_store_table(store) -> str:
-    """The ``cache ls`` listing: manifest entries (LRU order) + costs.
+    """The ``cache ls`` listing: manifest entries in LRU order.
 
     Shows exactly what a warm worker would ship for each shard — the
     entry a coordinator promotes into its own cache — so an operator can
@@ -175,19 +176,6 @@ def render_store_table(store) -> str:
         f"total: {len(entries)} entries, {store.total_bytes()} bytes"
         + (f" (cap {store.max_bytes})" if store.max_bytes else "")
     )
-    costs = store.cost_records()
-    if costs:
-        lines.append("")
-        cost_header = (
-            f"{'city':<16}{'isp':<13}{'tasks':>7}{'wall_s':>9}{'pacing':>10}"
-        )
-        lines.extend([cost_header, "-" * len(cost_header)])
-        for record in costs:
-            lines.append(
-                f"{record.city:<16}{record.isp:<13}{record.task_count:>7d}"
-                f"{record.wall_seconds:>9.2f}{record.pacing_time_scale:>10.5f}"
-            )
-        lines.append(f"cost records: {len(costs)}")
     return "\n".join(lines)
 
 

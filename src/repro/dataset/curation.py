@@ -37,14 +37,13 @@ from ..exec.base import Executor, resolve_executor
 from ..exec.cache import QueryResultCache, shard_cache_keys
 from ..exec.schedule import (
     SCHEDULE_MODES,
-    ShardCostModel,
-    calibrate_costs,
     chunk_spans,
     lpt_order,
     resolve_chunk_tasks,
+    shard_price,
 )
 from ..exec.spec import ShardSpec, release_city_worlds, seed_city_worlds
-from ..exec.store import ShardCostRecord, ShardMeta
+from ..exec.store import ShardMeta
 from ..memo import Memo
 from ..net.proxy import ResidentialProxyPool
 from ..net.transport import InProcessTransport
@@ -217,9 +216,11 @@ class ShardTiming:
 
     ``wall_seconds`` is the shard's serial replay cost — the sum of its
     dispatch units' wall times — so the number is comparable whether the
-    shard ran whole or chunked, on any backend.  ``predicted_seconds`` and
-    ``cost_source`` echo the scheduler's pricing, so a ``--profile-shards``
-    table shows both what the scheduler believed and what happened.
+    shard ran whole or chunked, on any backend; a unit a remote worker
+    served from its own store counts 0.0.  ``predicted_seconds`` is the
+    scheduler's :func:`~repro.exec.schedule.shard_price` (politeness x
+    tasks, in virtual seconds), so a ``--profile-shards`` table shows
+    both what the scheduler ranked by and what happened.
     """
 
     city: str
@@ -228,7 +229,6 @@ class ShardTiming:
     chunks: int
     wall_seconds: float
     predicted_seconds: float
-    cost_source: str
 
 
 @dataclass(frozen=True)
@@ -495,14 +495,19 @@ class CurationPipeline:
             content-addressed keys are fully present are served from it
             without replaying any queries.
         schedule: Dispatch-order mode — ``"lpt"`` (longest processing time
-            first, priced by the cost model; the default) or ``"fifo"``
-            (enumeration order).  Execution-only: the merged dataset is
-            byte-identical either way.
+            first, priced by :func:`~repro.exec.schedule.shard_price`; the
+            default) or ``"fifo"`` (enumeration order).  Either order is a
+            pure function of the configuration.  Execution-only: the
+            merged dataset is byte-identical either way.
         chunk_tasks: Sub-shard chunk cap — None (never split), an integer
-            task count, or ``"auto"`` (size chunks from the executor
-            width).  Execution-only, like ``schedule``: a chunk replays
-            exactly the observations its span of the whole-shard run
-            would produce.
+            task count ``>= 1``, or ``"auto"`` (size chunks from the
+            executor width).  Execution-only, like ``schedule``: a chunk
+            replays exactly the observations its span of the whole-shard
+            run would produce.
+
+    Raises:
+        DatasetError: ``schedule`` is not a known mode.
+        ConfigurationError: ``chunk_tasks`` is none of the above.
     """
 
     def __init__(
@@ -524,6 +529,10 @@ class CurationPipeline:
                 f"unknown schedule mode {self.schedule!r} "
                 f"(available: {', '.join(SCHEDULE_MODES)})"
             )
+        # Checked now, not at the first dispatch (which a warm cache may
+        # never reach).  "auto" resolves at dispatch, against the width,
+        # which a remote executor learns from its fleet.
+        resolve_chunk_tasks(chunk_tasks, 0, 1)
         self.chunk_tasks = chunk_tasks
         self.last_run: CurationRunReport | None = None
 
@@ -621,7 +630,6 @@ class CurationPipeline:
                             config_digest=plan.config_digest,
                         ),
                     )
-            self._record_costs(timings, [plan for _, plan in pending])
 
         self.last_run = CurationRunReport(
             shards=tuple(shards),
@@ -642,42 +650,25 @@ class CurationPipeline:
 
     def _schedule_units(
         self, plans: list[_ShardPlan]
-    ) -> tuple[list[_DispatchUnit], list[ShardTiming | None]]:
+    ) -> tuple[list[_DispatchUnit], list[ShardTiming]]:
         """Price, chunk, and LPT-order the pending shards.
 
         Returns the dispatch units in dispatch order plus a per-plan
         timing skeleton carrying the scheduler's predictions (filled with
         observed wall times after execution).
         """
-        cost_model = ShardCostModel(
-            self.cache.store if self.cache is not None else None
-        )
         total_tasks = sum(len(plan.tasks or ()) for plan in plans)
         cap = resolve_chunk_tasks(
             self.chunk_tasks, total_tasks, self.executor.width
         )
 
-        politeness = [
-            self.config.effective_politeness(plan.isp) for plan in plans
-        ]
-        # The cost model prices whole-shard *specs* — the same pure data a
-        # dispatch unit is made of — so remote dispatchers and this
-        # pipeline reason about identical objects.
-        costs = [
-            cost_model.spec_cost(
-                self._whole_shard_spec(plan), task_count=len(plan.tasks or ())
-            )
-            for plan in plans
-        ]
-        # Observed costs are real seconds, estimates virtual seconds;
-        # rescale the estimates so a mixed set sorts in one unit.
-        prices = calibrate_costs(costs, politeness)
-
         units: list[_DispatchUnit] = []
-        predictions: list[ShardTiming | None] = []
+        predictions: list[ShardTiming] = []
         for plan_index, plan in enumerate(plans):
             n_tasks = len(plan.tasks or ())
-            price = prices[plan_index]
+            price = shard_price(
+                n_tasks, self.config.effective_politeness(plan.isp)
+            )
             spans = chunk_spans(n_tasks, cap)
             predictions.append(
                 ShardTiming(
@@ -687,7 +678,6 @@ class CurationPipeline:
                     chunks=len(spans),
                     wall_seconds=0.0,
                     predicted_seconds=price,
-                    cost_source=costs[plan_index].source,
                 )
             )
             for start, stop in spans:
@@ -708,19 +698,6 @@ class CurationPipeline:
             units = [units[index] for index in order]
         return units, predictions
 
-    def _whole_shard_spec(self, plan: _ShardPlan) -> ShardSpec:
-        """The pure-data spec of one pending shard, span = whole shard."""
-        n_tasks = len(plan.tasks or ())
-        return ShardSpec(
-            world=self._world.config,
-            city=plan.city,
-            isp=plan.isp,
-            config=self.config,
-            start=0,
-            stop=n_tasks,
-            config_digest=plan.config_digest,
-        )
-
     def _execute(
         self, plans: list[_ShardPlan]
     ) -> tuple[
@@ -730,15 +707,15 @@ class CurationPipeline:
     ]:
         """Dispatch scheduled shard work through the configured backend.
 
-        Shards are priced by the cost model, oversized ones split into
-        sub-shard chunks, and the resulting units dispatched longest-first
-        (under ``schedule="lpt"``).  Every unit is a serializable
-        :class:`~repro.exec.spec.ShardSpec` handed to the backend's
-        ``map_specs`` — the same entry point whether the spec runs on this
-        thread, in a forked pool, or on a worker machine.  Chunk results
-        merge back in canonical span order, so the returned per-plan
-        observations — hence the dataset — are byte-identical whatever the
-        dispatch order, chunk cap, or backend.
+        Shards are priced by :func:`~repro.exec.schedule.shard_price`,
+        oversized ones split into sub-shard chunks, and the resulting
+        units dispatched longest-first (under ``schedule="lpt"``).  Every
+        unit is a serializable :class:`~repro.exec.spec.ShardSpec` handed
+        to the backend's ``map_specs`` — the same entry point whether the
+        spec runs on this thread, in a forked pool, or on a worker
+        machine.  Chunk results merge back in canonical span order, so the
+        returned per-plan observations — hence the dataset — are
+        byte-identical whatever the dispatch order, chunk cap, or backend.
         """
         world_config = self._world.config
         units, predictions = self._schedule_units(plans)
@@ -793,36 +770,7 @@ class CurationPipeline:
             merged.append(
                 tuple(obs for _, piece in pieces for obs in piece)
             )
-            prediction = predictions[plan_index]
-            assert prediction is not None
             timings.append(
-                replace(prediction, wall_seconds=walls[plan_index])
+                replace(predictions[plan_index], wall_seconds=walls[plan_index])
             )
         return merged, tuple(timings), len(units)
-
-    def _record_costs(
-        self, timings: tuple[ShardTiming, ...], plans: list[_ShardPlan]
-    ) -> None:
-        """Persist observed shard costs into the disk manifest, if any."""
-        if self.cache is None or self.cache.store is None:
-            return
-        store = self.cache.store
-        for timing, plan in zip(timings, plans):
-            if timing.wall_seconds <= 0.0:
-                # No usable observation — e.g. a remote worker served the
-                # shard's chunks from its store without a recorded
-                # execution cost.  The cost model rejects zero walls
-                # anyway; recording one would only overwrite a genuine
-                # earlier observation.
-                continue
-            store.record_cost(
-                ShardCostRecord(
-                    city=timing.city,
-                    isp=timing.isp,
-                    config_digest=plan.config_digest,
-                    wall_seconds=timing.wall_seconds,
-                    task_count=timing.tasks,
-                    pacing_time_scale=self.config.pacing_time_scale,
-                )
-            )
-        store.flush()

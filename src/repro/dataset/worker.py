@@ -12,10 +12,11 @@ two-tier cache.
 
 With ``--cache-dir`` the worker keeps a disk store of its own: a spec
 whose content-addressed keys are already present is answered from the
-store without replaying a query (``cached: true`` in the reply), so a
-warm worker's cost is the transfer, not the computation.  Several workers
-(and the coordinator) may share one store root — manifest writes are
-serialized by the store's cross-process lock.
+store without replaying a query (``cached: true`` and ``wall_seconds``
+0.0 in the reply, since nothing executed), so a warm worker's cost is
+the transfer, not the computation.  Several workers (and the
+coordinator) may share one store root — manifest writes are serialized
+by the store's cross-process lock.
 
 Concurrency is connection-shaped: the RPC server runs each connection on
 its own thread, and the coordinator opens as many connections as the
@@ -60,7 +61,6 @@ from ..exec.spec import (
 from ..exec.store import (
     STORE_VERSION,
     DiskShardStore,
-    ShardCostRecord,
     ShardMeta,
     observation_to_dict,
     shard_digest,
@@ -148,9 +148,7 @@ class WorkerState:
                 with self.lock:
                     self.cache_hits += 1
                 self._maybe_drain()
-                return self._reply(
-                    spec, keys, stored, self._stored_wall(spec, tasks), True
-                )
+                return self._reply(spec, keys, stored, 0.0, True)
 
         observations, wall_seconds = run_shard_spec(
             replace(spec, tasks=tuple(tasks))
@@ -169,22 +167,6 @@ class WorkerState:
                     config_digest=spec.config_digest,
                 ),
             )
-            if len(tasks) == len(full_shard_tasks(spec)):
-                # Whole-shard observation: remember its serial replay
-                # cost so later cache hits can report the *execution*
-                # wall time (the number the coordinator's cost model
-                # wants), not the microseconds the lookup took.
-                self.store.record_cost(
-                    ShardCostRecord(
-                        city=spec.city,
-                        isp=spec.isp,
-                        config_digest=spec.config_digest,
-                        wall_seconds=wall_seconds,
-                        task_count=len(tasks),
-                        pacing_time_scale=spec.config.pacing_time_scale,
-                    )
-                )
-                self.store.flush()
         self._maybe_drain()
         return self._reply(spec, keys, observations, wall_seconds, False)
 
@@ -203,20 +185,6 @@ class WorkerState:
                 reached = self.requests >= self.exit_after
             if reached:
                 self.drain.set()
-
-    def _stored_wall(self, spec: ShardSpec, tasks) -> float:
-        """Best-effort execution cost of a cache-served spec."""
-        if self.store is None:
-            return 0.0
-        record = self.store.cost_for(spec.city, spec.isp)
-        if (
-            record is not None
-            and record.config_digest == spec.config_digest
-            and record.task_count == len(tasks)
-            and record.pacing_time_scale == spec.config.pacing_time_scale
-        ):
-            return record.wall_seconds
-        return 0.0
 
     @staticmethod
     def _reply(

@@ -18,11 +18,10 @@ shards persist across processes and CI runs, with atomic writes, versioned
 serialization, and LRU eviction under a byte cap.
 
 :mod:`~repro.exec.schedule` decides *in what order and what pieces* the
-units reach an executor: shards are priced by a cost model (observed wall
-times recorded in the disk store's manifest, politeness-based estimates
-otherwise), dispatched longest-first, and oversized shards split into
-byte-transparent sub-shard chunks so no single straggler serializes the
-tail of a run.
+units reach an executor: shards are priced by politeness x tasks
+(:func:`~repro.exec.schedule.shard_price`), dispatched longest-first, and
+oversized shards split into byte-transparent sub-shard chunks so no
+single straggler serializes the tail of a run.
 """
 
 from .._lazy import lazy_exports
@@ -64,12 +63,10 @@ _EXPORTS = {
     ),
     ".schedule": (
         "SCHEDULE_MODES",
-        "ShardCost",
-        "ShardCostModel",
-        "calibrate_costs",
         "chunk_spans",
         "lpt_order",
         "resolve_chunk_tasks",
+        "shard_price",
     ),
     ".serial": ("SerialExecutor",),
     ".spec": (
@@ -82,7 +79,6 @@ _EXPORTS = {
     ".store": (
         "STORE_VERSION",
         "DiskShardStore",
-        "ShardCostRecord",
         "ShardMeta",
         "StoreEntry",
         "build_result_cache",
@@ -128,17 +124,14 @@ __all__ = [
     "STORE_VERSION",
     "DiskShardStore",
     "ShardMeta",
-    "ShardCostRecord",
     "StoreEntry",
     "build_result_cache",
     "observation_from_dict",
     "observation_to_dict",
     "shard_digest",
     "SCHEDULE_MODES",
-    "ShardCost",
-    "ShardCostModel",
-    "calibrate_costs",
     "chunk_spans",
     "lpt_order",
     "resolve_chunk_tasks",
+    "shard_price",
 ]

@@ -21,10 +21,10 @@ half of shipping those specs off-machine:
   per-worker concurrency is expressed as connections, nothing more;
 * the shared work queue is consumed in the order the curation pipeline
   dispatched (longest-processing-time-first under ``schedule="lpt"``,
-  priced by the shard cost model), so greedy pulling by heterogeneous
-  workers *is* LPT list scheduling: wide/fast workers simply pull more,
-  and a worker that joins mid-run starts pulling ("stealing") from the
-  same queue within one reconcile pass;
+  priced by :func:`~repro.exec.schedule.shard_price`), so greedy pulling
+  by heterogeneous workers *is* LPT list scheduling: wide/fast workers
+  simply pull more, and a worker that joins mid-run starts pulling
+  ("stealing") from the same queue within one reconcile pass;
 * results come back as :class:`~repro.exec.store.DiskShardStore`-format
   entry blobs — the disk tier's wire format — which the pipeline promotes
   into the coordinator's two-tier cache exactly as if a local backend had
@@ -511,13 +511,18 @@ def _decode_run_reply(
     """Decode a worker's ``run_shard`` reply (a store-format entry blob).
 
     The rows follow the store's type rule (:func:`~repro.exec.store.
-    observations_from_dicts`); a reply that breaks it raises
-    :class:`TransportError`, like any other malformed reply.
+    observations_from_dicts`), and ``wall_seconds`` is a number under the
+    same rule: ``int`` or ``float``, never ``bool`` or a string.  A reply
+    that breaks it raises :class:`TransportError`, like any other
+    malformed reply.
     """
     try:
         observations = observations_from_dicts(reply["entry"]["observations"])
-        wall_seconds = float(reply.get("wall_seconds", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
+        wall_seconds = reply["wall_seconds"]
+        if type(wall_seconds) not in (int, float):
+            raise ValueError(f"wrong-typed wall_seconds {wall_seconds!r}")
+        wall_seconds = float(wall_seconds)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TransportError(f"malformed run_shard reply: {exc}") from exc
     return observations, wall_seconds
 

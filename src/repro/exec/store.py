@@ -29,7 +29,9 @@ Durability rules:
   crash — and the mismatched file is left on disk untouched, since it may
   be a *newer* format written by another code version sharing the root.
   Corrupted, truncated or wrong-typed entries are deleted on read and
-  reported as misses.
+  reported as misses.  An entry's ``meta`` is typed like its rows:
+  ``city``, ``isp`` and ``config_digest`` are ``str``, ``seed`` is
+  ``int`` and ``scale`` is ``int`` or ``float``, never ``bool``.
 * **One decode per entry.**  :func:`observations_from_dicts` decodes an
   entry's rows in one pass: it type-checks every row, and builds each
   distinct plan list's :class:`~repro.dataset.records.PlanObservation`
@@ -48,18 +50,9 @@ Durability rules:
   loopback workers, or CI's warm-cache passes — and each keeps its own
   in-memory manifest copy.  Every save takes an advisory ``flock`` on
   ``<root>/manifest.lock`` and *merges* the on-disk manifest into the
-  outgoing one (rows for object files that still exist, cost rows for
-  unknown shards, the larger LRU clock) before the atomic replace, so a
-  last-writer-wins race can no longer drop another process's rows.
-
-The manifest additionally doubles as the curation scheduler's **cost
-model**: every executed shard records its observed wall time and task
-count under its (city, ISP) coordinates (see :meth:`DiskShardStore.
-record_cost`), and the next run orders shard dispatch
-longest-processing-time-first from those observations
-(:mod:`repro.exec.schedule`).  Cost rows are advisory like the rest of
-the manifest — a missing or stale row degrades to the static estimate,
-never to an error.
+  outgoing one (rows for object files that still exist, the larger LRU
+  clock) before the atomic replace, so a last-writer-wins race can no
+  longer drop another process's rows.
 """
 
 from __future__ import annotations
@@ -69,7 +62,7 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -85,7 +78,6 @@ if TYPE_CHECKING:  # runtime-lazy: repro.dataset imports repro.exec back
 __all__ = [
     "STORE_VERSION",
     "ShardMeta",
-    "ShardCostRecord",
     "StoreEntry",
     "DiskShardStore",
     "shard_digest",
@@ -136,27 +128,6 @@ class StoreEntry:
     access: int
 
 
-@dataclass(frozen=True)
-class ShardCostRecord:
-    """One observed shard execution, persisted in the manifest.
-
-    ``wall_seconds`` is the shard's serial replay cost — the sum of its
-    dispatch units' wall times — so it stays comparable whether the shard
-    ran whole or chunked, on any backend.  ``pacing_time_scale`` records
-    the pacing regime the observation was made under: pacing is excluded
-    from the shard *cache* digest (it never changes a byte), but a
-    CPU-speed cost cannot price a paced run, so the cost model requires
-    the regime to match too.
-    """
-
-    city: str
-    isp: str
-    config_digest: str
-    wall_seconds: float
-    task_count: int
-    pacing_time_scale: float = 0.0
-
-
 def observation_to_dict(obs: "AddressObservation") -> dict:
     """One observation as the JSON row the store entry format carries.
 
@@ -191,6 +162,8 @@ _ROW_FIELDS = itemgetter(
 _PLAN_FIELDS = itemgetter("name", "down", "up", "price")
 #: A number field's accepted types.
 _NUMBER_TYPES = frozenset((int, float))
+#: The fields of an entry's ``meta`` object, in :class:`ShardMeta` order.
+_META_FIELDS = itemgetter(*(field.name for field in fields(ShardMeta)))
 
 
 def observations_from_dicts(rows: Iterable[dict]) -> "tuple[AddressObservation, ...]":
@@ -412,16 +385,8 @@ class DiskShardStore:
                 observations = self._decode(digest, path, payload)
                 if observations is None:
                     continue
-                meta_row = payload.get("meta") or {}
-                meta = ShardMeta(
-                    city=str(meta_row.get("city", city)),
-                    isp=str(meta_row.get("isp", isp)),
-                    seed=int(meta_row.get("seed", 0)),
-                    scale=float(meta_row.get("scale", 0.0)),
-                    config_digest=str(meta_row.get("config_digest", "")),
-                )
                 self._touch(digest, payload, path)
-                return observations, meta
+                return observations, ShardMeta(*_META_FIELDS(payload["meta"]))
         return None
 
     # ------------------------------------------------------------------
@@ -469,68 +434,14 @@ class DiskShardStore:
         return digest
 
     def purge(self) -> None:
-        """Delete every entry (and cost record) and reset the manifest."""
+        """Delete every entry and reset the manifest."""
         with self._lock:
             for digest in list(self._manifest["entries"]):
                 self._unlink(self._object_path(digest))
-            self._manifest = {
-                "version": STORE_VERSION, "clock": 0, "entries": {}, "costs": {},
-            }
+            self._manifest = {"version": STORE_VERSION, "clock": 0, "entries": {}}
             # An explicit purge must win: merging would resurrect rows
             # another process wrote for the objects just deleted.
             self._save_manifest(merge=False)
-
-    # ------------------------------------------------------------------
-    # Cost model (read by repro.exec.schedule)
-    # ------------------------------------------------------------------
-    def record_cost(self, record: ShardCostRecord) -> None:
-        """Remember one shard's observed execution cost.
-
-        Persisted lazily — on the next mutating operation or explicit
-        :meth:`flush` — so recording every shard of a run costs one
-        manifest write, not one per shard.  A cost lost to a crash only
-        degrades the next run's dispatch order, never correctness.
-        """
-        with self._lock:
-            self._manifest.setdefault("costs", {})[
-                f"{record.city}\x1f{record.isp}"
-            ] = {
-                "config_digest": record.config_digest,
-                "wall_seconds": round(float(record.wall_seconds), 6),
-                "task_count": int(record.task_count),
-                "pacing_time_scale": float(record.pacing_time_scale),
-            }
-            self._dirty = True
-
-    def cost_for(self, city: str, isp: str) -> ShardCostRecord | None:
-        """The recorded cost of one (city, ISP) shard, if any."""
-        with self._lock:
-            row = self._manifest.get("costs", {}).get(f"{city}\x1f{isp}")
-        if not isinstance(row, dict):
-            return None
-        try:
-            return ShardCostRecord(
-                city=city,
-                isp=isp,
-                config_digest=str(row.get("config_digest", "")),
-                wall_seconds=float(row["wall_seconds"]),
-                task_count=int(row["task_count"]),
-                pacing_time_scale=float(row.get("pacing_time_scale", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def cost_records(self) -> tuple[ShardCostRecord, ...]:
-        """Every recorded shard cost, sorted by (city, ISP)."""
-        with self._lock:
-            keys = sorted(self._manifest.get("costs", {}))
-        records = []
-        for key in keys:
-            city, _, isp = key.partition("\x1f")
-            record = self.cost_for(city, isp)
-            if record is not None:
-                records.append(record)
-        return tuple(records)
 
     # ------------------------------------------------------------------
     # Internals (caller holds the lock)
@@ -557,7 +468,9 @@ class DiskShardStore:
 
         ``(None, False)`` is a clean miss (file absent, or a foreign
         serialization version that must be left alone); ``(None, True)``
-        is a corrupt file the caller should delete.
+        is a corrupt file the caller should delete: unparseable, or a
+        ``meta`` that breaks the type rule (module docstring).  The rows
+        are checked when they are decoded (:func:`observations_from_dicts`).
         """
         try:
             raw = path.read_bytes()
@@ -572,6 +485,18 @@ class DiskShardStore:
         if payload.get("version") != STORE_VERSION:
             return None, False
         if not isinstance(payload.get("observations"), list):
+            return None, True
+        try:
+            city, isp, seed, scale, config_digest = _META_FIELDS(payload["meta"])
+        except (KeyError, TypeError):
+            return None, True
+        if not (
+            type(city) is str
+            and type(isp) is str
+            and type(seed) is int
+            and type(scale) in _NUMBER_TYPES
+            and type(config_digest) is str
+        ):
             return None, True
         return payload, False
 
@@ -594,10 +519,8 @@ class DiskShardStore:
         if entry is None:
             # Adopted from disk: another process wrote it, or the manifest
             # was lost.  Reconstruct the row from the entry's embedded meta.
-            meta = payload.get("meta") or {}
             entry = {
-                **asdict(ShardMeta()),
-                **{k: meta[k] for k in asdict(ShardMeta()) if k in meta},
+                **asdict(ShardMeta(*_META_FIELDS(payload["meta"]))),
                 "n_observations": len(payload["observations"]),
                 "n_bytes": self._file_size(path),
                 "access": 0,
@@ -636,7 +559,7 @@ class DiskShardStore:
             total -= row["n_bytes"]
 
     def _load_manifest(self) -> dict:
-        fresh = {"version": STORE_VERSION, "clock": 0, "entries": {}, "costs": {}}
+        fresh = {"version": STORE_VERSION, "clock": 0, "entries": {}}
         try:
             data = json.loads(self._manifest_path.read_bytes())
         except (OSError, json.JSONDecodeError, UnicodeDecodeError, ValueError):
@@ -648,10 +571,9 @@ class DiskShardStore:
             or not isinstance(data.get("clock"), int)
         ):
             return fresh
-        if not isinstance(data.get("costs"), dict):
-            # Manifests written before the cost model (or with a mangled
-            # section) simply start with no observations.
-            data["costs"] = {}
+        # Older manifests carry a ``costs`` section of observed shard wall
+        # times; nothing reads it, so the next save writes none.
+        data.pop("costs", None)
         return data
 
     @contextlib.contextmanager
@@ -680,9 +602,8 @@ class DiskShardStore:
         Called under both locks, immediately before writing.  Adopts
         entry rows we do not carry whose object file still exists (a row
         for a deleted file would be forgotten again on first read
-        anyway), cost rows for shards we have no fresher observation of,
-        and the larger LRU clock — so concurrent writers sharing the
-        root converge on the union instead of the last writer's view.
+        anyway) and the larger LRU clock — so concurrent writers sharing
+        the root converge on the union instead of the last writer's view.
         """
         try:
             disk = json.loads(self._manifest_path.read_bytes())
@@ -700,12 +621,6 @@ class DiskShardStore:
                 continue
             if self._object_path(str(digest)).exists():
                 entries[digest] = row
-        costs = self._manifest.setdefault("costs", {})
-        disk_costs = disk.get("costs")
-        if isinstance(disk_costs, dict):
-            for key, row in disk_costs.items():
-                if key not in costs and isinstance(row, dict):
-                    costs[key] = row
         disk_clock = disk.get("clock")
         if isinstance(disk_clock, int) and disk_clock > self._manifest["clock"]:
             self._manifest["clock"] = disk_clock

@@ -87,7 +87,7 @@ def parse_coordinator_address(raw: str) -> tuple[str, int]:
 
 
 def parse_chunk_tasks(raw: str) -> "int | str":
-    """Parse a chunk-cap spec: an integer task count or ``auto``.
+    """Parse a chunk-cap spec: an integer task count ``>= 1`` or ``auto``.
 
     The one parser behind both ``REPRO_CHUNK_TASKS`` and the CLIs'
     ``--chunk-tasks`` flag.
@@ -95,11 +95,14 @@ def parse_chunk_tasks(raw: str) -> "int | str":
     if raw.lower() == "auto":
         return "auto"
     try:
-        return int(raw)
+        value = int(raw)
+        if value >= 1:
+            return value
     except ValueError:
-        raise _config_error(
-            f"chunk-tasks must be an integer or 'auto', not {raw!r}"
-        ) from None
+        pass
+    raise _config_error(
+        f"chunk-tasks must be an integer >= 1 or 'auto', not {raw!r}"
+    )
 
 
 def _parse_bool(raw: str) -> bool:

@@ -214,6 +214,34 @@ class TestDiskShardStore:
         assert reopened.get(keys) == observations  # ... objects adopted
         assert len(reopened) == 1
 
+    def test_legacy_costs_section_is_dropped(self, tmp_path):
+        """Older manifests carry observed shard wall times under
+        ``costs``: such a manifest loads, its entries serve, and neither
+        a store that loaded it nor one merging it on save writes it back."""
+        root = tmp_path / "s"
+        shards = [_shard(tag) for tag in ("a", "b")]
+        merging = DiskShardStore(root)
+        for keys, observations in shards:
+            merging.put(keys, observations)
+        manifest_path = root / "manifest.json"
+        manifest = json.loads(manifest_path.read_bytes())
+        manifest["costs"] = {
+            "wichita\x1fcox": {
+                "config_digest": "d", "wall_seconds": 1.25, "task_count": 3,
+                "pacing_time_scale": 0.0,
+            },
+        }
+        manifest_path.write_text(json.dumps(manifest))
+
+        loading = DiskShardStore(root)
+        for keys, observations in shards:
+            assert loading.get(keys) == observations
+        for store, tag, n_entries in ((loading, "c", 3), (merging, "d", 4)):
+            store.put(*_shard(tag))
+            manifest = json.loads(manifest_path.read_bytes())
+            assert "costs" not in manifest
+            assert len(manifest["entries"]) == n_entries
+
     def test_purge_empties_everything(self, tmp_path):
         store = DiskShardStore(tmp_path / "s")
         for tag in ("a", "b"):
@@ -461,6 +489,51 @@ def _set_field(row: dict, path: tuple, value) -> None:
     row[last] = value
 
 
+#: ``(field, value)``: an entry ``meta`` the type rule refuses.  A field
+#: of None replaces the whole ``meta`` object.
+_WRONG_META = [
+    (None, ["wichita", "cox"]),
+    (None, "wichita"),
+    (None, None),
+    (None, {"city": "wichita", "isp": "cox", "scale": 0.05, "config_digest": "d"}),
+    ("seed", "x"),
+    ("seed", [1]),
+    ("seed", 5.0),
+    ("seed", True),
+    ("scale", "big"),
+    ("scale", False),
+    ("city", 7),
+    ("isp", None),
+    ("config_digest", ["d"]),
+]
+_WRONG_META_IDS = [f"{field or 'meta'}={value!r}" for field, value in _WRONG_META]
+
+
+def _rewrite_meta(path: Path, field, value) -> None:
+    """Set one field of an entry file's ``meta`` (all of it for None)."""
+    payload = json.loads(path.read_bytes())
+    if field is None:
+        payload["meta"] = value
+    else:
+        payload["meta"][field] = value
+    path.write_text(json.dumps(payload))
+
+
+#: Ways to damage a ``find_stale`` candidate: unparseable bytes, a
+#: wrong-typed row, and each wrong-typed ``meta``.
+_STALE_DAMAGE = {
+    "garbage": lambda path: path.write_bytes(b"\x00garbage{{{"),
+    "wrong-typed": lambda path: _rewrite_rows(
+        path, lambda rows: _set_field(rows[0], ("plans", 0, "name"), 5)
+    ),
+    **{
+        name: (lambda path, field=field, value=value:
+               _rewrite_meta(path, field, value))
+        for name, (field, value) in zip(_WRONG_META_IDS, _WRONG_META)
+    },
+}
+
+
 class TestEntryTypeRule:
     """Every row of an entry is type-checked; an entry that breaks the
     rule is malformed: deleted and reported as a miss."""
@@ -506,6 +579,28 @@ class TestEntryTypeRule:
         assert store.get(keys) is None
         assert not entry.exists()
 
+    @pytest.mark.parametrize("adopted", [False, True], ids=["row", "adopted"])
+    @pytest.mark.parametrize("field, value", _WRONG_META, ids=_WRONG_META_IDS)
+    def test_wrong_typed_meta_is_a_miss_and_removed(
+        self, tmp_path, field, value, adopted
+    ):
+        """With or without a manifest row: never served, never adopted."""
+        keys, observations = _shard("a")
+        store = DiskShardStore(tmp_path / "s")
+        store.put(
+            keys, observations,
+            meta=ShardMeta(city="wichita", isp="cox", seed=5, scale=0.05,
+                           config_digest="d"),
+        )
+        entry = _entry_file(tmp_path / "s", keys)
+        _rewrite_meta(entry, field, value)
+        if adopted:
+            (tmp_path / "s" / "manifest.json").unlink()
+            store = DiskShardStore(tmp_path / "s")
+        assert store.get(keys) is None
+        assert not entry.exists()
+        assert len(store) == 0
+
     def test_rows_share_each_distinct_plan_list(self, tmp_path):
         keys, observations = _shard("a")
         store = DiskShardStore(tmp_path / "s")
@@ -513,7 +608,7 @@ class TestEntryTypeRule:
         first, *rest = DiskShardStore(tmp_path / "s").get(keys)
         assert all(obs.plans is first.plans for obs in rest)
 
-    @pytest.mark.parametrize("damage", ["garbage", "wrong-typed"])
+    @pytest.mark.parametrize("damage", list(_STALE_DAMAGE))
     def test_find_stale_drops_a_bad_newest_entry(self, tmp_path, damage):
         store = DiskShardStore(tmp_path / "s")
         shards = {}
@@ -528,12 +623,7 @@ class TestEntryTypeRule:
             )
             shards[tag] = keys, observations
         newest = _entry_file(tmp_path / "s", shards["newer"][0])
-        if damage == "garbage":
-            newest.write_bytes(b"\x00garbage{{{")
-        else:
-            _rewrite_rows(
-                newest, lambda rows: _set_field(rows[0], ("plans", 0, "name"), 5)
-            )
+        _STALE_DAMAGE[damage](newest)
         found = store.find_stale("wichita", "cox")
         assert found is not None
         observations, meta = found

@@ -1,6 +1,6 @@
 """The straggler-aware shard scheduler, locked down by parity.
 
-Four layers of guarantees:
+Five layers of guarantees:
 
 * **Byte-transparency** — chunked + LPT-ordered curation produces a
   dataset with the *identical* ``content_digest()`` as unordered,
@@ -12,9 +12,11 @@ Four layers of guarantees:
   offset-free clock intervals).
 * **Scheduling algebra** — property tests for LPT ordering and the
   chunk-span planner (permutation, coverage, balance, determinism).
-* **Cost model** — observed costs round-trip through the store manifest,
-  survive reopening, go stale with the task count, and degrade to the
-  politeness estimate.
+* **Shard price** — politeness x tasks, the one price LPT sorts by.
+* **Dispatch order** — the order in which the pipeline hands specs to
+  the executor is a pure function of configuration: LPT by price share
+  with (city, ISP, start) tie-breaks, enumeration order under ``fifo``,
+  and unmoved by whatever a disk store holds.
 """
 
 from __future__ import annotations
@@ -28,15 +30,12 @@ from repro.dataset.cli import render_shard_table
 from repro.dataset.curation import ShardTiming, _shard_observations, _shard_tasks
 from repro.errors import ConfigurationError, DatasetError
 from repro.exec import (
-    DiskShardStore,
-    ShardCost,
-    ShardCostModel,
-    ShardCostRecord,
+    SerialExecutor,
     build_result_cache,
-    calibrate_costs,
     chunk_spans,
     lpt_order,
     resolve_chunk_tasks,
+    shard_price,
 )
 from repro.settings import RunSettings
 from repro.world import WorldConfig, build_world
@@ -241,10 +240,19 @@ class TestResolveChunkTasks:
         with pytest.raises(ConfigurationError):
             resolve_chunk_tasks("never", 100, 8)
 
-    def test_env_knob_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_TASKS", "8x")
+    @pytest.mark.parametrize("chunk_tasks", [0, -3, "bogus", 2.5, True])
+    def test_pipeline_rejects_bad_cap_at_construction(
+        self, small_world, chunk_tasks
+    ):
+        """Not at the first dispatch, which a warm cache never reaches."""
         with pytest.raises(ConfigurationError):
-            RunSettings.from_env()
+            CurationPipeline(small_world, SMALL_CONFIG, chunk_tasks=chunk_tasks)
+
+    def test_env_knob_rejects_garbage(self, monkeypatch):
+        for garbage in ("8x", "0", "-3"):
+            monkeypatch.setenv("REPRO_CHUNK_TASKS", garbage)
+            with pytest.raises(ConfigurationError):
+                RunSettings.from_env()
         monkeypatch.setenv("REPRO_CHUNK_TASKS", "Auto")
         assert RunSettings.from_env().chunk_tasks == "auto"
         monkeypatch.setenv("REPRO_CHUNK_TASKS", "24")
@@ -252,130 +260,96 @@ class TestResolveChunkTasks:
 
 
 # ----------------------------------------------------------------------
-# Cost model
+# Shard price and dispatch order
 # ----------------------------------------------------------------------
-class TestCostModel:
-    def test_estimate_without_store(self):
-        model = ShardCostModel(None)
-        cost = model.cost("wichita", "cox", 120, 5.0)
-        assert cost.source == "estimated"
-        assert cost.seconds == 120 * 6.0
+class TestShardPrice:
+    def test_tasks_times_politeness_plus_one(self):
+        assert shard_price(120, 5.0) == 120 * 6.0
 
-    def test_estimate_orders_by_task_count_at_zero_politeness(self):
-        model = ShardCostModel(None)
-        big = model.cost("a", "x", 500, 0.0)
-        small = model.cost("b", "y", 20, 0.0)
-        assert big.seconds > small.seconds
+    def test_orders_by_task_count_at_zero_politeness(self):
+        assert shard_price(500, 0.0) > shard_price(20, 0.0)
 
-    def test_calibration_bridges_mixed_units(self):
-        """An observed straggler must outrank estimate-priced small shards.
 
-        Observed costs are real seconds (~2 s for a big shard on the
-        unpaced transport); estimates are virtual seconds (politeness x
-        tasks — hundreds).  Uncalibrated, every estimated shard would
-        sort above every observed one.
-        """
-        costs = [
-            ShardCost(seconds=2.0, task_count=1000, source="observed"),
-            ShardCost(seconds=300.0, task_count=50, source="estimated"),
-            ShardCost(seconds=0.1, task_count=60, source="observed"),
+class _RecordingExecutor(SerialExecutor):
+    """Serial execution that logs each spec's ``(city, isp, start)``."""
+
+    def __init__(self) -> None:
+        self.dispatched: list[tuple[str, str, int]] = []
+
+    def map_specs(self, specs):
+        self.dispatched.extend((spec.city, spec.isp, spec.start) for spec in specs)
+        return super().map_specs(specs)
+
+
+#: Uneven on purpose: 180 tasks -> four 17-task and seven 16-task chunks,
+#: so unit prices differ within a shard.
+CHUNK_CAP = 17
+
+
+def _dispatch_order(world, config, schedule="lpt", cache=None):
+    executor = _RecordingExecutor()
+    CurationPipeline(
+        world, config, executor=executor, cache=cache, schedule=schedule,
+        chunk_tasks=CHUNK_CAP,
+    ).curate()
+    return executor.dispatched
+
+
+def _units(world, config):
+    """Every ``((city, isp, start), price share)`` in enumeration order."""
+    units = []
+    for city in world.cities:
+        city_world = world.city(city)
+        for isp in city_world.info.isps:
+            n_tasks = len(
+                _shard_tasks(city_world, isp, config.sampling, world.config.seed)
+            )
+            price = shard_price(n_tasks, config.effective_politeness(isp))
+            for start, stop in chunk_spans(n_tasks, CHUNK_CAP):
+                units.append(((city, isp, start), price * (stop - start) / n_tasks))
+    return units
+
+
+class TestDispatchOrder:
+    def test_lpt_sorts_by_price_share_then_coordinates(self, small_world):
+        units = _units(small_world, SMALL_CONFIG)
+        expected = [
+            key for key, _share in sorted(units, key=lambda u: (-u[1], u[0]))
         ]
-        prices = calibrate_costs(costs, [5.0, 5.0, 5.0])
-        # Observed prices pass through untouched.
-        assert prices[0] == 2.0 and prices[2] == 0.1
-        # The estimated shard lands on the observed scale: 50 tasks must
-        # price far below the 1000-task observed straggler.
-        assert prices[1] < prices[0]
-        assert lpt_order(prices)[0] == 0
-        # Homogeneous sets are untouched.
-        all_estimated = [ShardCost(300.0, 50, "estimated")] * 2
-        assert calibrate_costs(all_estimated, [5.0, 5.0]) == [300.0, 300.0]
-        with pytest.raises(ConfigurationError):
-            calibrate_costs(costs, [5.0])
+        assert _dispatch_order(small_world, SMALL_CONFIG) == expected
+        # Both shards price alike, so the 17-task chunks of both go first.
+        assert [start for _, _, start in expected[:8]] == [0, 17, 34, 51] * 2
 
-    def test_observed_preferred_and_staleness(self, tmp_path):
-        store = DiskShardStore(tmp_path / "s")
-        store.record_cost(
-            ShardCostRecord(
-                city="wichita", isp="cox", config_digest="d",
-                wall_seconds=42.5, task_count=120,
-            )
+    def test_raised_politeness_moves_that_isp_first(self, small_world):
+        default = _dispatch_order(small_world, SMALL_CONFIG)
+        assert default[0][1] == "att"
+        config = SMALL_CONFIG.with_isp_override("cox", politeness_seconds=50.0)
+        order = _dispatch_order(small_world, config)
+        n_cox = sum(1 for _, isp, _ in order if isp == "cox")
+        assert {isp for _, isp, _ in order[:n_cox]} == {"cox"}
+        assert sorted(order) == sorted(default)
+
+    def test_fifo_keeps_enumeration_order(self, small_world):
+        expected = [key for key, _share in _units(small_world, SMALL_CONFIG)]
+        assert _dispatch_order(small_world, SMALL_CONFIG, "fifo") == expected
+
+    def test_store_history_never_moves_the_order(self, small_world, tmp_path):
+        """A store filled at one seed matches another seed's shards in
+        coordinates, config digest and task count, but holds none of
+        their entries: the second curate executes every shard, in the
+        order it takes without a store."""
+        root = tmp_path / "store"
+        CurationPipeline(
+            small_world, SMALL_CONFIG, cache=build_result_cache(cache_dir=root),
+            chunk_tasks=CHUNK_CAP,
+        ).curate()
+        other = build_world(WorldConfig(seed=6, scale=0.05, cities=("wichita",)))
+        with_store = _dispatch_order(
+            other, SMALL_CONFIG, cache=build_result_cache(cache_dir=root)
         )
-        model = ShardCostModel(store)
-        observed = model.cost("wichita", "cox", 120, 5.0)
-        assert observed.source == "observed"
-        assert observed.seconds == pytest.approx(42.5)
-        # The digest-aware caller keeps the observation while its shard
-        # config is unchanged...
-        assert model.cost("wichita", "cox", 120, 5.0,
-                          config_digest="d").source == "observed"
-        # ...but a different sample size, a re-configured shard (new
-        # digest), or a different pacing regime means it no longer
-        # prices this workload: estimate.
-        assert model.cost("wichita", "cox", 121, 5.0).source == "estimated"
-        assert model.cost("wichita", "cox", 120, 5.0,
-                          config_digest="other").source == "estimated"
-        assert model.cost("wichita", "cox", 120, 5.0,
-                          pacing_time_scale=1e-4).source == "estimated"
-
-    def test_pacing_regime_round_trips(self, tmp_path):
-        store = DiskShardStore(tmp_path / "s")
-        store.record_cost(
-            ShardCostRecord(
-                city="a", isp="x", config_digest="d",
-                wall_seconds=9.0, task_count=10, pacing_time_scale=1e-4,
-            )
-        )
-        store.flush()
-        model = ShardCostModel(DiskShardStore(tmp_path / "s"))
-        paced = model.cost("a", "x", 10, 5.0, pacing_time_scale=1e-4)
-        assert paced.source == "observed" and paced.seconds == 9.0
-        assert model.cost("a", "x", 10, 5.0).source == "estimated"
-
-    def test_costs_survive_reopen_and_purge_resets(self, tmp_path):
-        store = DiskShardStore(tmp_path / "s")
-        store.record_cost(
-            ShardCostRecord(
-                city="a", isp="x", config_digest="d",
-                wall_seconds=1.5, task_count=10,
-            )
-        )
-        store.flush()
-        reopened = DiskShardStore(tmp_path / "s")
-        record = reopened.cost_for("a", "x")
-        assert record is not None and record.wall_seconds == pytest.approx(1.5)
-        assert len(reopened.cost_records()) == 1
-        reopened.purge()
-        assert DiskShardStore(tmp_path / "s").cost_for("a", "x") is None
-
-    def test_mangled_costs_section_degrades(self, tmp_path):
-        store = DiskShardStore(tmp_path / "s")
-        store.record_cost(
-            ShardCostRecord(
-                city="a", isp="x", config_digest="d",
-                wall_seconds=1.5, task_count=10,
-            )
-        )
-        store.flush()
-        manifest = (tmp_path / "s" / "manifest.json")
-        blob = manifest.read_text().replace('"wall_seconds": 1.5',
-                                            '"wall_seconds": "soon"')
-        manifest.write_text(blob)
-        assert DiskShardStore(tmp_path / "s").cost_for("a", "x") is None
-
-    def test_pipeline_records_costs(self, small_world, tmp_path):
-        cache = build_result_cache(cache_dir=tmp_path / "store")
-        pipeline = CurationPipeline(small_world, SMALL_CONFIG, cache=cache)
-        pipeline.curate()
-        records = cache.store.cost_records()
-        assert {(r.city, r.isp) for r in records} == {
-            ("wichita", "att"), ("wichita", "cox"),
-        }
-        assert all(r.wall_seconds > 0 for r in records)
-        assert all(r.task_count == 180 for r in records)
-        # The next pipeline prices from the observations.
-        model = ShardCostModel(DiskShardStore(tmp_path / "store"))
-        assert model.cost("wichita", "att", 180, 5.0).source == "observed"
+        without_store = _dispatch_order(other, SMALL_CONFIG)
+        assert with_store == without_store
+        assert len(with_store) == len(_units(other, SMALL_CONFIG))
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +368,7 @@ class TestRunReport:
         assert isinstance(timing, ShardTiming)
         assert timing.chunks == 4  # 180 tasks / cap 45
         assert timing.wall_seconds > 0.0
-        assert timing.cost_source == "estimated"
+        assert timing.predicted_seconds == shard_price(180, 5.0)
         assert run.dispatched_units == 8
 
     def test_render_shard_table(self, small_world):
@@ -402,7 +376,7 @@ class TestRunReport:
         pipeline.curate()
         table = render_shard_table(pipeline.last_run)
         assert "wichita" in table and "att" in table and "cox" in table
-        assert "estimated" in table
+        assert f"{shard_price(180, 5.0):.1f}" in table
 
     def test_executor_width(self):
         from repro.exec import (
