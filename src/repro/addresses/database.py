@@ -21,7 +21,12 @@ from difflib import SequenceMatcher
 from ..errors import AddressError
 from .generator import CityAddressBook
 from .model import Address
-from .normalize import canonical_key, normalize_street_line, normalize_zip
+from .normalize import (
+    address_keys,
+    canonical_key,
+    normalize_street_line,
+    normalize_zip,
+)
 
 __all__ = ["AddressIndex", "build_city_index"]
 
@@ -37,38 +42,15 @@ class AddressIndex:
         self._units_by_building: dict[str, list[Address]] = defaultdict(list)
         self._by_number_band: dict[tuple[str, int], list[Address]] = defaultdict(list)
         self._by_name_prefix: dict[tuple[str, str], list[Address]] = defaultdict(list)
-        # Normalized "NAME SUFFIX" per distinct (street_name, street_suffix):
-        # a city has thousands of addresses on a few hundred streets, so
-        # keys and candidate ranking normalize each street once.
+        # Normalized "NAME SUFFIX" per distinct (street_name, street_suffix),
+        # filled by address_keys: candidate ranking reads it too.
         self._streets: dict[tuple[str, str], str] = {}
 
-        units: dict[str, str] = {}
-        zips: dict[str, str] = {}
-        for address in addresses:
-            street_id = (address.street_name, address.street_suffix)
-            street = self._streets.get(street_id)
-            if street is None:
-                street = self._streets[street_id] = normalize_street_line(
-                    f"{address.street_name} {address.street_suffix}"
-                )
-            zip5 = zips.get(address.zip_code)
-            if zip5 is None:
-                zip5 = zips[address.zip_code] = normalize_zip(address.zip_code)
-            # Normalization is token-wise and street_line() joins its parts
-            # with spaces, so the normalized line is the join of the
-            # normalized parts (a str(int) house number is its own normal
-            # form): each key equals canonical_key(address.street_line(),
-            # address.zip_code).
-            building = _join(str(address.house_number), street)
-            line = building
-            if address.unit:
-                unit = units.get(address.unit)
-                if unit is None:
-                    unit = units[address.unit] = normalize_street_line(address.unit)
-                line = _join(building, unit)
-            self._by_key[f"{line}|{zip5}"] = address
-            if address.is_multi_dwelling:
-                self._units_by_building[f"{building}|{zip5}"].append(address)
+        keys, building_keys = address_keys(addresses, self._streets)
+        for address, key, building_key in zip(addresses, keys, building_keys):
+            self._by_key[key] = address
+            if address.unit is not None:  # is_multi_dwelling, inlined
+                self._units_by_building[building_key].append(address)
             band = address.house_number // _NUMBER_BAND
             self._by_number_band[(address.zip_code, band)].append(address)
             prefix = address.street_name[:3].upper()
@@ -153,11 +135,6 @@ class AddressIndex:
         """
         subset = tuple(a for a in self._addresses if a.block_group in block_groups)
         return AddressIndex(subset)
-
-
-def _join(head: str, tail: str) -> str:
-    """Space-join two normalized line parts; an empty part adds nothing."""
-    return f"{head} {tail}" if tail else head
 
 
 def build_city_index(book: CityAddressBook) -> AddressIndex:

@@ -23,6 +23,11 @@ accepts exactly the characters ``\d`` matches.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from .model import Address
+
 __all__ = [
     "SUFFIX_ABBREVIATIONS",
     "UNIT_DESIGNATORS",
@@ -30,6 +35,7 @@ __all__ = [
     "normalize_street_line",
     "normalize_zip",
     "canonical_key",
+    "address_keys",
     "tokenize",
 ]
 
@@ -154,3 +160,60 @@ def canonical_key(street_line: str, zip_code: str) -> str:
     the suggestion workflow.
     """
     return f"{normalize_street_line(street_line)}|{normalize_zip(zip_code)}"
+
+
+def address_keys(
+    addresses: "Iterable[Address]",
+    streets: dict[tuple[str, str], str] | None = None,
+) -> tuple[list[str], list[str]]:
+    """Each address's key and building key: two lists, in address order.
+
+    A key equals ``canonical_key(address.street_line(),
+    address.zip_code)`` and a building key the same for the address
+    without its unit (so the two are equal when it has none).  A city has
+    thousands of addresses on a few hundred streets, a few dozen unit
+    names and ZIPs, so each distinct ``(street_name, street_suffix)``,
+    unit and ZIP is normalized once; ``streets``, when given, is filled
+    with each street's normalized ``NAME SUFFIX``.  Two lists of strings,
+    not a list of pairs, so a city's keys add no objects for the garbage
+    collector to track.
+
+    Tokenizing works per character (``str.upper``, the punctuation
+    replaces) and per whitespace-separated token (``str.split()``), and
+    ``street_line()`` joins its parts with spaces, so a normalized line
+    is the space-join of its normalized parts, leaving out the parts that
+    normalize to nothing.  A house number, ``str`` of an ``int``, is its
+    own normal form.
+    """
+    if streets is None:
+        streets = {}
+    units: dict[str, str] = {}
+    zips: dict[str, str] = {}
+    keys: list[str] = []
+    buildings: list[str] = []
+    for address in addresses:
+        street_id = (address.street_name, address.street_suffix)
+        street = streets.get(street_id)
+        if street is None:
+            street = streets[street_id] = normalize_street_line(
+                f"{address.street_name} {address.street_suffix}"
+            )
+        zip5 = zips.get(address.zip_code)
+        if zip5 is None:
+            zip5 = zips[address.zip_code] = normalize_zip(address.zip_code)
+        building = (
+            f"{address.house_number} {street}" if street else str(address.house_number)
+        )
+        building_key = f"{building}|{zip5}"
+        unit = address.unit
+        if unit:
+            normal_unit = units.get(unit)
+            if normal_unit is None:
+                normal_unit = units[unit] = normalize_street_line(unit)
+            if normal_unit:
+                keys.append(f"{building} {normal_unit}|{zip5}")
+                buildings.append(building_key)
+                continue
+        keys.append(building_key)
+        buildings.append(building_key)
+    return keys, buildings

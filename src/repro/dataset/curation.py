@@ -630,6 +630,11 @@ class CurationPipeline:
                             config_digest=plan.config_digest,
                         ),
                     )
+        if self.cache is not None and self.cache.store is not None:
+            # Save the LRU touches of the shards read from disk, so that
+            # eviction ranks them by this use.  A put saved them already,
+            # so only a run that read every shard writes the manifest here.
+            self.cache.store.flush()
 
         self.last_run = CurationRunReport(
             shards=tuple(shards),

@@ -6,9 +6,11 @@ coordinator (``--backend remote``) ships serialized
 worker rehydrates each spec into the exact same city ground truth and
 task sample the coordinator would have built, replays it through
 :func:`~repro.exec.spec.run_shard_spec`, and answers with a
-:class:`~repro.exec.store.DiskShardStore`-format entry blob — the disk
-tier's wire format, which the coordinator promotes straight into its own
-two-tier cache.
+:class:`~repro.exec.store.DiskShardStore` entry built by the store's own
+:func:`~repro.exec.store.encode_entry` — the disk tier's format is the
+wire format, and the coordinator decodes it with
+:func:`~repro.exec.store.decode_entry` and promotes it straight into its
+own two-tier cache.
 
 With ``--cache-dir`` the worker keeps a disk store of its own: a spec
 whose content-addressed keys are already present is answered from the
@@ -52,19 +54,12 @@ from ..exec.membership import (
     worker_identity,
 )
 from ..exec.spec import (
-    ShardSpec,
     full_shard_tasks,
     run_shard_spec,
     spec_cache_keys,
     spec_from_wire,
 )
-from ..exec.store import (
-    STORE_VERSION,
-    DiskShardStore,
-    ShardMeta,
-    observation_to_dict,
-    shard_digest,
-)
+from ..exec.store import DiskShardStore, ShardMeta, encode_entry
 from ..net.rpc import RpcServer
 
 __all__ = ["WorkerState", "worker_main"]
@@ -141,6 +136,13 @@ class WorkerState:
         keys = (
             spec_cache_keys(spec, tasks) if spec.config_digest else ()
         )
+        meta = ShardMeta(
+            city=spec.city,
+            isp=spec.isp,
+            seed=spec.world.seed,
+            scale=spec.world.scale,
+            config_digest=spec.config_digest,
+        )
 
         if self.store is not None and keys:
             stored = self.store.get(keys)
@@ -148,7 +150,7 @@ class WorkerState:
                 with self.lock:
                     self.cache_hits += 1
                 self._maybe_drain()
-                return self._reply(spec, keys, stored, 0.0, True)
+                return self._reply(keys, stored, meta, 0.0, True)
 
         observations, wall_seconds = run_shard_spec(
             replace(spec, tasks=tuple(tasks))
@@ -156,19 +158,9 @@ class WorkerState:
         with self.lock:
             self.specs_run += 1
         if self.store is not None and keys:
-            self.store.put(
-                keys,
-                observations,
-                meta=ShardMeta(
-                    city=spec.city,
-                    isp=spec.isp,
-                    seed=spec.world.seed,
-                    scale=spec.world.scale,
-                    config_digest=spec.config_digest,
-                ),
-            )
+            self.store.put(keys, observations, meta=meta)
         self._maybe_drain()
-        return self._reply(spec, keys, observations, wall_seconds, False)
+        return self._reply(keys, observations, meta, wall_seconds, False)
 
     # ------------------------------------------------------------------
     def _maybe_drain(self) -> None:
@@ -188,24 +180,10 @@ class WorkerState:
 
     @staticmethod
     def _reply(
-        spec: ShardSpec, keys, observations, wall_seconds: float, cached: bool
+        keys, observations, meta: ShardMeta, wall_seconds: float, cached: bool
     ) -> dict:
         return {
-            "entry": {
-                "version": STORE_VERSION,
-                "digest": shard_digest(keys) if keys else "",
-                "keys": list(keys),
-                "meta": {
-                    "city": spec.city,
-                    "isp": spec.isp,
-                    "seed": spec.world.seed,
-                    "scale": spec.world.scale,
-                    "config_digest": spec.config_digest,
-                },
-                "observations": [
-                    observation_to_dict(obs) for obs in observations
-                ],
-            },
+            "entry": encode_entry(keys, observations, meta),
             "wall_seconds": wall_seconds,
             "cached": cached,
         }

@@ -82,7 +82,6 @@ _EXPORTS = {
         "ShardMeta",
         "StoreEntry",
         "build_result_cache",
-        "observation_from_dict",
         "observation_to_dict",
         "shard_digest",
     ),
@@ -126,7 +125,6 @@ __all__ = [
     "ShardMeta",
     "StoreEntry",
     "build_result_cache",
-    "observation_from_dict",
     "observation_to_dict",
     "shard_digest",
     "SCHEDULE_MODES",

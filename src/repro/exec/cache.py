@@ -12,8 +12,10 @@ those inputs changes the key, so stale entries are never returned — there
 is no explicit invalidation API because invalidation is the key.  The
 key's bytes are laid out in one function, :func:`cache_key_deriver`;
 :func:`shard_cache_keys` derives a whole shard's keys through one
-deriver, which hashes the ISP prefix once, and :func:`address_cache_key`
-is its one-key call.
+deriver, which hashes the ISP prefix once, from canonical addresses that
+:func:`~repro.addresses.normalize.address_keys` normalizes one distinct
+street, unit and ZIP at a time, and :func:`address_cache_key` is its
+one-key call.
 
 Reuse is **shard-atomic**: a (city, ISP) shard is served from cache only
 when *every* address in the shard is present.  Within a shard, query
@@ -37,7 +39,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from ..addresses.normalize import canonical_key
+from ..addresses.normalize import address_keys, canonical_key
 from ..errors import ConfigurationError
 from .store import DiskShardStore, ShardMeta
 
@@ -59,24 +61,25 @@ def cache_key_deriver(
     world_seed: int,
     scale: float,
     context_digest: str = "",
-) -> Callable[[str, str], str]:
+) -> Callable[[str], str]:
     """``address_cache_key(isp, ·, ·, world_seed, scale, context_digest)``
-    as a function of ``(street_line, zip_code)``.
+    as a function of the address's
+    :func:`~repro.addresses.normalize.canonical_key`.
 
     This is the one place the key's bytes are laid out: ``isp``, the
-    address's :func:`~repro.addresses.normalize.canonical_key`, the
-    seed's decimal string, ``repr(float(scale))`` and the context
-    digest, each UTF-8 encoded and followed by a ``0x1f`` byte, SHA-256,
-    as lowercase hex.  The ``isp`` prefix is hashed once; each call
-    copies that state and absorbs its canonical key and the constant
-    tail in one update, so a shard's keys hash only what differs.
+    canonical key, the seed's decimal string, ``repr(float(scale))`` and
+    the context digest, each UTF-8 encoded and followed by a ``0x1f``
+    byte, SHA-256, as lowercase hex.  The ``isp`` prefix is hashed once;
+    each call copies that state and absorbs its canonical key and the
+    constant tail in one update, so a shard's keys hash only what
+    differs.
     """
     prefix = hashlib.sha256(f"{isp}\x1f".encode("utf-8"))
     tail = f"\x1f{int(world_seed)}\x1f{float(scale)!r}\x1f{context_digest}\x1f"
 
-    def derive(street_line: str, zip_code: str) -> str:
+    def derive(canonical: str) -> str:
         hasher = prefix.copy()
-        hasher.update(f"{canonical_key(street_line, zip_code)}{tail}".encode("utf-8"))
+        hasher.update(f"{canonical}{tail}".encode("utf-8"))
         return hasher.hexdigest()
 
     return derive
@@ -104,7 +107,7 @@ def address_cache_key(
     True
     """
     return cache_key_deriver(isp, world_seed, scale, context_digest)(
-        street_line, zip_code
+        canonical_key(street_line, zip_code)
     )
 
 
@@ -123,12 +126,13 @@ def shard_cache_keys(
     outcome — is a pure function of the truth.  This is the one place the
     key stream is derived; the coordinator pipeline and remote workers
     both call it, which is what makes their store entries mutually
-    addressable.  Every key shares one :func:`cache_key_deriver`.
+    addressable.  Every key shares one :func:`cache_key_deriver`, and
+    :func:`~repro.addresses.normalize.address_keys` normalizes each
+    distinct street, unit and ZIP of the span once.
     """
     derive = cache_key_deriver(isp, world_seed, scale, config_digest)
-    return tuple(
-        [derive(entry.truth.street_line(), entry.truth.zip_code) for entry in tasks]
-    )
+    keys, _buildings = address_keys([entry.truth for entry in tasks])
+    return tuple([derive(key) for key in keys])
 
 
 @dataclass

@@ -25,8 +25,10 @@ half of shipping those specs off-machine:
   by heterogeneous workers *is* LPT list scheduling: wide/fast workers
   simply pull more, and a worker that joins mid-run starts pulling
   ("stealing") from the same queue within one reconcile pass;
-* results come back as :class:`~repro.exec.store.DiskShardStore`-format
-  entry blobs — the disk tier's wire format — which the pipeline promotes
+* results come back as :class:`~repro.exec.store.DiskShardStore` entries,
+  built and read by the store's own codec
+  (:func:`~repro.exec.store.encode_entry`,
+  :func:`~repro.exec.store.decode_entry`), which the pipeline promotes
   into the coordinator's two-tier cache exactly as if a local backend had
   executed them;
 * a worker that dies mid-run has its unanswered in-flight specs
@@ -62,7 +64,7 @@ from ..settings import parse_worker_addresses
 from .base import Executor
 from .membership import FleetCoordinator, FleetDirectory, WorkerRecord
 from .spec import spec_to_wire
-from .store import observations_from_dicts
+from .store import decode_entry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dataset.records import AddressObservation
@@ -508,16 +510,19 @@ class _WorkerControl:
 def _decode_run_reply(
     reply: dict,
 ) -> "tuple[tuple[AddressObservation, ...], float]":
-    """Decode a worker's ``run_shard`` reply (a store-format entry blob).
+    """Decode a worker's ``run_shard`` reply (a store entry and its wall
+    time).
 
-    The rows follow the store's type rule (:func:`~repro.exec.store.
-    observations_from_dicts`), and ``wall_seconds`` is a number under the
-    same rule: ``int`` or ``float``, never ``bool`` or a string.  A reply
-    that breaks it raises :class:`TransportError`, like any other
-    malformed reply.
+    The entry is read by the store's own decoder
+    (:func:`~repro.exec.store.decode_entry`), under its type rule and only
+    at :data:`~repro.exec.store.STORE_VERSION`, and ``wall_seconds`` is a
+    number under the same rule: ``int`` or ``float``, never ``bool`` or a
+    string.  A reply that breaks it, or carries an entry of another
+    version, raises :class:`TransportError`, like any other malformed
+    reply.
     """
     try:
-        observations = observations_from_dicts(reply["entry"]["observations"])
+        observations = decode_entry(reply["entry"])
         wall_seconds = reply["wall_seconds"]
         if type(wall_seconds) not in (int, float):
             raise ValueError(f"wrong-typed wall_seconds {wall_seconds!r}")

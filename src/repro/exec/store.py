@@ -27,18 +27,33 @@ Durability rules:
 * **Versioned serialization.**  Every entry embeds
   :data:`STORE_VERSION`; a version mismatch is a cache miss, never a
   crash — and the mismatched file is left on disk untouched, since it may
-  be a *newer* format written by another code version sharing the root.
+  be a *newer* format written by another code version sharing the root
+  (or an older one: a store filled before the column layout is re-filled
+  entry by entry, as each ``put`` for the same keys replaces its file).
   Corrupted, truncated or wrong-typed entries are deleted on read and
-  reported as misses.  An entry's ``meta`` is typed like its rows:
+  reported as misses.  An entry's ``meta`` is typed like its columns:
   ``city``, ``isp`` and ``config_digest`` are ``str``, ``seed`` is
   ``int`` and ``scale`` is ``int`` or ``float``, never ``bool``.
-* **One decode per entry.**  :func:`observations_from_dicts` decodes an
-  entry's rows in one pass: it type-checks every row, and builds each
-  distinct plan list's :class:`~repro.dataset.records.PlanObservation`
-  tuple once, shared by every row that carries that list (a shard of
-  thousands of rows holds a few dozen lists).  :meth:`DiskShardStore.get`,
-  :meth:`DiskShardStore.find_stale` and the remote executor's reply
-  decoder all go through it.
+* **One codec, columns not rows.**  :func:`encode_entry` lays a shard
+  out and :func:`decode_entry` reads it back; :meth:`DiskShardStore.put`,
+  :meth:`~DiskShardStore.get` and :meth:`~DiskShardStore.find_stale`,
+  the remote worker's ``run_shard`` reply and the coordinator's reply
+  decoder all go through them.  An entry is::
+
+      {"version": 2, "digest": ..., "keys": [...], "meta": {...},
+       "columns": {
+           "address_id": [...], "elapsed_seconds": [...],
+           "city": [values, index], "block_group": [values, index],
+           "isp": [values, index], "status": [values, index],
+           "plans": [[[[name, down, up, price], ...], ...], index]}}
+
+  ``address_id`` and ``elapsed_seconds`` hold one value per observation;
+  every other column holds its distinct values once and one index into
+  them per observation.  The ``plans`` values are the shard's distinct
+  plan lists (a shard of thousands of observations holds a few dozen),
+  so each list's :class:`~repro.dataset.records.PlanObservation` tuple
+  is type-checked and built once and shared by every observation that
+  carries it.
 * **LRU eviction under a byte cap.**  The manifest keeps a monotonic
   access clock; when ``max_bytes`` is set, the least-recently-used entries
   are evicted until the store fits.
@@ -61,6 +76,7 @@ import contextlib
 import hashlib
 import json
 import os
+import struct
 import threading
 from dataclasses import asdict, dataclass, fields
 from operator import itemgetter
@@ -73,7 +89,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # runtime-lazy: repro.dataset imports repro.exec back
-    from ..dataset.records import AddressObservation
+    from ..dataset.records import AddressObservation, PlanObservation
 
 __all__ = [
     "STORE_VERSION",
@@ -82,14 +98,19 @@ __all__ = [
     "DiskShardStore",
     "shard_digest",
     "build_result_cache",
+    "decode_entry",
+    "encode_entry",
     "observation_to_dict",
-    "observation_from_dict",
-    "observations_from_dicts",
 ]
 
 #: Serialization format version.  Bump on any change to the entry schema;
-#: readers treat every other version as a miss.
-STORE_VERSION = 1
+#: readers treat every other version as a miss.  Version 1 stored one JSON
+#: object per observation; version 2 stores columns.
+STORE_VERSION = 2
+#: The manifest's own format version: its rows did not change with the
+#: entries', so stores shared across the two entry versions keep one
+#: manifest.
+_MANIFEST_VERSION = 1
 
 
 def shard_digest(keys: Sequence[str]) -> str:
@@ -129,13 +150,11 @@ class StoreEntry:
 
 
 def observation_to_dict(obs: "AddressObservation") -> dict:
-    """One observation as the JSON row the store entry format carries.
+    """One observation as the JSON row the serving tier's HTTP payload
+    carries, and :func:`~repro.serve.service.shard_payload_digest` hashes.
 
-    Public because the entry format doubles as the coordinator/worker
-    wire format: remote workers serialize freshly executed observations
-    with this and the coordinator rehydrates them with
-    :func:`observation_from_dict` — the same bytes either way as a
-    disk-store round trip.
+    Store entries and worker replies use the column layout of
+    :func:`encode_entry` instead.
     """
     return {
         "address_id": obs.address_id,
@@ -156,87 +175,200 @@ def observation_to_dict(obs: "AddressObservation") -> dict:
     }
 
 
-_ROW_FIELDS = itemgetter(
-    "address_id", "city", "block_group", "isp", "status", "elapsed_seconds", "plans"
-)
-_PLAN_FIELDS = itemgetter("name", "down", "up", "price")
 #: A number field's accepted types.
 _NUMBER_TYPES = frozenset((int, float))
+_STR_TYPES = frozenset((str,))
+_INDEX_TYPES = frozenset((int,))
 #: The fields of an entry's ``meta`` object, in :class:`ShardMeta` order.
 _META_FIELDS = itemgetter(*(field.name for field in fields(ShardMeta)))
+#: The dictionary-coded string columns, in ``AddressObservation`` order.
+_STRING_COLUMNS = ("city", "block_group", "isp", "status")
+#: A plan's three numbers as their exact IEEE-754 bits.
+_PLAN_BITS = struct.Struct("<3d").pack
 
 
-def observations_from_dicts(rows: Iterable[dict]) -> "tuple[AddressObservation, ...]":
-    """Decode rows of the entry format (:func:`observation_to_dict`), in order.
+def _dictionary(values: Iterable[str]) -> list:
+    """``[distinct values in first-seen order, index of each value]``."""
+    positions: dict[str, int] = {}
+    index = [positions.setdefault(value, len(positions)) for value in values]
+    return [list(positions), index]
 
-    Every row is type-checked before it is decoded: ``address_id``,
-    ``city``, ``block_group``, ``isp``, ``status`` and each plan's
-    ``name`` must be ``str``; ``elapsed_seconds`` and each plan's
-    ``down``, ``up`` and ``price`` must be ``int`` or ``float``; ``plans``
-    must be a list of objects.  Types are matched exactly, so ``bool`` is
-    refused where a number is due (JSON decoding makes no subclasses).
-    The first violation, or a missing field, raises :class:`ValueError`.
 
-    Each distinct plan list is decoded once and its tuple shared by every
-    row that carries it.  The lists are matched by value, which is why
-    the types are checked per row first: ``True``, ``1`` and ``1.0`` are
-    one dict key.  So are ``0.0`` and ``-0.0``, so a list with a zero
-    field is decoded on its own.
+def _plan_dictionary(plan_lists: "Iterable[tuple]") -> list:
+    """The ``plans`` column: ``[distinct plan lists, index of each]``.
+
+    Lists are matched by object identity first (decoded and synthesized
+    observations share their tuples), then by each plan's name and the
+    exact bits of its numbers, so ``0.0`` and ``-0.0`` stay apart and
+    lists that merge write the same JSON text.
     """
-    from ..dataset.records import AddressObservation, PlanObservation
-
-    numbers = _NUMBER_TYPES
-    plan_tuples: dict[tuple, tuple[PlanObservation, ...]] = {}
-    decoded = []
-    try:
-        for row in rows:
-            address_id, city, block_group, isp, status, elapsed, plans = _ROW_FIELDS(row)
-            if not (
-                type(address_id) is str
-                and type(city) is str
-                and type(block_group) is str
-                and type(isp) is str
-                and type(status) is str
-                and type(elapsed) in numbers
-                and type(plans) is list
-            ):
-                raise ValueError(f"wrong-typed field in observation row {row!r}")
-            fields = tuple(map(_PLAN_FIELDS, plans))
-            shared = True
-            for name, down, up, price in fields:
-                if not (
-                    type(name) is str
-                    and type(down) in numbers
-                    and type(up) in numbers
-                    and type(price) in numbers
-                ):
-                    raise ValueError(f"wrong-typed plan field in {plans!r}")
-                if not (down and up and price):
-                    shared = False
-            plan_tuple = plan_tuples.get(fields) if shared else None
-            if plan_tuple is None:
-                plan_tuple = tuple(
+    by_identity: dict[int, int] = {}
+    by_bits: dict[tuple, int] = {}
+    table: list[list] = []
+    index = []
+    for plans in plan_lists:
+        position = by_identity.get(id(plans))
+        if position is None:
+            bits = tuple(
+                [
+                    (p.name, _PLAN_BITS(p.download_mbps, p.upload_mbps, p.monthly_price))
+                    for p in plans
+                ]
+            )
+            position = by_bits.get(bits)
+            if position is None:
+                position = by_bits[bits] = len(table)
+                table.append(
                     [
-                        PlanObservation(name, float(down), float(up), float(price))
-                        for name, down, up, price in fields
+                        [p.name, p.download_mbps, p.upload_mbps, p.monthly_price]
+                        for p in plans
                     ]
                 )
-                if shared:
-                    plan_tuples[fields] = plan_tuple
-            decoded.append(
-                AddressObservation(
-                    address_id, city, block_group, isp, status, plan_tuple,
-                    float(elapsed),
-                )
+            by_identity[id(plans)] = position
+        index.append(position)
+    return [table, index]
+
+
+def encode_entry(
+    keys: Sequence[str],
+    observations: "Iterable[AddressObservation]",
+    meta: ShardMeta,
+) -> dict:
+    """One shard as a store entry in the column layout (module docstring).
+
+    :meth:`DiskShardStore.put` writes this dict as the entry file and a
+    remote worker sends it as its ``run_shard`` reply;
+    :func:`decode_entry` reads it back.
+    """
+    keys = list(keys)
+    # Held for the whole encode: the plan lists are matched by id().
+    observations = tuple(observations)
+    columns = {
+        "address_id": [obs.address_id for obs in observations],
+        "elapsed_seconds": [obs.elapsed_seconds for obs in observations],
+        "plans": _plan_dictionary([obs.plans for obs in observations]),
+    }
+    for name in _STRING_COLUMNS:
+        columns[name] = _dictionary([getattr(obs, name) for obs in observations])
+    return {
+        "version": STORE_VERSION,
+        "digest": shard_digest(keys),
+        "keys": keys,
+        "meta": asdict(meta),
+        "columns": columns,
+    }
+
+
+def _only(values, types: frozenset) -> bool:
+    """Whether ``values`` is a list whose items' types are all in ``types``.
+
+    Types are matched exactly, so ``bool`` is not an ``int`` here (JSON
+    decoding makes no other subclasses).
+    """
+    return type(values) is list and set(map(type, values)) <= types
+
+
+def _indexed(pair, decode_values, length: int) -> list:
+    """Expand a ``[values, index]`` column to one value per observation.
+
+    ``decode_values`` checks and decodes the distinct values, once each.
+    """
+    if not (type(pair) is list and len(pair) == 2):
+        raise ValueError(f"column {pair!r:.80} is not a [values, index] pair")
+    values, index = pair
+    if type(values) is not list:
+        raise ValueError(f"column values {values!r:.80} are not an array")
+    values = decode_values(values)
+    if not _only(index, _INDEX_TYPES):
+        raise ValueError(f"column index {index!r:.80} is not an array of integers")
+    if len(index) != length:
+        raise ValueError(f"column of {len(index)} rows in an entry of {length}")
+    if index and not (min(index) >= 0 and max(index) < len(values)):
+        raise ValueError(f"column index out of range for {len(values)} values")
+    return list(map(values.__getitem__, index))
+
+
+def _strings(values: list) -> list:
+    if not _only(values, _STR_TYPES):
+        raise ValueError(f"wrong-typed string in column values {values!r:.80}")
+    return values
+
+
+def _plan_lists(values: list) -> "list[tuple[PlanObservation, ...]]":
+    """Each distinct plan list of an entry as a ``PlanObservation`` tuple."""
+    from ..dataset.records import PlanObservation
+
+    numbers = _NUMBER_TYPES
+    decoded = []
+    for plans in values:
+        if type(plans) is not list:
+            raise ValueError(f"plan list {plans!r:.80} is not an array")
+        built = []
+        for plan in plans:
+            if not (type(plan) is list and len(plan) == 4):
+                raise ValueError(f"plan {plan!r:.80} is not [name, down, up, price]")
+            name, down, up, price = plan
+            if not (
+                type(name) is str
+                and type(down) in numbers
+                and type(up) in numbers
+                and type(price) in numbers
+            ):
+                raise ValueError(f"wrong-typed plan field in {plan!r:.80}")
+            built.append(PlanObservation(name, float(down), float(up), float(price)))
+        decoded.append(tuple(built))
+    return decoded
+
+
+def decode_entry(entry: dict) -> "tuple[AddressObservation, ...]":
+    """The observations of an entry :func:`encode_entry` laid out, in order.
+
+    Raises :class:`ValueError` unless ``entry`` is a dict of
+    :data:`STORE_VERSION` whose columns keep the type rule: strings are
+    ``str``; numbers (``elapsed_seconds`` and each plan's ``down``, ``up``
+    and ``price``) are ``int`` or ``float``, never ``bool``; each plan is
+    a ``[name, down, up, price]`` array; every index is an ``int`` in
+    range; and every column has one row per observation.  Each distinct
+    value, plan lists included, is checked and decoded once.
+    """
+    from ..dataset.records import AddressObservation
+
+    if type(entry) is not dict:
+        raise ValueError(f"store entry {entry!r:.80} is not an object")
+    version = entry.get("version")
+    if version != STORE_VERSION:
+        raise ValueError(
+            f"store entry version {version!r}; this reader decodes version "
+            f"{STORE_VERSION}"
+        )
+    try:
+        columns = entry["columns"]
+        if type(columns) is not dict:
+            raise ValueError(f"entry columns {columns!r:.80} are not an object")
+        address_ids = columns["address_id"]
+        elapsed = columns["elapsed_seconds"]
+        if not _only(address_ids, _STR_TYPES):
+            raise ValueError("wrong-typed address_id column")
+        if not _only(elapsed, _NUMBER_TYPES):
+            raise ValueError("wrong-typed elapsed_seconds column")
+        length = len(address_ids)
+        if len(elapsed) != length:
+            raise ValueError(f"column of {len(elapsed)} rows in an entry of {length}")
+        strings = [
+            _indexed(columns[name], _strings, length) for name in _STRING_COLUMNS
+        ]
+        plans = _indexed(columns["plans"], _plan_lists, length)
+        return tuple(
+            map(
+                AddressObservation,
+                address_ids,
+                *strings,
+                plans,
+                map(float, elapsed),
             )
+        )
     except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed observation row: {exc!r}") from exc
-    return tuple(decoded)
-
-
-def observation_from_dict(row: dict) -> "AddressObservation":
-    """One row of the entry format: :func:`observations_from_dicts` of one."""
-    return observations_from_dicts((row,))[0]
+        raise ValueError(f"malformed store entry: {exc!r}") from exc
 
 
 class DiskShardStore:
@@ -308,11 +440,11 @@ class DiskShardStore:
         """Load a shard by its address keys; None on miss/corruption.
 
         A successful read bumps the entry's LRU clock (persisted lazily —
-        on the next mutation — so a hit never pays a manifest write).
-        Corrupted or malformed files (wrong-typed fields included, see
-        :func:`observations_from_dicts`) are deleted and reported as misses;
-        a file with a *different serialization version* is left on disk
-        untouched — it may belong to another code version sharing the
+        on the next mutation or :meth:`flush` — so a hit never pays a
+        manifest write).  Corrupted or malformed files (wrong-typed fields
+        included, see :func:`decode_entry`) are deleted and reported as
+        misses; a file with a *different serialization version* is left on
+        disk untouched — it may belong to another code version sharing the
         store root — and only reported as a miss.
         """
         if not keys:
@@ -336,7 +468,7 @@ class DiskShardStore:
             observations = self._decode(digest, path, payload)
             if observations is None:
                 return None
-            self._touch(digest, payload, path)
+            self._touch(digest, payload, path, len(observations))
         return observations
 
     def find_stale(
@@ -385,7 +517,7 @@ class DiskShardStore:
                 observations = self._decode(digest, path, payload)
                 if observations is None:
                     continue
-                self._touch(digest, payload, path)
+                self._touch(digest, payload, path, len(observations))
                 return observations, ShardMeta(*_META_FIELDS(payload["meta"]))
         return None
 
@@ -406,18 +538,10 @@ class DiskShardStore:
         evicted (the fresh entry is the most recent, so it survives unless
         it alone exceeds the cap).
         """
-        keys = list(keys)
-        digest = shard_digest(keys)
         meta = meta or ShardMeta()
-        rows = [observation_to_dict(obs) for obs in observations]
-        payload = {
-            "version": STORE_VERSION,
-            "digest": digest,
-            "keys": keys,
-            "meta": asdict(meta),
-            "observations": rows,
-        }
-        blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        entry = encode_entry(keys, observations, meta)
+        digest = entry["digest"]
+        blob = json.dumps(entry, separators=(",", ":")).encode("utf-8")
         path = self._object_path(digest)
         with self._lock:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -425,7 +549,7 @@ class DiskShardStore:
             self._manifest["clock"] += 1
             self._manifest["entries"][digest] = {
                 **asdict(meta),
-                "n_observations": len(rows),
+                "n_observations": len(entry["columns"]["address_id"]),
                 "n_bytes": len(blob),
                 "access": self._manifest["clock"],
             }
@@ -438,7 +562,7 @@ class DiskShardStore:
         with self._lock:
             for digest in list(self._manifest["entries"]):
                 self._unlink(self._object_path(digest))
-            self._manifest = {"version": STORE_VERSION, "clock": 0, "entries": {}}
+            self._manifest = {"version": _MANIFEST_VERSION, "clock": 0, "entries": {}}
             # An explicit purge must win: merging would resurrect rows
             # another process wrote for the objects just deleted.
             self._save_manifest(merge=False)
@@ -469,8 +593,8 @@ class DiskShardStore:
         ``(None, False)`` is a clean miss (file absent, or a foreign
         serialization version that must be left alone); ``(None, True)``
         is a corrupt file the caller should delete: unparseable, or a
-        ``meta`` that breaks the type rule (module docstring).  The rows
-        are checked when they are decoded (:func:`observations_from_dicts`).
+        ``meta`` that breaks the type rule (module docstring).  The
+        columns are checked when they are decoded (:func:`decode_entry`).
         """
         try:
             raw = path.read_bytes()
@@ -484,8 +608,6 @@ class DiskShardStore:
             return None, True
         if payload.get("version") != STORE_VERSION:
             return None, False
-        if not isinstance(payload.get("observations"), list):
-            return None, True
         try:
             city, isp, seed, scale, config_digest = _META_FIELDS(payload["meta"])
         except (KeyError, TypeError):
@@ -505,12 +627,14 @@ class DiskShardStore:
     ) -> "tuple[AddressObservation, ...] | None":
         """An entry's observations; a malformed entry is dropped (None)."""
         try:
-            return observations_from_dicts(payload["observations"])
+            return decode_entry(payload)
         except ValueError:
             self._drop_entry(digest, path)
             return None
 
-    def _touch(self, digest: str, payload: dict, path: Path) -> None:
+    def _touch(
+        self, digest: str, payload: dict, path: Path, n_observations: int
+    ) -> None:
         # LRU bookkeeping only: recorded in memory and persisted on the
         # next mutating operation (put/evict/drop) or explicit flush(), so
         # a cache hit costs zero manifest writes.  A touch lost to a crash
@@ -521,7 +645,7 @@ class DiskShardStore:
             # was lost.  Reconstruct the row from the entry's embedded meta.
             entry = {
                 **asdict(ShardMeta(*_META_FIELDS(payload["meta"]))),
-                "n_observations": len(payload["observations"]),
+                "n_observations": n_observations,
                 "n_bytes": self._file_size(path),
                 "access": 0,
             }
@@ -559,14 +683,14 @@ class DiskShardStore:
             total -= row["n_bytes"]
 
     def _load_manifest(self) -> dict:
-        fresh = {"version": STORE_VERSION, "clock": 0, "entries": {}}
+        fresh = {"version": _MANIFEST_VERSION, "clock": 0, "entries": {}}
         try:
             data = json.loads(self._manifest_path.read_bytes())
         except (OSError, json.JSONDecodeError, UnicodeDecodeError, ValueError):
             return fresh
         if (
             not isinstance(data, dict)
-            or data.get("version") != STORE_VERSION
+            or data.get("version") != _MANIFEST_VERSION
             or not isinstance(data.get("entries"), dict)
             or not isinstance(data.get("clock"), int)
         ):
@@ -611,7 +735,7 @@ class DiskShardStore:
             return
         if (
             not isinstance(disk, dict)
-            or disk.get("version") != STORE_VERSION
+            or disk.get("version") != _MANIFEST_VERSION
             or not isinstance(disk.get("entries"), dict)
         ):
             return

@@ -61,12 +61,11 @@ __all__ = ["ServeResult", "ServeService", "shard_payload_digest"]
 def shard_payload_digest(observations, rows: list | None = None) -> str:
     """Digest of a served shard payload: sha256 over canonical JSON rows.
 
-    Built from the same :func:`~repro.exec.store.observation_to_dict`
-    rows the disk store and the coordinator/worker wire format carry, in
-    observation order — so a digest computed over a serial curation run's
-    shard equals the digest of the served payload byte for byte.  This is
-    the serving tier's correctness oracle.  ``rows`` are those rows when
-    the caller has built them already.
+    Built from the :func:`~repro.exec.store.observation_to_dict` rows the
+    HTTP payload carries, in observation order — so a digest computed over
+    a serial curation run's shard equals the digest of the served payload
+    byte for byte.  This is the serving tier's correctness oracle.
+    ``rows`` are those rows when the caller has built them already.
     """
     if rows is None:
         rows = [observation_to_dict(obs) for obs in observations]

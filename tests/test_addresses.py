@@ -22,7 +22,7 @@ from repro.addresses import (
     tokenize,
 )
 from repro.addresses.generator import CityAddressBook, _format_unit, _zip_for
-from repro.addresses.normalize import _SUFFIX_VARIANTS, UNIT_DESIGNATORS
+from repro.addresses.normalize import _SUFFIX_VARIANTS, UNIT_DESIGNATORS, address_keys
 from repro.addresses.noise import _VARIANT_SPELLINGS, NoisyAddress
 from repro.addresses.streetnames import BASE_NAMES, SUFFIXES, UNIT_STYLES
 from repro.errors import AddressError, ConfigurationError
@@ -171,6 +171,65 @@ class TestNormalizeEqualsReference:
         assert "".join(re.findall(r"\d", every)) == "".join(
             filter(str.isdecimal, every)
         )
+
+
+#: Address parts: the line material above, and parts that normalize to
+#: nothing (empty, whitespace or punctuation only) or hold a ``#``.
+_PARTS = _LINES | st.sampled_from(["", " ", ".", ".,;", "#", "# .", "#3", "\t"])
+
+
+@st.composite
+def _addresses(draw):
+    """Addresses sharing a few streets, units and ZIPs, as a city's do."""
+    streets = draw(st.lists(st.tuples(_PARTS, _PARTS), min_size=1, max_size=3))
+    units = draw(st.lists(st.none() | _PARTS, min_size=1, max_size=3))
+    zips = draw(
+        st.lists(_LINES | st.text(alphabet="0123456789-", max_size=12),
+                 min_size=1, max_size=3)
+    )
+    addresses = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        name, suffix = draw(st.sampled_from(streets))
+        addresses.append(
+            make_address(
+                house_number=draw(st.integers(min_value=-10, max_value=10**6)),
+                street_name=name,
+                street_suffix=suffix,
+                unit=draw(st.sampled_from(units)),
+                zip_code=draw(st.sampled_from(zips)),
+            )
+        )
+    return addresses
+
+
+class TestAddressKeys:
+    """``address_keys`` normalizes each street, unit and ZIP once and
+    equals ``canonical_key`` of each address and of its building."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(addresses=_addresses())
+    @example(addresses=[
+        make_address(street_name=".", street_suffix="", unit="#"),
+        make_address(street_name="Oak", street_suffix=";", unit=" ; "),
+        make_address(street_name="", street_suffix="", unit="", zip_code=""),
+        make_address(street_name="12th", street_suffix="st.", unit="apt. #3",
+                     zip_code="70112-1234"),
+    ])
+    def test_equals_canonical_key(self, addresses):
+        streets = {}
+        assert address_keys(addresses, streets) == (
+            [canonical_key(a.street_line(), a.zip_code) for a in addresses],
+            [
+                canonical_key(a.without_unit().street_line(), a.zip_code)
+                for a in addresses
+            ],
+        )
+        assert streets == {
+            (a.street_name, a.street_suffix): normalize_street_line(
+                f"{a.street_name} {a.street_suffix}"
+            )
+            for a in addresses
+        }
 
 
 class TestAddressModel:

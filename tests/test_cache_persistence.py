@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset import CurationConfig, CurationPipeline, SamplingConfig
@@ -42,7 +43,7 @@ from repro.exec import (
     build_result_cache,
     shard_digest,
 )
-from repro.exec.store import observations_from_dicts
+from repro.exec.store import decode_entry, encode_entry, observation_to_dict
 from repro.experiments import (
     clear_context_cache,
     context_cache_size,
@@ -421,72 +422,138 @@ class TestDiskShardStore:
 
 
 # ----------------------------------------------------------------------
-# Entry decoding: the type rule and the batch decoder
+# Entry decoding: the column layout and its type rule
 # ----------------------------------------------------------------------
 def _entry_file(root: Path, keys) -> Path:
     digest = shard_digest(keys)
     return root / "objects" / digest[:2] / f"{digest}.json"
 
 
-def _rewrite_rows(path: Path, edit) -> None:
-    """Apply ``edit`` to an entry file's observation rows in place."""
+def _rewrite_columns(path: Path, edit) -> None:
+    """Apply ``edit`` to an entry file's ``columns`` object in place."""
     payload = json.loads(path.read_bytes())
-    edit(payload["observations"])
+    edit(payload["columns"])
     path.write_text(json.dumps(payload))
 
 
-def _reference_observation_from_dict(row: dict) -> AddressObservation:
-    """The per-row decode the batch decoder replaced."""
-    return AddressObservation(
-        address_id=row["address_id"],
-        city=row["city"],
-        block_group=row["block_group"],
-        isp=row["isp"],
-        status=row["status"],
-        plans=tuple(
-            PlanObservation(
-                name=p["name"],
-                download_mbps=float(p["down"]),
-                upload_mbps=float(p["up"]),
-                monthly_price=float(p["price"]),
-            )
-            for p in row["plans"]
-        ),
-        elapsed_seconds=float(row["elapsed_seconds"]),
-    )
+def _set_field(columns: dict, path: tuple, value) -> None:
+    *parents, last = path
+    for step in parents:
+        columns = columns[step]
+    columns[last] = value
 
 
-#: ``(row path, value)``: a field of the entry format and a JSON value of
-#: a type it must refuse.
+#: Where each field of the shard ``_shard`` writes lives in the column
+#: layout: one observation's item of a plain column, or the distinct
+#: value of a ``[values, index]`` column (one value: every observation
+#: of the shard shares it).
+_STRING_FIELDS = (
+    ("address_id", 1),
+    ("city", 0, 0),
+    ("block_group", 0, 0),
+    ("isp", 0, 0),
+    ("status", 0, 0),
+    ("plans", 0, 0, 0, 0),  # plan list 0, plan 0, name
+)
+_NUMBER_FIELDS = (
+    ("elapsed_seconds", 1),
+    ("plans", 0, 0, 0, 1),  # down
+    ("plans", 0, 0, 0, 2),  # up
+    ("plans", 0, 0, 0, 3),  # price
+)
+#: The ``[values, index]`` columns.
+_INDEXED = ("city", "block_group", "isp", "status", "plans")
+
+#: ``(columns path, value)``: a field of the column layout and a JSON
+#: value of a type or shape it must refuse.
 _WRONG_TYPED = [
     *(
         (path, value)
-        for path in (
-            ("address_id",), ("city",), ("block_group",), ("isp",),
-            ("status",), ("plans", 0, "name"),
-        )
+        for path in _STRING_FIELDS
         for value in (["plan"], {"name": "plan"}, None, 7)
     ),
     *(
         (path, value)
-        for path in (
-            ("elapsed_seconds",), ("plans", 0, "down"), ("plans", 0, "up"),
-            ("plans", 0, "price"),
-        )
+        for path in _NUMBER_FIELDS
         for value in ("300", True, False, None)
     ),
+    # One distinct plan list that is not a list of plans.
     *(
-        (("plans",), value)
+        (("plans", 0, 0), value)
         for value in ({"name": "plan"}, "plan", None, 3, [["plan"]], ["plan"], [None])
     ),
+    # A plan that is not a [name, down, up, price] array.
+    *(
+        (("plans", 0, 0, 0), value)
+        for value in (
+            ["plan", 100.0, 10.0],
+            ["plan", 100.0, 10.0, 50.0, 1.0],
+            [],
+            {"name": "plan", "down": 100.0, "up": 10.0, "price": 50.0},
+        )
+    ),
+    # An index that is not an in-range, non-negative int.
+    *(
+        ((column, 1, 1), value)
+        for column in _INDEXED
+        for value in (True, False, 0.0, -1, 1, "0", None)
+    ),
+    # A column that is not a [values, index] pair or a plain array.
+    *(
+        ((column,), value)
+        for column in _INDEXED
+        for value in ([[]], [[], [], []], {"values": [], "index": []}, None, "x")
+    ),
+    *(((column, 0), value) for column in _INDEXED for value in ("x", None, {})),
+    *(((column, 1), value) for column in _INDEXED for value in ("x", None, {})),
+    *(
+        ((column,), value)
+        for column in ("address_id", "elapsed_seconds")
+        for value in (None, "x", {"0": 1})
+    ),
 ]
+_WRONG_TYPED_IDS = [f"{'.'.join(map(str, p))}={v!r}" for p, v in _WRONG_TYPED]
 
 
-def _set_field(row: dict, path: tuple, value) -> None:
-    *parents, last = path
-    for step in parents:
-        row = row[step]
-    row[last] = value
+def _drop_last(column: list) -> None:
+    column.pop()
+
+
+#: Damage beyond one wrong field: a missing column, a ragged column, a
+#: ``columns`` object of the wrong type.
+_DAMAGED_COLUMNS = {
+    **{
+        f"missing-{name}": (lambda columns, name=name: columns.pop(name))
+        for name in ("address_id", "elapsed_seconds", *_INDEXED)
+    },
+    **{
+        f"ragged-{name}": (lambda columns, name=name: _drop_last(columns[name]))
+        for name in ("address_id", "elapsed_seconds")
+    },
+    **{
+        f"ragged-{name}-index": (lambda columns, name=name: _drop_last(columns[name][1]))
+        for name in _INDEXED
+    },
+    "long-address_id": lambda columns: columns["address_id"].append("extra"),
+    "long-status-index": lambda columns: columns["status"][1].append(0),
+}
+
+
+def _rewrite_entry(path: Path, key: str, value) -> None:
+    """Set one top-level key of an entry file."""
+    payload = json.loads(path.read_bytes())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+
+
+def _rewrite_meta(path: Path, field, value) -> None:
+    """Set one field of an entry file's ``meta`` (all of it for None)."""
+    payload = json.loads(path.read_bytes())
+    if field is None:
+        payload["meta"] = value
+    else:
+        payload["meta"][field] = value
+    path.write_text(json.dumps(payload))
 
 
 #: ``(field, value)``: an entry ``meta`` the type rule refuses.  A field
@@ -509,23 +576,21 @@ _WRONG_META = [
 _WRONG_META_IDS = [f"{field or 'meta'}={value!r}" for field, value in _WRONG_META]
 
 
-def _rewrite_meta(path: Path, field, value) -> None:
-    """Set one field of an entry file's ``meta`` (all of it for None)."""
-    payload = json.loads(path.read_bytes())
-    if field is None:
-        payload["meta"] = value
-    else:
-        payload["meta"][field] = value
-    path.write_text(json.dumps(payload))
-
-
 #: Ways to damage a ``find_stale`` candidate: unparseable bytes, a
-#: wrong-typed row, and each wrong-typed ``meta``.
+#: wrong-typed field, a ragged column, an out-of-range index, a column
+#: object that is not one, and each wrong-typed ``meta``.
 _STALE_DAMAGE = {
     "garbage": lambda path: path.write_bytes(b"\x00garbage{{{"),
-    "wrong-typed": lambda path: _rewrite_rows(
-        path, lambda rows: _set_field(rows[0], ("plans", 0, "name"), 5)
+    "wrong-typed": lambda path: _rewrite_columns(
+        path, lambda columns: _set_field(columns, ("plans", 0, 0, 0, 0), 5)
     ),
+    "ragged": lambda path: _rewrite_columns(
+        path, lambda columns: _drop_last(columns["elapsed_seconds"])
+    ),
+    "index-out-of-range": lambda path: _rewrite_columns(
+        path, lambda columns: _set_field(columns, ("plans", 1, 0), 1)
+    ),
+    "columns-not-an-object": lambda path: _rewrite_entry(path, "columns", []),
     **{
         name: (lambda path, field=field, value=value:
                _rewrite_meta(path, field, value))
@@ -535,49 +600,88 @@ _STALE_DAMAGE = {
 
 
 class TestEntryTypeRule:
-    """Every row of an entry is type-checked; an entry that breaks the
+    """Every column of an entry is type-checked; an entry that breaks the
     rule is malformed: deleted and reported as a miss."""
 
-    @pytest.mark.parametrize(
-        "path, value",
-        _WRONG_TYPED,
-        ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v in _WRONG_TYPED],
-    )
+    @pytest.mark.parametrize("path, value", _WRONG_TYPED, ids=_WRONG_TYPED_IDS)
     def test_wrong_typed_entry_is_a_miss_and_removed(self, tmp_path, path, value):
         keys, observations = _shard("a")
         store = DiskShardStore(tmp_path / "s")
         store.put(keys, observations)
         entry = _entry_file(tmp_path / "s", keys)
-        _rewrite_rows(entry, lambda rows: _set_field(rows[1], path, value))
+        _rewrite_columns(entry, lambda columns: _set_field(columns, path, value))
         assert store.get(keys) is None
         assert not entry.exists()
 
-    @pytest.mark.parametrize("path", [("elapsed_seconds",), ("plans", 0, "price")])
+    @pytest.mark.parametrize("damage", list(_DAMAGED_COLUMNS))
+    def test_damaged_columns_are_a_miss_and_removed(self, tmp_path, damage):
+        keys, observations = _shard("a")
+        store = DiskShardStore(tmp_path / "s")
+        store.put(keys, observations)
+        entry = _entry_file(tmp_path / "s", keys)
+        _rewrite_columns(entry, _DAMAGED_COLUMNS[damage])
+        assert store.get(keys) is None
+        assert not entry.exists()
+
+    @pytest.mark.parametrize("value", [None, [], "columns", 3])
+    def test_columns_not_an_object_is_a_miss_and_removed(self, tmp_path, value):
+        keys, observations = _shard("a")
+        store = DiskShardStore(tmp_path / "s")
+        store.put(keys, observations)
+        entry = _entry_file(tmp_path / "s", keys)
+        _rewrite_entry(entry, "columns", value)
+        assert store.get(keys) is None
+        assert not entry.exists()
+
+    @pytest.mark.parametrize(
+        "path", [("elapsed_seconds", 1), ("plans", 0, 0, 0, 3)],
+        ids=["elapsed_seconds", "price"],
+    )
     def test_int_too_large_for_a_float_is_a_miss(self, tmp_path, path):
         keys, observations = _shard("a")
         store = DiskShardStore(tmp_path / "s")
         store.put(keys, observations)
         entry = _entry_file(tmp_path / "s", keys)
-        _rewrite_rows(entry, lambda rows: _set_field(rows[1], path, 10**400))
+        _rewrite_columns(entry, lambda columns: _set_field(columns, path, 10**400))
         assert store.get(keys) is None
         assert not entry.exists()
 
     def test_bool_equal_to_an_earlier_number_is_refused(self, tmp_path):
-        """``True == 1.0``: a row must not pass by matching an earlier
-        row's plan list by value."""
+        """``True == 1.0``: a plan list must not pass by equalling an
+        earlier, valid one."""
         keys, observations = _shard("a")
         store = DiskShardStore(tmp_path / "s")
         store.put(keys, observations)
         entry = _entry_file(tmp_path / "s", keys)
 
-        def edit(rows):
-            for row in rows:
-                row["plans"][0]["up"] = 1.0
-            rows[2]["plans"][0]["up"] = True
+        def edit(columns):
+            columns["plans"] = [
+                [[["plan", 100.0, 1.0, 50.0]], [["plan", 100.0, True, 50.0]]],
+                [0, 0, 1],
+            ]
 
-        _rewrite_rows(entry, edit)
+        _rewrite_columns(entry, edit)
         assert store.get(keys) is None
         assert not entry.exists()
+
+    def test_int_numbers_decode_as_floats(self, tmp_path):
+        """Another writer may spell a number as a JSON integer: it is
+        accepted, and decoded as the float of the same value."""
+        keys, observations = _shard("a")
+        store = DiskShardStore(tmp_path / "s")
+        store.put(keys, observations)
+        entry = _entry_file(tmp_path / "s", keys)
+
+        def edit(columns):
+            columns["elapsed_seconds"] = [int(x) for x in columns["elapsed_seconds"]]
+            columns["plans"][0] = [[["plan", 100, 10, 50]]]
+
+        _rewrite_columns(entry, edit)
+        decoded = store.get(keys)
+        assert repr(decoded) == repr(
+            tuple(replace(obs, elapsed_seconds=float(int(obs.elapsed_seconds)))
+                  for obs in observations)
+        )
 
     @pytest.mark.parametrize("adopted", [False, True], ids=["row", "adopted"])
     @pytest.mark.parametrize("field, value", _WRONG_META, ids=_WRONG_META_IDS)
@@ -605,6 +709,10 @@ class TestEntryTypeRule:
         keys, observations = _shard("a")
         store = DiskShardStore(tmp_path / "s")
         store.put(keys, observations)
+        payload = json.loads(_entry_file(tmp_path / "s", keys).read_bytes())
+        assert payload["columns"]["plans"] == [
+            [[["plan", 100.0, 10.0, 50.0]]], [0, 0, 0]
+        ]
         first, *rest = DiskShardStore(tmp_path / "s").get(keys)
         assert all(obs.plans is first.plans for obs in rest)
 
@@ -632,61 +740,160 @@ class TestEntryTypeRule:
         assert not newest.exists()
 
 
-_NUMBERS = st.one_of(
-    st.floats(),
-    st.integers(min_value=-(2**62), max_value=2**62),
-    st.sampled_from([0, 0.0, -0.0, 1, 1.0, float("nan"), float("inf")]),
-)
-_PLANS = st.lists(
-    st.fixed_dictionaries(
+def _version_1_entry(keys, observations, meta: ShardMeta) -> bytes:
+    """An entry as the row layout (store version 1) wrote it: one JSON
+    object per observation."""
+    return json.dumps(
         {
-            "name": st.sampled_from(["Basic", "Gig"]) | st.text(max_size=3),
-            "down": _NUMBERS,
-            "up": _NUMBERS,
-            "price": _NUMBERS,
-        }
-    ),
-    max_size=3,
-)
+            "version": 1,
+            "digest": shard_digest(keys),
+            "keys": list(keys),
+            "meta": asdict(meta),
+            "observations": [observation_to_dict(obs) for obs in observations],
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+
+
+class TestForeignVersions:
+    """A reader that meets another entry version sees a clean miss,
+    never a wrong decode."""
+
+    def test_version_1_entry_is_a_clean_miss_until_the_next_put(self, tmp_path):
+        keys, observations = _shard("a")
+        meta = ShardMeta(city="wichita", isp="cox", seed=5, scale=0.05,
+                         config_digest="d")
+        store = DiskShardStore(tmp_path / "s")
+        store.put(keys, observations, meta=meta)
+        entry = _entry_file(tmp_path / "s", keys)
+        old = _version_1_entry(keys, observations, meta)
+        entry.write_bytes(old)
+
+        reopened = DiskShardStore(tmp_path / "s")
+        assert reopened.get(keys) is None
+        assert entry.read_bytes() == old  # left on disk, untouched
+        assert len(reopened) == 1  # and its manifest row kept
+        assert reopened.find_stale("wichita", "cox") is None
+
+        reopened.put(keys, observations, meta=meta)
+        assert json.loads(entry.read_bytes())["version"] == STORE_VERSION
+        assert DiskShardStore(tmp_path / "s").get(keys) == observations
+
+    def test_version_1_manifest_is_read(self, tmp_path):
+        """The manifest's rows did not change with the entries', so a
+        store filled by the row layout keeps its manifest."""
+        keys, observations = _shard("a")
+        store = DiskShardStore(tmp_path / "s")
+        store.put(keys, observations)
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_bytes())
+        assert manifest["version"] == 1
+        assert len(DiskShardStore(tmp_path / "s")) == 1
+
+    @pytest.mark.parametrize("version", [1, STORE_VERSION + 1, None, "2"])
+    def test_decoder_refuses_other_versions(self, version):
+        keys, observations = _shard("a")
+        entry = encode_entry(keys, observations, ShardMeta())
+        entry["version"] = version
+        with pytest.raises(ValueError, match=f"version {version!r}"):
+            decode_entry(entry)
+
+
+#: Plan numbers that an equality match would merge or split wrongly.
+_EDGE_NUMBERS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1.0, 2.0,
+                 1e16, 5e-324]
+_NUMBERS = st.sampled_from(_EDGE_NUMBERS) | st.floats()
 
 
 @st.composite
-def _entry_rows(draw):
-    """Rows whose plan lists repeat, drawn from a small pool of lists."""
-    pool = draw(st.lists(_PLANS, min_size=1, max_size=4))
-    return [
-        {
-            "address_id": draw(st.text(max_size=4)),
-            "city": "wichita",
-            "block_group": draw(st.sampled_from(["bg-1", "bg-2"])),
-            "isp": "cox",
-            "status": draw(st.sampled_from(["plans", "no_service", "unknown"])),
-            "elapsed_seconds": draw(_NUMBERS),
-            "plans": [dict(plan) for plan in draw(st.sampled_from(pool))],
-        }
-        for _ in range(draw(st.integers(min_value=0, max_value=12)))
-    ]
+def _plan_list(draw):
+    return tuple(
+        PlanObservation(
+            draw(st.sampled_from(["Basic", "Gig"]) | st.text(max_size=3)),
+            draw(_NUMBERS), draw(_NUMBERS), draw(_NUMBERS),
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=3)))
+    )
 
 
-class TestBatchDecodeEqualsReference:
-    """The batch decoder equals the per-row decode on every valid entry,
-    bit for bit: compared by ``repr``, which tells ``-0.0`` from ``0.0``
-    and an int from a float."""
+@st.composite
+def _twin_lists(draw):
+    """A plan list and copies of it that differ in one number by an edge
+    value: the encoder must keep every one apart."""
+    base = draw(_plan_list().filter(bool))
+    twins = [base]
+    for value in _EDGE_NUMBERS:
+        plans = list(base)
+        at = draw(st.integers(min_value=0, max_value=len(plans) - 1))
+        field = draw(st.sampled_from(["download_mbps", "upload_mbps", "monthly_price"]))
+        plans[at] = replace(plans[at], **{field: value})
+        twins.append(tuple(plans))
+    return twins
+
+
+@st.composite
+def _shard_observations(draw):
+    """Observations whose plan lists repeat, some by object and some as
+    equal copies, drawn from a small pool that includes edge twins."""
+    pool = draw(st.lists(_plan_list(), min_size=1, max_size=4)) + draw(_twin_lists())
+    observations = []
+    for i in range(draw(st.integers(min_value=0, max_value=12))):
+        plans = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            plans = tuple(replace(p) for p in plans)  # equal, not identical
+        observations.append(
+            AddressObservation(
+                address_id=draw(st.text(max_size=4)),
+                city=draw(st.sampled_from(["wichita", "durham"])),
+                block_group=draw(st.sampled_from(["bg-1", "bg-2", ""])),
+                isp=draw(st.sampled_from(["cox", "att"])),
+                status=draw(st.sampled_from(["plans", "no_service", "unknown"])),
+                plans=plans,
+                elapsed_seconds=draw(_NUMBERS),
+            )
+        )
+    return tuple(observations)
+
+
+def _bits(plans) -> tuple:
+    return tuple(
+        (p.name, *(struct.pack("<d", x) for x in
+                   (p.download_mbps, p.upload_mbps, p.monthly_price)))
+        for p in plans
+    )
+
+
+class TestCodecRoundTrip:
+    """``decode_entry(encode_entry(...))`` gives back the observations
+    bit for bit, directly and through JSON: compared by ``repr``, which
+    tells ``-0.0`` from ``0.0``."""
 
     @settings(max_examples=300, deadline=None)
-    @given(rows=_entry_rows())
-    @example(rows=[
-        {"address_id": "a", "city": "c", "block_group": "b", "isp": "i",
-         "status": "plans", "elapsed_seconds": z,
-         "plans": [{"name": "n", "down": z, "up": 1, "price": z}]}
-        for z in (0.0, -0.0, 0, float("nan"), -0.0)
-    ])
-    def test_equals_per_row_decode(self, rows):
-        expected = repr(tuple(_reference_observation_from_dict(r) for r in rows))
-        assert repr(observations_from_dicts(rows)) == expected
-        # As read back from an entry file: JSON spells -0.0 and NaN.
-        parsed = json.loads(json.dumps(rows))
-        assert repr(observations_from_dicts(parsed)) == expected
+    @given(observations=_shard_observations())
+    def test_round_trip_is_repr_equal(self, observations):
+        keys = [f"k{i}" for i in range(len(observations))]
+        entry = encode_entry(keys, observations, ShardMeta(city="wichita"))
+        expected = repr(observations)
+        assert repr(decode_entry(entry)) == expected
+        # As read back from an entry file: JSON spells -0.0, NaN and inf.
+        assert repr(decode_entry(json.loads(json.dumps(entry)))) == expected
+        # One table row per distinct list of exact bits: nothing merged
+        # that differs, nothing repeated that does not.
+        table, index = entry["columns"]["plans"]
+        assert len(table) == len({_bits(obs.plans) for obs in observations})
+        assert len(index) == len(observations)
+
+    def test_edge_twins_stay_apart(self):
+        plan = PlanObservation("Gig", 1000.0, 0.0, 80.0)
+        twins = [
+            (replace(plan, upload_mbps=value),) for value in _EDGE_NUMBERS
+        ]
+        observations = tuple(
+            replace(_observation(i), plans=plans) for i, plans in enumerate(twins)
+        )
+        keys = [f"k{i}" for i in range(len(observations))]
+        entry = json.loads(json.dumps(encode_entry(keys, observations, ShardMeta())))
+        assert len(entry["columns"]["plans"][0]) == len(twins)
+        assert repr(decode_entry(entry)) == repr(observations)
 
 
 # ----------------------------------------------------------------------
@@ -907,6 +1114,40 @@ class TestIncrementalRecuration:
         pipeline.curate()
         assert pipeline.last_run.cached_shards == 0
         assert pipeline.last_run.executed_shards == 2
+
+    def test_all_hit_run_saves_its_lru_touches(self, small_world, tmp_path):
+        """A run that reads every shard from disk writes the manifest
+        once, so eviction ranks entries by their last read."""
+        root = tmp_path / "c"
+
+        def clock() -> int:
+            return json.loads((root / "manifest.json").read_bytes())["clock"]
+
+        def curate(**kwargs) -> CurationPipeline:
+            pipeline = CurationPipeline(
+                small_world, SMALL_CONFIG,
+                cache=QueryResultCache(store=DiskShardStore(root)),
+            )
+            pipeline.curate(**kwargs)
+            return pipeline
+
+        curate()  # fills att, then cox
+        filled = clock()
+        reader = curate()
+        assert reader.last_run.disk_shards == reader.last_run.total_shards == 2
+        assert clock() == filled + 2
+        assert DiskShardStore(root)._manifest["clock"] == filled + 2
+        curate(isps=("att",))  # att is now the most recently read
+        assert clock() == filled + 3
+
+        store = DiskShardStore(root)
+        by_isp = {entry.meta.isp: entry.digest for entry in store.entries()}
+        assert [entry.meta.isp for entry in store.entries()] == ["cox", "att"]
+        store.max_bytes = store.total_bytes()
+        store.put(*_shard("x"))  # over the cap: the least recently read goes
+        remaining = {entry.digest for entry in store.entries()}
+        assert by_isp["cox"] not in remaining
+        assert by_isp["att"] in remaining
 
     def test_corrupted_shard_is_recurated_not_fatal(self, small_world, tmp_path):
         store = DiskShardStore(tmp_path / "c")

@@ -34,7 +34,7 @@ from repro.exec import (
 )
 from repro.dataset.records import AddressObservation, PlanObservation
 from repro.exec.remote import _await_worker_banner, _decode_run_reply
-from repro.exec.store import observation_to_dict
+from repro.exec.store import STORE_VERSION, ShardMeta, decode_entry, encode_entry
 from repro.exec.spec import SPEC_WIRE_VERSION
 from repro.net import RpcClient
 from repro.net.rpc import RpcRemoteError
@@ -124,8 +124,9 @@ def _run_reply() -> dict:
         )
         for i in range(2)
     ]
+    keys = [f"key-{i}" for i in range(2)]
     return {
-        "entry": {"observations": [observation_to_dict(obs) for obs in observations]},
+        "entry": encode_entry(keys, observations, ShardMeta(city="wichita", isp="att")),
         "wall_seconds": 0.25,
         "cached": False,
     }
@@ -143,24 +144,43 @@ class TestRunReplyDecoding:
     @pytest.mark.parametrize(
         "path, value",
         [
-            (("address_id",), None),
-            (("status",), 3),
-            (("elapsed_seconds",), "2.5"),
-            (("elapsed_seconds",), True),
-            (("plans",), {"name": "Gig"}),
-            (("plans", 0, "name"), ["Gig"]),
-            (("plans", 0, "price"), True),
+            (("address_id", 1), None),
+            (("status", 0, 0), 3),
+            (("elapsed_seconds", 1), "2.5"),
+            (("elapsed_seconds", 1), True),
+            (("plans", 0, 0), {"name": "Gig"}),
+            (("plans", 0, 0, 0, 0), ["Gig"]),
+            (("plans", 0, 0, 0, 3), True),
+            (("plans", 0, 0, 0), ["Gig", 1000.0, 1000.0]),
+            (("plans", 1, 1), True),
+            (("status", 1, 0), 1),
+            (("city", 1, 1), -1),
+            (("isp", 1, 0), 0.0),
+            (("elapsed_seconds",), [2.5]),
+            (("block_group", 1), [0]),
         ],
     )
-    def test_wrong_typed_row_raises_transport_error(self, path, value):
+    def test_wrong_typed_entry_raises_transport_error(self, path, value):
         reply = _run_reply()
-        row = reply["entry"]["observations"][1]
+        column = reply["entry"]["columns"]
         *parents, last = path
         for step in parents:
-            row = row[step]
-        row[last] = value
+            column = column[step]
+        column[last] = value
         with pytest.raises(TransportError, match="malformed run_shard reply"):
             _decode_run_reply(reply)
+
+    @pytest.mark.parametrize("version", [1, STORE_VERSION + 1])
+    def test_foreign_entry_version_raises_transport_error(self, version):
+        """An entry of another version is refused, naming both versions,
+        never decoded."""
+        reply = _run_reply()
+        reply["entry"]["version"] = version
+        with pytest.raises(TransportError) as raised:
+            _decode_run_reply(reply)
+        message = str(raised.value)
+        assert f"version {version}" in message
+        assert f"version {STORE_VERSION}" in message
 
     @pytest.mark.parametrize(
         "value",
@@ -204,13 +224,7 @@ class TestWorkerServeLoop:
         with RpcClient(address) as client:
             reply = client.call("run_shard", {"spec": spec_to_wire(spec)})
         entry = reply["entry"]
-        assert len(entry["observations"]) == len(local_observations)
-        from repro.exec import observation_from_dict
-
-        decoded = tuple(
-            observation_from_dict(row) for row in entry["observations"]
-        )
-        assert decoded == local_observations
+        assert decode_entry(entry) == tuple(local_observations)
         assert entry["meta"]["city"] == "wichita"
         assert entry["meta"]["isp"] == "att"
         assert reply["cached"] is False

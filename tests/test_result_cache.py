@@ -256,20 +256,38 @@ class TestKeyLayout:
         assert address_cache_key(*args) == key
 
     def test_pinned_benchmark_shard_digest(self):
-        spec = ShardSpec(
-            world=BENCH_WORLD,
-            city="billings",
-            isp="centurylink",
-            config=BENCH_CONFIG,
-            config_digest=shard_config_digest(
-                BENCH_WORLD, BENCH_CONFIG, "billings", "centurylink"
-            ),
-        )
-        keys = spec_cache_keys(spec, spec_tasks(spec))
-        assert len(keys) == 120
-        assert shard_digest(keys) == (
-            "bef4f94d90bdca30bd2af2cb59d2367fc04458718ccc679e2d0573a8c5313a2e"
-        )
+        """Every key of the benchmark world: the ``shard_digest`` of each
+        of its eight shards' 4152 keys."""
+        pinned = {
+            ("wichita", "att"): (
+                360, "9036c43be7e816e35a999acf67bc23f4e3955d77970091827a75b8ed12ba1988"),
+            ("wichita", "cox"): (
+                360, "3b136a861ec2e5ae13b667c9cf3f2c3890fba7ac4069d96f7ad92e5cb28d4a4c"),
+            ("baltimore", "verizon"): (
+                1428, "f97a67cf96d3f9d1e472fdc9c5e02a6e23637b5d2daa96f3421cf76660a07dac"),
+            ("baltimore", "xfinity"): (
+                1428, "c3320a4b8447dd140614d2712259ff08fb337909765a4ab57fd650f999724f20"),
+            ("billings", "centurylink"): (
+                120, "bef4f94d90bdca30bd2af2cb59d2367fc04458718ccc679e2d0573a8c5313a2e"),
+            ("billings", "spectrum"): (
+                120, "3d7e2acfc584497b212976b364102bbe7f5aa1804f5c0f39de5f68cac2c8c6af"),
+            ("durham", "frontier"): (
+                168, "6eae931796033b8421dd591ad04a4df41e0bc6e3e85a5b49c5715bc6e0fa3d39"),
+            ("durham", "spectrum"): (
+                168, "2f4ff59450274735250c5bfcb37369d2bec561c1eec26036020da16c9f7a9388"),
+        }
+        digests = {}
+        for city, isp in pinned:
+            spec = ShardSpec(
+                world=BENCH_WORLD,
+                city=city,
+                isp=isp,
+                config=BENCH_CONFIG,
+                config_digest=shard_config_digest(BENCH_WORLD, BENCH_CONFIG, city, isp),
+            )
+            keys = spec_cache_keys(spec, spec_tasks(spec))
+            digests[city, isp] = (len(keys), shard_digest(keys))
+        assert digests == pinned
 
     @settings(max_examples=300, deadline=None)
     @given(
