@@ -515,10 +515,6 @@ _WRONG_TYPED = [
 _WRONG_TYPED_IDS = [f"{'.'.join(map(str, p))}={v!r}" for p, v in _WRONG_TYPED]
 
 
-def _drop_last(column: list) -> None:
-    column.pop()
-
-
 #: Damage beyond one wrong field: a missing column, a ragged column, a
 #: ``columns`` object of the wrong type.
 _DAMAGED_COLUMNS = {
@@ -527,11 +523,11 @@ _DAMAGED_COLUMNS = {
         for name in ("address_id", "elapsed_seconds", *_INDEXED)
     },
     **{
-        f"ragged-{name}": (lambda columns, name=name: _drop_last(columns[name]))
+        f"ragged-{name}": (lambda columns, name=name: columns[name].pop())
         for name in ("address_id", "elapsed_seconds")
     },
     **{
-        f"ragged-{name}-index": (lambda columns, name=name: _drop_last(columns[name][1]))
+        f"ragged-{name}-index": (lambda columns, name=name: columns[name][1].pop())
         for name in _INDEXED
     },
     "long-address_id": lambda columns: columns["address_id"].append("extra"),
@@ -585,7 +581,7 @@ _STALE_DAMAGE = {
         path, lambda columns: _set_field(columns, ("plans", 0, 0, 0, 0), 5)
     ),
     "ragged": lambda path: _rewrite_columns(
-        path, lambda columns: _drop_last(columns["elapsed_seconds"])
+        path, lambda columns: columns["elapsed_seconds"].pop()
     ),
     "index-out-of-range": lambda path: _rewrite_columns(
         path, lambda columns: _set_field(columns, ("plans", 1, 0), 1)
