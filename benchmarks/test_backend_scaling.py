@@ -13,6 +13,7 @@ wall-clock while producing the byte-identical dataset.
 
 from __future__ import annotations
 
+import gc
 import time
 from pathlib import Path
 
@@ -45,6 +46,11 @@ def world():
 
 def _timed_run(world, executor):
     pipeline = CurationPipeline(world, CONFIG, executor=executor, chunk_tasks="auto")
+    # Pay the collector's debt before the clock starts.  Late in a full
+    # test session the process holds ~0.5M tracked objects, and a full
+    # collection over them (~0.3 s) otherwise lands in whichever run
+    # crosses its threshold, charged to that backend.
+    gc.collect()
     started = time.monotonic()
     dataset = pipeline.curate(isps=(ISP,))
     return time.monotonic() - started, dataset, pipeline.last_run

@@ -51,6 +51,7 @@ Machine-readable results go to ``BENCH_serving.json``, uploaded by the
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import statistics
@@ -373,21 +374,32 @@ def _load_phase(proc, address, capacity_rps: float) -> dict:
     bound, instead of blocking the bench behind the baseline's queue.
     """
     interval = 1.0 / capacity_rps
-    phase = _Phase(deadline=time.monotonic() + PHASE_SECONDS)
-    batch_threads = [
-        threading.Thread(
-            target=_batch_loop, args=(phase, address, i),
-            name=f"bench-batch-{i}", daemon=True,
-        )
-        for i in range(BATCH_CLIENTS)
-    ]
-    for thread in batch_threads:
-        thread.start()
-    workers = _interactive_schedule(phase, address, interval)
-    time.sleep(GRACE_SECONDS)
-    _stop_server(proc)
-    for thread in batch_threads + workers:
-        thread.join(timeout=30.0)
+    # The client's collector is off while it times the server, as in
+    # timeit.  Late in a full test session this process tracks ~0.4M
+    # objects, and a full collection over them (0.2-0.3 s, twice per
+    # phase, the first in the opening second) stalls every sender and
+    # reader thread at once, so requests in flight read the client's
+    # pause as server latency.
+    gc.collect()
+    gc.disable()
+    try:
+        phase = _Phase(deadline=time.monotonic() + PHASE_SECONDS)
+        batch_threads = [
+            threading.Thread(
+                target=_batch_loop, args=(phase, address, i),
+                name=f"bench-batch-{i}", daemon=True,
+            )
+            for i in range(BATCH_CLIENTS)
+        ]
+        for thread in batch_threads:
+            thread.start()
+        workers = _interactive_schedule(phase, address, interval)
+        time.sleep(GRACE_SECONDS)
+        _stop_server(proc)
+        for thread in batch_threads + workers:
+            thread.join(timeout=30.0)
+    finally:
+        gc.enable()
     with phase.lock:
         ok_within_slo = sum(
             1 for latency in phase.ok_latencies

@@ -111,7 +111,10 @@ class ThreadedServer:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
-        self._listener.listen(64)
+        # A backlog as deep as the kernel allows: when a burst of connects
+        # overflows the accept queue, the kernel drops the SYNs and each
+        # dropped client waits out a one-second SYN retransmit.
+        self._listener.listen(socket.SOMAXCONN)
         self._lock = threading.Lock()
         self._conns: set[socket.socket] = set()
         self._threads: list[threading.Thread] = []

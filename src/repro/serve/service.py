@@ -22,7 +22,10 @@ Degradation ladder on a cache miss (what the admission
 
 * **clear** — re-curate the shard: one ``map_specs`` call over at most
   the executor's width of chunk specs, the deadline checked once before
-  it.
+  it.  Under admission at most ``width`` such calls run at once; the
+  other admitted misses wait for a slot (the admission queue), so a
+  burst of misses never runs more curation threads than the controller
+  priced.
 * **precongestion** (``stale_first``) — serve the newest stale disk shard
   for the (city, ISP) if one exists, else re-curate.
 * **overload** (``refuse_miss``) — stale or 503; no new curation work.
@@ -35,6 +38,7 @@ to stale-or-503 instead of queueing on a backend that is down.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import threading
@@ -184,6 +188,15 @@ class ServeService:
         self._seeded: set[tuple] = set()
         self._lock = threading.Lock()
         self._breaker_lock = threading.Lock()
+        # Curation slots: the admission controller prices a miss as
+        # ``width`` concurrent services with ``queue_depth`` waiting, so
+        # at most ``width`` dispatches run at once.  The baseline has no
+        # bound: every request runs at once.
+        self._slots = (
+            threading.BoundedSemaphore(admission.config.width)
+            if admission is not None
+            else contextlib.nullcontext()
+        )
         # Served-query counters by outcome (the /stats payload).
         self.served = {"cache": 0, "stale": 0, "executed": 0}
         self.deadline_exceeded = 0
@@ -370,9 +383,10 @@ class ServeService:
     ) -> ServeResult:
         """Re-curate the shard: one dispatch of at most ``width`` chunk specs.
 
-        The deadline is checked once, before dispatch.  A request whose
-        budget ran out while it queued answers 504 without curating; a
-        dispatched request runs to completion.
+        The deadline is checked once, before dispatch and after the
+        request holds a curation slot.  A request whose budget ran out
+        while it queued answers 504 without curating; a dispatched
+        request runs to completion.
         """
         with self._breaker_lock:
             allowed = self.breaker.allow(self.clock.now())
@@ -388,13 +402,6 @@ class ServeService:
                 _json_body({"error": "curation backend unavailable (circuit open)"}),
                 state=state,
                 retry_after=self.breaker.reset_after_s,
-            )
-        if deadline is not None and deadline.expired(self.clock.now()):
-            self.deadline_exceeded += 1
-            return ServeResult(
-                504,
-                _json_body({"error": "deadline exceeded before dispatch"}),
-                state=state,
             )
 
         n_tasks = len(info.tasks)
@@ -413,9 +420,20 @@ class ServeService:
             )
             for start, stop in spans
         ]
-        try:
-            chunks = self.executor.map_specs(specs)
-        except (TransportError, OSError, RpcRemoteError) as exc:
+        failure = None
+        with self._slots:
+            if deadline is not None and deadline.expired(self.clock.now()):
+                self.deadline_exceeded += 1
+                return ServeResult(
+                    504,
+                    _json_body({"error": "deadline exceeded before dispatch"}),
+                    state=state,
+                )
+            try:
+                chunks = self.executor.map_specs(specs)
+            except (TransportError, OSError, RpcRemoteError) as exc:
+                failure = exc
+        if failure is not None:
             with self._breaker_lock:
                 self.breaker.record_failure(self.clock.now())
             stale = self._stale(city, isp, info)
@@ -426,7 +444,7 @@ class ServeService:
                 )
             return ServeResult(
                 503,
-                _json_body({"error": f"curation backend failed: {exc}"}),
+                _json_body({"error": f"curation backend failed: {failure}"}),
                 state=state,
                 retry_after=self._retry_hint(),
             )

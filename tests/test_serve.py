@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -405,6 +406,35 @@ class _ClockAdvancingExecutor(Executor):
         return [run_shard_spec(spec) for spec in specs]
 
 
+class _GatedExecutor(Executor):
+    """Runs specs for real once its gate opens, and records how many
+    calls were inside ``map_specs`` at once."""
+
+    name = "gated"
+    max_workers = 1
+
+    def __init__(self) -> None:
+        self.gate = threading.Event()
+        self.entered = threading.Semaphore(0)
+        self._lock = threading.Lock()
+        self._running = 0
+        self.peak = 0
+        self.calls = 0
+
+    def map_specs(self, specs):
+        with self._lock:
+            self.calls += 1
+            self._running += 1
+            self.peak = max(self.peak, self._running)
+        self.entered.release()
+        try:
+            assert self.gate.wait(timeout=60.0)
+            return [run_shard_spec(spec) for spec in specs]
+        finally:
+            with self._lock:
+                self._running -= 1
+
+
 class TestServeService:
     def test_stale_from_disk_when_config_digest_changes(self, serve_world, tmp_path):
         store = DiskShardStore(tmp_path / "store")
@@ -508,6 +538,54 @@ class TestServeService:
         )
         assert result.status == 200 and executor.calls == 1
         assert service.cache.stats.stores > 0
+        service.close()
+
+    def test_misses_beyond_the_width_wait_for_a_slot(self, serve_world):
+        """Admission prices ``width`` concurrent curations: admitted misses
+        beyond it wait for a slot instead of running at once, and a
+        budget that runs out while one waits answers 504 uncurated."""
+        clock = VirtualClock()
+        admission = AdmissionController(AdmissionConfig(width=1, queue_depth=2))
+        executor = _GatedExecutor()
+        service = ServeService(
+            serve_world, _config(),
+            cache=QueryResultCache(),
+            executor=executor,
+            admission=admission,
+            clock=clock,
+        )
+        results = {}
+
+        def drive(name: str, deadline: Deadline | None = None) -> None:
+            decision = service.admit(name, ISP, "interactive", clock.now())
+            results[name] = service.handle(
+                CITY, ISP, decision, deadline=deadline, force=True
+            )
+
+        threads = [threading.Thread(target=drive, args=("first",))]
+        threads[0].start()
+        try:
+            assert executor.entered.acquire(timeout=60.0)
+            threads += [
+                threading.Thread(
+                    target=drive, args=("late", Deadline.after(clock.now(), 0.5))
+                ),
+                threading.Thread(target=drive, args=("patient",)),
+            ]
+            for thread in threads[1:]:
+                thread.start()
+            assert not executor.entered.acquire(timeout=0.2)
+            clock.sleep(1.0)  # the late request's budget runs out as it waits
+        finally:
+            executor.gate.set()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        assert results["first"].status == 200
+        assert results["patient"].status == 200
+        assert results["late"].status == 504
+        assert service.deadline_exceeded == 1
+        assert executor.calls == 2 and executor.peak == 1
+        assert admission.snapshot(clock.now())["inflight"] == 0
         service.close()
 
     def test_admission_accounting_pairs_finish(self, serve_world):
@@ -758,3 +836,23 @@ class TestServerParameters:
                     assert client.get(path + raw).status == 400
                 assert admission.snapshot(service.clock.now())["inflight"] == 0
                 assert client.query(CITY, ISP).status == 200
+
+    def test_connect_burst_beyond_64_waits_in_the_backlog(self, serve_world):
+        """A burst of connects queues in the listen backlog before any is
+        accepted.  A backlog the burst overflows drops SYNs, and each
+        dropped client waits out a one-second retransmit."""
+        service = ServeService(
+            serve_world, _config(),
+            cache=QueryResultCache(),
+            executor=resolve_executor("serial"),
+        )
+        server = DatasetServeServer(service, fault_profile="off")  # not accepting
+        clients = []
+        try:
+            for _ in range(100):
+                clients.append(socket.create_connection(server.address, timeout=5.0))
+        finally:
+            for client in clients:
+                client.close()
+            server.stop()
+        assert len(clients) == 100
